@@ -1,8 +1,8 @@
 """Sweep the imaginary frequency axis and fit the resolvent growth rate.
 
 At each frequency beta the shifted static system is factorized once and the
-operator norm of data -> solution is estimated by power iteration in the
-energy metric. The growth of that norm in beta is what limits the decay rate
+operator norm of data -> solution is estimated by seeded Lanczos in the
+energy metric (`iters` counts its operator applications). The growth of that norm in beta is what limits the decay rate
 of the time-domain semigroup; the theoretical ceiling is beta^(11/2), and
 the finite model stays far below it (the fitted slope is typically negative
 once beta leaves the discrete spectrum).

@@ -3,7 +3,7 @@
 Every command is deterministic given (config, seed) and writes CSV/JSON
 artifacts into the output directory. Exit codes: 0 success, 2 configuration
 or validation error, 3 time-domain solver failure, 4 frequency-domain
-singularity.
+singularity or a resolvent-norm estimate that did not converge.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     except (evolution.SolverFailure, SingularMatrixError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_TIME_SOLVER
-    except resolvent.FrequencySingularityError as exc:
+    except (resolvent.FrequencySingularityError, resolvent.OpnormConvergenceError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_FREQ_SINGULAR
 

@@ -14,6 +14,7 @@ flux-chain monitors.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from .assembly import State, SystemMatrices, energy_norm, fluid_gradient_norm
 from .identities import (
@@ -30,7 +32,7 @@ from .identities import (
     interface_lift,
     surface_spectral_of,
 )
-from .linalg import Factorization, SingularMatrixError, power_opnorm
+from .linalg import Factorization, SingularMatrixError, opnorm_from_normal
 
 GROWTH_REFERENCE_EXPONENT = 11.0 / 2.0
 
@@ -41,6 +43,14 @@ class FrequencySingularityError(RuntimeError):
 
     def __init__(self, beta, detail):
         super().__init__(f"shifted system at beta = {beta} is singular: {detail}")
+        self.beta = beta
+
+
+class OpnormConvergenceError(RuntimeError):
+    """The resolvent-norm estimate did not converge at this frequency."""
+
+    def __init__(self, beta, detail):
+        super().__init__(f"resolvent norm at beta = {beta} did not converge: {detail}")
         self.beta = beta
 
 
@@ -165,21 +175,23 @@ def flux_ratio(beta, b: State, x: State, sys: SystemMatrices, spectral=None) -> 
 
 def resolvent_opnorm(beta, sys: SystemMatrices, tol=1e-4,
                      shifted: ShiftedFactor | None = None, seed=0):
-    """Operator norm of b -> x in the energy metric; returns (value, iterations)."""
+    """Operator norm of b -> x in the energy metric; returns (value, applications).
+
+    With R = (i beta M - A)^{-1} the map is T = R M, and its M-normal
+    operator M^{-1} T^H M T = R^H M R M costs two shifted solves and no mass
+    solve. ``applications`` counts how often it was applied.
+    """
     if shifted is None:
         shifted = ShiftedFactor(beta, sys)
     M = sys.M
 
-    def matvec(v):
-        return shifted.solve(M @ v)
+    def normal(v):
+        return shifted.solve_adjoint(M @ shifted.solve(M @ v))
 
-    def rmatvec(v):
-        return M @ shifted.solve_adjoint(v)
-
-    info = power_opnorm(
-        (matvec, rmatvec), M, sys.dof.total, tol=tol, seed=seed,
-        gram_solve=lambda r: sys.mass_solve(r),
-    )
+    try:
+        info = opnorm_from_normal(normal, M, sys.dof.total, tol=tol, seed=seed)
+    except ArpackNoConvergence as exc:
+        raise OpnormConvergenceError(beta, str(exc)) from exc
     return info.sigma, info.iterations
 
 
@@ -231,20 +243,35 @@ def sample_point(beta, sys: SystemMatrices, b: State, *,
     )
 
 
-def _sweep_worker(args):
-    beta, sys, b, compute_opnorm, opnorm_tol, solve_tol = args
-    return sample_point(
-        beta, sys, b, compute_opnorm=compute_opnorm, opnorm_tol=opnorm_tol,
-        solve_tol=solve_tol,
+def _sampler(sys, b, options):
+    """sample_point with the probe and the beta-independent state bound."""
+    return functools.partial(
+        sample_point, sys=sys, b=b, dmap=DirichletMap(sys), spectral=surface_spectral_of(sys),
+        **options,
     )
+
+
+_worker_sampler = None      # set once per pool worker by _init_sweep_worker
+
+
+def _init_sweep_worker(sys, b, options):
+    global _worker_sampler
+    _worker_sampler = _sampler(sys, b, options)
+
+
+def _sweep_task(beta):
+    return _worker_sampler(beta)
 
 
 def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
           opnorm_tol=1e-4, solve_tol=1e-10, jobs=1) -> list[ResolventSample]:
     """Diagnostics along a frequency grid; results ordered by the grid.
 
-    Per-frequency work is independent; with jobs > 1 the grid is distributed
-    over processes and reassembled in order, so output does not depend on jobs.
+    The beta-independent state (the Dirichlet map and the surface
+    eigenbasis) is built once per process. With jobs > 1 the system reaches
+    each worker once, through the pool initializer; tasks carry only beta,
+    and results are reassembled in grid order, so output does not depend on
+    jobs.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size < 1:
@@ -254,17 +281,16 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
     if betas[0] < 1.0:
         raise ValueError("frequency grid must start at beta >= 1")
     b = probe_state(sys, probe_seed)
+    options = dict(compute_opnorm=compute_opnorm, opnorm_tol=opnorm_tol, solve_tol=solve_tol)
+    grid = [float(bb) for bb in betas]
     if jobs > 1:
-        work = [(float(bb), sys, b, compute_opnorm, opnorm_tol, solve_tol) for bb in betas]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_worker, work))
-    return [
-        sample_point(
-            float(bb), sys, b, compute_opnorm=compute_opnorm,
-            opnorm_tol=opnorm_tol, solve_tol=solve_tol,
-        )
-        for bb in betas
-    ]
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(grid)), initializer=_init_sweep_worker,
+            initargs=(sys, b, options),
+        ) as pool:
+            return list(pool.map(_sweep_task, grid))
+    sample = _sampler(sys, b, options)
+    return [sample(bb) for bb in grid]
 
 
 def fit_growth(samples, top_decade=True) -> GrowthFit:

@@ -183,3 +183,19 @@ def test_cmd_sweep_jobs_flag_matches_serial(tmp_path):
     assert main(["sweep", "--config", cfg, "--outdir", str(tmp_path / "o1")]) == 0
     assert main(["sweep", "--config", cfg, "--outdir", str(tmp_path / "o2"), "--jobs", "2"]) == 0
     assert (tmp_path / "o1" / "sweep.csv").read_bytes() == (tmp_path / "o2" / "sweep.csv").read_bytes()
+
+
+def test_cmd_sweep_opnorm_no_convergence_exit_4(tmp_path, capsys, monkeypatch):
+    import mlfsi.resolvent as resolvent
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def never_converges(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(resolvent, "opnorm_from_normal", never_converges)
+    cfg = write_config(tmp_path, FAST_SWEEP)
+    code = main(["sweep", "--config", cfg, "--outdir", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: resolvent norm at beta = 1.0 did not converge")
+    assert len(err.strip().splitlines()) == 1

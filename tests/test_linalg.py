@@ -8,7 +8,7 @@ from mlfsi.linalg import (
     SingularMatrixError,
     dump_coo,
     generalized_opnorm,
-    power_opnorm,
+    gram_opnorm,
     smallest_singular_value,
     solve_complex,
     solve_spd,
@@ -138,12 +138,32 @@ def test_opnorm_invariant_under_gram_orthogonal_conjugation(rng):
     assert abs(v1 - v2) / v1 < 1e-5
 
 
-def test_power_opnorm_info_converged(rng):
+def test_gram_opnorm_info_converged(rng):
     G = sp.eye(10, format="csr")
     T = sp.diags(np.arange(1.0, 11.0))
-    info = power_opnorm(T, G, 10, tol=1e-8)
+    info = gram_opnorm(T, G, 10, tol=1e-8)
     assert info.converged
     assert info.sigma == pytest.approx(10.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("case", ["shifted-1", "shifted-200", "stepper", "mass", "generator"])
+def test_factorization_ordering_rule_and_residual(n8_sys, rng, case):
+    M, A = n8_sys.M, n8_sys.A
+    mat = {
+        "shifted-1": 1j * M.astype(complex) - A.astype(complex),
+        "shifted-200": 200j * M.astype(complex) - A.astype(complex),
+        "stepper": M - 0.005 * A,
+        "mass": M,
+        "generator": A,
+    }[case]
+    fact = Factorization(mat.tocsc())
+    # Every matrix but the generator A has a zero-free diagonal.
+    assert fact.symmetric_mode == (case != "generator")
+    b = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
+    if not np.iscomplexobj(mat.data):
+        b = b.real
+    x = fact.solve(b)
+    assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
 def test_smallest_singular_value(rng):

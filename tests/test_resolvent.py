@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mlfsi.assembly import State, energy_norm
-from mlfsi.linalg import power_opnorm
+import mlfsi.resolvent as resolvent
+from mlfsi.assembly import State, build_system, energy_norm
+from mlfsi.geometry import MeshConfig, build_mesh
+from mlfsi.linalg import gram_opnorm
 from mlfsi.resolvent import (
     CSV_HEADER,
     FrequencySingularityError,
@@ -23,7 +25,7 @@ from mlfsi.resolvent import (
     write_sweep_csv,
 )
 
-from oracles import dense_resolvent_opnorm
+from oracles import arpack_resolvent_opnorm, dense_resolvent_opnorm
 
 
 def test_zero_data_gives_zero_solution(default_sys):
@@ -155,7 +157,7 @@ def test_opnorm_diagonal_surrogate():
     from mlfsi.linalg import Factorization
 
     f = Factorization(C)
-    val = power_opnorm(
+    val = gram_opnorm(
         ((lambda v: f.solve(v)), (lambda v: f.solve(v, trans="H"))), M, n, tol=1e-8
     ).sigma
     ref = np.max(1.0 / np.abs(1j * beta - lam))
@@ -166,6 +168,22 @@ def test_resolvent_norm_matches_dense_svd(tiny_sys):
     val = resolvent_norm(2.0, tiny_sys, tol=1e-6)
     ref = dense_resolvent_opnorm(2.0, tiny_sys)
     assert abs(val - ref) / ref < 1e-3
+
+
+@pytest.fixture(scope="module")
+def n16_sys():
+    return build_system(build_mesh(MeshConfig(n=16)))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_resolvent_opnorm_within_tolerance_of_arpack_reference(n16_sys, k):
+    # Points 2 and 3 of the 13-point log grid on [1, 200], where an early
+    # stop once left the estimate 9e-4 and 1.3e-3 low at tol 1e-4.
+    beta = 10 ** (np.log10(200) * k / 12)
+    tol = 1e-4
+    val, _ = resolvent_opnorm(beta, n16_sys, tol=tol)
+    ref = arpack_resolvent_opnorm(beta, n16_sys)
+    assert ref * (1 - 3 * tol) <= val <= ref * (1 + 1e-9)
 
 
 def test_resolvent_conjugation_symmetry(rich_sys):
@@ -245,6 +263,19 @@ def test_sweep_jobs_deterministic(tmp_path, default_sys):
     write_sweep_csv(s1, p1)
     write_sweep_csv(s2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_sweep_builds_dirichlet_map_once(monkeypatch, default_sys):
+    builds = []
+
+    class CountingMap(resolvent.DirichletMap):
+        def __init__(self, sys):
+            builds.append(1)
+            super().__init__(sys)
+
+    monkeypatch.setattr(resolvent, "DirichletMap", CountingMap)
+    sweep(np.logspace(0, 1, 4), default_sys, probe_seed=2, compute_opnorm=False)
+    assert len(builds) == 1
 
 
 def test_singularity_detection():
