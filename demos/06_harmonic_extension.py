@@ -11,12 +11,10 @@ which also gives the monitored boundedness constants of the extension.
 import numpy as np
 
 from mlfsi import MeshConfig, build_mesh, build_system
-from mlfsi.identities import DirichletMap, surface_spectral_of
 
 mesh = build_mesh(MeshConfig(n=8))
 system = build_system(mesh)
-dmap = DirichletMap(system)
-spectral = surface_spectral_of(system)
+dmap = system.dirichlet_map
 n_i = system.dof.n_i
 
 g = np.ones(n_i)
@@ -38,6 +36,6 @@ for k in range(3):
     g = rng.standard_normal(n_i)
     e = dmap.extend(g)
     inside = e.min() >= g.min() - 1e-12 and e.max() <= g.max() + 1e-12
-    ratio = dmap.h1_ratio(g, system, spectral)
+    ratio = dmap.h1_ratio(g, system)
     print(f"random data {k}: maximum principle holds {inside}, "
           f"H1-vs-half-norm ratio {ratio:.3f}")

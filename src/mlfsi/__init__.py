@@ -22,7 +22,6 @@ from .assembly import (
     energy_norm,
     fluid_gradient_norm,
     graph_norm,
-    h_inner,
 )
 from .config import RunConfig, default_config, load_config, parse_config
 from .evolution import (
@@ -33,7 +32,6 @@ from .evolution import (
     make_stepper,
     prepare_smooth_data,
     simulate,
-    step_cn,
 )
 from .geometry import (
     FLUID,
@@ -52,29 +50,18 @@ from .identities import (
     FluxChainRecord,
     MultiplierReport,
     ZField,
-    build_solid_system,
     build_z,
-    dirichlet_extend,
-    dirichlet_neumann,
     flux_chain_monitor,
     manufactured_study,
     multiplier_residual,
 )
-from .linalg import (
-    Factorization,
-    SolveReport,
-    factorize,
-    generalized_opnorm,
-    solve_complex,
-    solve_spd,
-)
+from .linalg import Factorization
 from .resolvent import (
     GrowthFit,
     ResolventSample,
     dissipation_residual,
     fit_growth,
     poincare_ratio,
-    resolvent_norm,
     solve_static,
     sweep,
 )

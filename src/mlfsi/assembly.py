@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 import numpy as np
 import scipy.linalg
@@ -23,6 +24,50 @@ import scipy.sparse as sp
 
 from .geometry import FLUID, GAMMA_F, GAMMA_TAGS, SOLID, Mesh
 from .linalg import Factorization
+
+
+# Exact P1 element mass per unit measure: (1 + delta_ij) / 20 on a tet,
+# (1 + delta_ij) / 12 on a triangle.
+_TET_MASS = (np.ones((4, 4)) + np.eye(4)) / 20.0
+_TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+_TET_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _tet_kernel(p):
+    """Volumes, constant barycentric gradients and exact P1 mass of affine
+    tets with vertex coordinates p, (m, 4, 3)."""
+    d = p[:, 1:] - p[:, :1]                      # (m, 3, 3) edge matrix
+    vol = np.linalg.det(d) / 6.0
+    dinv = np.linalg.inv(d)                      # rows of dinv^T are grad(lambda_1..3)
+    grads = np.empty((p.shape[0], 4, 3))
+    grads[:, 1:, :] = np.transpose(dinv, (0, 2, 1))
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return vol, grads, vol[:, None, None] * _TET_MASS
+
+
+def _tri_kernel(pts):
+    """Areas, exact P1 mass and stiffness of flat triangles embedded in 3D."""
+    e1 = pts[:, 1] - pts[:, 0]
+    e2 = pts[:, 2] - pts[:, 0]
+    nrm = np.cross(e1, e2)
+    area2 = np.linalg.norm(nrm, axis=1)          # = 2 * area
+    nhat = nrm / area2[:, None]
+    # In-plane gradients: grad(lambda_i) = nhat x (opposite edge) / (2 area)
+    opp = np.stack([pts[:, 2] - pts[:, 1], pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 0]], axis=1)
+    grads = np.cross(nhat[:, None, :], opp) / area2[:, None, None]
+    area = 0.5 * area2
+    ke = np.einsum("tid,tjd,t->tij", grads, grads, area)
+    return area, area[:, None, None] * _TRI_MASS, ke
+
+
+def _scatter(elems, nv, *element_matrices):
+    """Global (nv, nv) CSR matrices from per-element matrices on ``elems``."""
+    k = elems.shape[1]
+    rows = np.repeat(elems, k, axis=1).ravel()
+    cols = np.tile(elems, (1, k)).ravel()
+    return tuple(
+        sp.coo_matrix((e.ravel(), (rows, cols)), shape=(nv, nv)).tocsr() for e in element_matrices
+    )
 
 
 def assemble_volume(mesh: Mesh, region) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -36,41 +81,9 @@ def assemble_volume(mesh: Mesh, region) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     if not np.any(keep):
         raise ValueError(f"region {region} has no tetrahedra")
     tets = mesh.tets[keep]
-    p = mesh.vertices[tets]                      # (m, 4, 3)
-    d = p[:, 1:] - p[:, :1]                      # (m, 3, 3) edge matrix
-    vol = np.linalg.det(d) / 6.0
-    dinv = np.linalg.inv(d)                      # rows of dinv^T are grad(lambda_1..3)
-    grads = np.empty((tets.shape[0], 4, 3))
-    grads[:, 1:, :] = np.transpose(dinv, (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-
+    vol, grads, me = _tet_kernel(mesh.vertices[tets])
     ke = np.einsum("tid,tjd,t->tij", grads, grads, vol)
-    mpat = (np.ones((4, 4)) + np.eye(4)) / 20.0
-    me = vol[:, None, None] * mpat
-
-    rows = np.repeat(tets, 4, axis=1).ravel()
-    cols = np.tile(tets, (1, 4)).ravel()
-    nv = mesh.vertices.shape[0]
-    mass = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    stiff = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    return mass, stiff
-
-
-def _triangle_matrices(pts):
-    """Exact P1 mass/stiffness for flat triangles embedded in 3D; (m,3,3) each."""
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    nrm = np.cross(e1, e2)
-    area2 = np.linalg.norm(nrm, axis=1)          # = 2 * area
-    nhat = nrm / area2[:, None]
-    # In-plane gradients: grad(lambda_i) = nhat x (opposite edge) / (2 area)
-    opp = np.stack([pts[:, 2] - pts[:, 1], pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 0]], axis=1)
-    grads = np.cross(nhat[:, None, :], opp) / area2[:, None, None]
-    area = 0.5 * area2
-    ke = np.einsum("tid,tjd,t->tij", grads, grads, area)
-    mpat = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = area[:, None, None] * mpat
-    return me, ke
+    return _scatter(tets, mesh.vertices.shape[0], me, ke)
 
 
 def assemble_surface(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -83,13 +96,8 @@ def assemble_surface(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     tris = mesh.interface_tris()
     if tris.shape[0] == 0:
         raise ValueError("mesh has no interface triangles")
-    me, ke = _triangle_matrices(mesh.vertices[tris])
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    nv = mesh.vertices.shape[0]
-    mass = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    stiff = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    return mass, stiff
+    _, me, ke = _tri_kernel(mesh.vertices[tris])
+    return _scatter(tris, mesh.vertices.shape[0], me, ke)
 
 
 @dataclass(frozen=True)
@@ -149,11 +157,6 @@ class DofMap:
     @property
     def slice_w1(self):
         return slice(self.n_u + self.n_i + self.n_s, self.total)
-
-    def interface_local(self, tag):
-        """Positions within the interface block of the vertices of face ``tag``."""
-        lookup = {v: k for k, v in enumerate(self.interface)}
-        return np.array([lookup[v] for v in self.face_vertices[tag]], dtype=np.int64)
 
 
 def build_dofmap(mesh: Mesh) -> DofMap:
@@ -279,57 +282,136 @@ def compose_first_order(dof: DofMap, M_f, K_f, M_G, K_G, M_s, K_s):
     return M, A
 
 
-class SystemMatrices:
-    """Assembled blocks, the composite pair (M, A), and cached factorizations.
+def _hat_triple_integrals():
+    """int lam_i lam_j lam_k over a triangle per unit area, 2 a! b! c! / (a+b+c+2)!,
+    where a, b, c count how often each vertex appears among (i, j, k)."""
+    T = np.zeros((3, 3, 3))
+    for i, j, k in np.ndindex(3, 3, 3):
+        expo = np.bincount([i, j, k], minlength=3)
+        num = np.prod([factorial(int(e)) for e in expo])
+        T[i, j, k] = 2.0 * num / factorial(5)
+    return T
 
-    Blocks are restricted to their own index sets: fluid matrices to
-    [fluid interior, interface], solid matrices to [solid interior,
-    interface], surface matrices to the interface.
+
+class _SolidQuadrature:
+    """Exact element integrals on the solid region for the multiplier identities.
+
+    Solid tets carry local indices into the solid ordering [interior,
+    interface]; interface triangles carry indices into the interface block
+    and the index of the solid tet they bound.
     """
 
-    def __init__(self, mesh, dof, M_f, K_f, M_G, K_G, M_s, K_s, M, A):
+    tri_cubic = _hat_triple_integrals()
+
+    def __init__(self, mesh: Mesh, dof: DofMap):
+        to_local = np.full(mesh.vertices.shape[0], -1, dtype=np.int64)
+        to_local[dof.solid_all] = np.arange(dof.solid_all.size)
+
+        tets = mesh.tets[mesh.tet_regions == SOLID]
+        self.tet_local = to_local[tets]
+        self.tet_coords = mesh.vertices[tets]
+        _, self.tet_grads, self.tet_mass = _tet_kernel(self.tet_coords)
+
+        keep = mesh.tri_tags != GAMMA_F
+        tris = mesh.tris[keep]
+        self.tri_local = to_local[tris] - dof.n_s
+        self.tri_coords = mesh.vertices[tris]
+        self.tri_normals = mesh.tri_normals[keep]
+        self.tri_area, self.tri_mass, _ = _tri_kernel(self.tri_coords)
+        self.tri_tet = _face_owner(tets, tris, mesh.vertices.shape[0])
+
+
+def _face_owner(tets, tris, nv):
+    """Row of ``tets`` having each row of ``tris`` as a face.
+
+    Faces and triangles are keyed by their sorted vertex triple; a sorted
+    search over the keys of all 4 faces of every tet finds each owner.
+    """
+    faces = np.sort(tets[:, _TET_FACES], axis=2).reshape(-1, 3)
+    face_key = np.ravel_multi_index(faces.T, (nv,) * 3)
+    tri_key = np.ravel_multi_index(np.sort(tris, axis=1).T, (nv,) * 3)
+    order = np.argsort(face_key, kind="stable")
+    pos = np.searchsorted(face_key, tri_key, sorter=order).clip(max=order.size - 1)
+    owner = order[pos]
+    if np.any(face_key[owner] != tri_key):
+        raise ValueError("an interface triangle is not a face of any solid tetrahedron")
+    return owner // 4
+
+
+def _restricted(pair, idx):
+    return tuple(mat[idx][:, idx].tocsr() for mat in pair)
+
+
+class SystemMatrices:
+    """The discretization of one mesh: blocks, the composite pair (M, A), and
+    every frequency-independent piece derived from them.
+
+    Only the DofMap is built up front. Each block, the pair and each derived
+    piece (factorizations, surface eigenbasis, Dirichlet map, solid
+    quadrature) is built on first use and then kept, so a caller that needs
+    only the solid side never assembles the fluid. Blocks are restricted to
+    their own index sets: fluid matrices to [fluid interior, interface],
+    solid matrices to [solid interior, interface], surface matrices to the
+    interface.
+    """
+
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.dof = dof
-        self.M_f, self.K_f = M_f, K_f
-        self.M_G, self.K_G = M_G, K_G
-        self.M_s, self.K_s = M_s, K_s
-        self.M, self.A = M, A
+        self.dof = build_dofmap(mesh)
+
+    @cached_property
+    def _fluid(self):
+        return _restricted(assemble_volume(self.mesh, FLUID), self.dof.fluid_free)
+
+    @cached_property
+    def _solid(self):
+        return _restricted(assemble_volume(self.mesh, SOLID), self.dof.solid_all)
+
+    @cached_property
+    def _surface(self):
+        return _restricted(assemble_surface(self.mesh), self.dof.interface)
+
+    @cached_property
+    def _first_order(self):
+        return compose_first_order(
+            self.dof, self.M_f, self.K_f, self.M_G, self.K_G, self.M_s, self.K_s
+        )
+
+    M_f = cached_property(lambda self: self._fluid[0])
+    K_f = cached_property(lambda self: self._fluid[1])
+    M_s = cached_property(lambda self: self._solid[0])
+    K_s = cached_property(lambda self: self._solid[1])
+    M_G = cached_property(lambda self: self._surface[0])
+    K_G = cached_property(lambda self: self._surface[1])
+    M = cached_property(lambda self: self._first_order[0])
+    A = cached_property(lambda self: self._first_order[1])
 
     @cached_property
     def mass_factor(self) -> Factorization:
         return Factorization(self.M)
 
-    def mass_solve(self, rhs):
-        return self.mass_factor.solve(rhs)
+    @cached_property
+    def mass_g_factor(self) -> Factorization:
+        return Factorization(self.M_G)
 
     @cached_property
-    def surface_spectral(self) -> "SurfaceSpectral":
+    def surface_spectral(self) -> SurfaceSpectral:
         return SurfaceSpectral(self.K_G, self.M_G)
 
-    def state(self, vec) -> State:
-        return State(self.dof, np.asarray(vec))
+    @cached_property
+    def dirichlet_map(self):
+        from .identities import DirichletMap     # identities builds on this module
 
+        return DirichletMap(self)
 
-def _restrict(mat, idx):
-    return mat[idx][:, idx].tocsr()
+    @cached_property
+    def solid_quadrature(self) -> _SolidQuadrature:
+        return _SolidQuadrature(self.mesh, self.dof)
 
 
 def build_system(mesh: Mesh) -> SystemMatrices:
-    """Assemble all blocks and the composite first-order pair for a mesh."""
-    dof = build_dofmap(mesh)
-    Mf_all, Kf_all = assemble_volume(mesh, FLUID)
-    Ms_all, Ks_all = assemble_volume(mesh, SOLID)
-    Mg_all, Kg_all = assemble_surface(mesh)
-
-    M_f = _restrict(Mf_all, dof.fluid_free)
-    K_f = _restrict(Kf_all, dof.fluid_free)
-    M_s = _restrict(Ms_all, dof.solid_all)
-    K_s = _restrict(Ks_all, dof.solid_all)
-    M_G = _restrict(Mg_all, dof.interface)
-    K_G = _restrict(Kg_all, dof.interface)
-
-    M, A = compose_first_order(dof, M_f, K_f, M_G, K_G, M_s, K_s)
-    return SystemMatrices(mesh, dof, M_f, K_f, M_G, K_G, M_s, K_s, M, A)
+    """The discretization object of a mesh; its blocks assemble on first use."""
+    return SystemMatrices(mesh)
 
 
 def energy_norm(x: State, sys: SystemMatrices) -> float:
@@ -338,14 +420,9 @@ def energy_norm(x: State, sys: SystemMatrices) -> float:
     return float(np.sqrt(max(q, 0.0)))
 
 
-def h_inner(a: State, b: State, sys: SystemMatrices) -> complex:
-    """Energy inner product <a, b>, conjugate-linear in the first argument."""
-    return complex(np.vdot(a.vec, sys.M @ b.vec))
-
-
 def graph_norm(x: State, sys: SystemMatrices) -> float:
     """Energy norm of x plus the energy norm of M^{-1} A x."""
-    ax = sys.mass_solve(sys.A @ x.vec)
+    ax = sys.mass_factor.solve(sys.A @ x.vec)
     return energy_norm(x, sys) + energy_norm(State(sys.dof, ax), sys)
 
 
@@ -380,8 +457,3 @@ class SurfaceSpectral:
         c = self.V.T @ f
         return float(np.sqrt((self.omega ** (-s) * np.abs(c) ** 2).sum()))
 
-
-def gram_extreme_eigs(sys: SystemMatrices):
-    """Smallest and largest eigenvalues of the composite Gram matrix (dense)."""
-    w = scipy.linalg.eigvalsh(sys.M.toarray())
-    return float(w[0]), float(w[-1])

@@ -267,35 +267,75 @@ def save_mesh(mesh: Mesh, path):
 
 
 def load_mesh(path) -> Mesh:
+    """Read a ``save_mesh`` dump.
+
+    Raises ValueError naming the block and the line of the first malformed
+    entry: a block header or row of the wrong shape, a block shorter or
+    longer than its count, a vertex index out of range, or a region or
+    boundary tag that the geometry does not define.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    head = lines[0].split()
-    if head[0] != _MESH_FORMAT or int(head[1]) != _MESH_VERSION:
-        raise ValueError(f"unsupported mesh file header: {lines[0]!r}")
+    if not lines or lines[0].split() != [_MESH_FORMAT, str(_MESH_VERSION)]:
+        raise ValueError(f"unsupported mesh file header: {lines[0] if lines else ''!r}")
     pos = 1
     config = None
-    if lines[pos].startswith("config "):
+    if pos < len(lines) and lines[pos].startswith("config "):
         parts = lines[pos].split()[1:]
         f = [float(x) for x in parts[:12]]
         config = MeshConfig(tuple(f[0:3]), tuple(f[3:6]), tuple(f[6:9]), tuple(f[9:12]), int(parts[12]))
         pos += 1
 
-    def read_block(tag, ncols, dtype):
-        nonlocal pos
-        name, count = lines[pos].split()
-        if name != tag:
-            raise ValueError(f"expected {tag!r} block, got {lines[pos]!r}")
-        count = int(count)
-        rows = [lines[pos + 1 + i].split() for i in range(count)]
-        pos += 1 + count
-        return np.array(rows, dtype=dtype).reshape(count, ncols)
+    def read_block(tag, ncols, dtype, prev=None):
+        """Rows of block ``tag`` and the 1-based line number of its first row.
 
-    vertices = read_block("vertices", 3, np.float64)
-    traw = read_block("tets", 5, object)
+        ``prev`` is the (tag, width) of the block before; a row of that width
+        where this header belongs means that block is longer than its count.
+        """
+        nonlocal pos
+        header = lines[pos].split() if pos < len(lines) else ["end of file"]
+        if prev is not None and len(header) == prev[1]:
+            raise ValueError(f"{prev[0]} block, line {pos + 1}: more rows than its count")
+        if len(header) != 2 or header[0] != tag or not header[1].isdigit():
+            raise ValueError(f"{tag} block, line {pos + 1}: expected '{tag} <count>', "
+                             f"got {' '.join(header)!r}")
+        count = int(header[1])
+        first = pos + 2
+        rows = [line.split() for line in lines[pos + 1:pos + 1 + count]]
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
+                raise ValueError(f"{tag} block, line {first + i}: expected {ncols} fields, "
+                                 f"got {len(row)}")
+        if len(rows) < count:
+            raise ValueError(f"{tag} block, line {first + len(rows)}: file ends after "
+                             f"{len(rows)} of {count} rows")
+        pos += 1 + count
+        return np.array(rows, dtype=dtype).reshape(count, ncols), first
+
+    def reject(bad, tag, first, what):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            raise ValueError(f"{tag} block, line {first + rows[0]}: {what}")
+
+    vertices, _ = read_block("vertices", 3, np.float64)
+    nv = vertices.shape[0]
+    traw, first = read_block("tets", 5, object, prev=("vertices", 3))
     tets = traw[:, :4].astype(np.int64)
-    regions = traw[:, 4].astype(np.int8)
-    braw = read_block("tris", 7, object)
+    regions = traw[:, 4].astype(np.int64)
+    reject(np.any((tets < 0) | (tets >= nv), axis=1), "tets", first,
+           f"vertex index outside [0, {nv})")
+    reject(~np.isin(regions, (FLUID, SOLID)), "tets", first,
+           f"region tag not in {{{FLUID}, {SOLID}}}")
+    braw, first = read_block("tris", 7, object, prev=("tets", 5))
     tris = braw[:, :3].astype(np.int64)
-    tags = braw[:, 3].astype(np.int8)
+    tags = braw[:, 3].astype(np.int64)
     normals = braw[:, 4:].astype(np.float64)
-    return Mesh(vertices, tets, regions, tris, tags, normals, config=config)
+    reject(np.any((tris < 0) | (tris >= nv), axis=1), "tris", first,
+           f"vertex index outside [0, {nv})")
+    reject(~np.isin(tags, (GAMMA_F, *GAMMA_TAGS)), "tris", first,
+           f"boundary tag not in {{{GAMMA_F}, {', '.join(map(str, GAMMA_TAGS))}}}")
+    extra = [i for i in range(pos, len(lines)) if lines[i].strip()]
+    if extra:
+        raise ValueError(f"tris block, line {extra[0] + 1}: more rows than its count")
+    return Mesh(vertices, tets, regions.astype(np.int8), tris, tags.astype(np.int8), normals,
+                config=config)

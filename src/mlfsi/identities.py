@@ -13,50 +13,13 @@ Orientation convention: nu points from the fluid into the solid everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, pi
+from math import pi
 
 import numpy as np
 
-from .assembly import (
-    DofMap,
-    State,
-    SurfaceSpectral,
-    assemble_surface,
-    assemble_volume,
-    build_dofmap,
-    energy_norm,
-    fluid_gradient_norm,
-)
-from .geometry import GAMMA_F, SOLID, Mesh, build_mesh, MeshConfig
+from .assembly import DofMap, State, build_system, energy_norm, fluid_gradient_norm
+from .geometry import Mesh, MeshConfig, build_mesh
 from .linalg import Factorization
-
-
-class SolidSystem:
-    """Solid-side operators only; enough for extension, flux, and multiplier work.
-
-    Duck-type compatible with SystemMatrices for every function in this module.
-    """
-
-    def __init__(self, mesh, dof, M_s, K_s, M_G, K_G):
-        self.mesh = mesh
-        self.dof = dof
-        self.M_s, self.K_s = M_s, K_s
-        self.M_G, self.K_G = M_G, K_G
-
-
-def build_solid_system(mesh: Mesh) -> SolidSystem:
-    dof = build_dofmap(mesh)
-    Ms_all, Ks_all = assemble_volume(mesh, SOLID)
-    Mg_all, Kg_all = assemble_surface(mesh)
-    sel_s, sel_i = dof.solid_all, dof.interface
-    return SolidSystem(
-        mesh,
-        dof,
-        Ms_all[sel_s][:, sel_s].tocsr(),
-        Ks_all[sel_s][:, sel_s].tocsr(),
-        Mg_all[sel_i][:, sel_i].tocsr(),
-        Kg_all[sel_i][:, sel_i].tocsr(),
-    )
 
 
 class DirichletMap:
@@ -94,24 +57,12 @@ class DirichletMap:
             return self.K_GG @ g
         return self.K_GI @ e[: self.n_s] + self.K_GG @ g
 
-    def h1_ratio(self, g, sys, spectral: SurfaceSpectral) -> float:
+    def h1_ratio(self, g, sys) -> float:
         """Monitored boundedness constant |E g|_{H1} / |g|_{1/2,h}."""
         e = self.extend(g)
         h1 = np.sqrt(np.vdot(e, (sys.K_s + sys.M_s) @ e).real)
-        gn = spectral.norm_function(g, 0.5)
+        gn = sys.surface_spectral.norm_function(g, 0.5)
         return float(h1 / gn) if gn > 0 else 0.0
-
-
-def dirichlet_extend(g, sys, dmap: DirichletMap | None = None):
-    if dmap is None:
-        dmap = DirichletMap(sys)
-    return dmap.extend(g)
-
-
-def dirichlet_neumann(g, sys, dmap: DirichletMap | None = None):
-    if dmap is None:
-        dmap = DirichletMap(sys)
-    return dmap.neumann(g)
 
 
 @dataclass
@@ -135,7 +86,7 @@ def interface_lift(x: State, b: State, beta) -> np.ndarray:
     return (1j / beta) * (x.trace_u + b.h0)
 
 
-def build_z(x: State, b: State, beta, sys, dmap: DirichletMap | None = None) -> ZField:
+def build_z(x: State, b: State, beta, sys) -> ZField:
     """z = w0 + (i/beta) E(trace u + trace of the data displacement).
 
     The kinematic rows of the static solve make the interface values cancel
@@ -144,10 +95,8 @@ def build_z(x: State, b: State, beta, sys, dmap: DirichletMap | None = None) -> 
     """
     if abs(beta) < 1.0:
         raise ValueError(f"z construction requires |beta| >= 1, got {beta}")
-    if dmap is None:
-        dmap = DirichletMap(sys)
     g = x.trace_u + b.h0
-    ext = dmap.extend(g)
+    ext = sys.dirichlet_map.extend(g)
     lift = interface_lift(x, b, beta)
     z = x.w0_full.astype(complex)
     z[: sys.dof.n_s] += (1j / beta) * ext[: sys.dof.n_s]
@@ -161,10 +110,10 @@ def build_z(x: State, b: State, beta, sys, dmap: DirichletMap | None = None) -> 
     return ZField(z, float(beta), "resolvent", boundary_residual=bres)
 
 
-def z_equation_load(x: State, b: State, beta, sys, dmap: DirichletMap) -> np.ndarray:
+def z_equation_load(x: State, b: State, beta, sys) -> np.ndarray:
     """Right-hand side of the homogenized equation -beta^2 z - Delta z = F."""
     g = x.trace_u + b.h0
-    ext = dmap.extend(g)
+    ext = sys.dirichlet_map.extend(g)
     return -1j * beta * ext + b.w1_full + 1j * beta * b.w0_full
 
 
@@ -186,91 +135,9 @@ def fluid_interface_flux(x: State, b: State, beta, sys) -> np.ndarray:
     return r[sys.dof.n_fi:]
 
 
-class _SolidQuadrature:
-    """Exact element integrals for the multiplier identities."""
-
-    def __init__(self, mesh: Mesh, dof: DofMap):
-        nv = mesh.vertices.shape[0]
-        to_local = np.full(nv, -1, dtype=np.int64)
-        to_local[dof.solid_all] = np.arange(dof.solid_all.size)
-
-        solid = mesh.tet_regions == SOLID
-        tets = mesh.tets[solid]
-        p = mesh.vertices[tets]
-        d = p[:, 1:] - p[:, :1]
-        vol = np.linalg.det(d) / 6.0
-        dinv = np.linalg.inv(d)
-        grads = np.empty((tets.shape[0], 4, 3))
-        grads[:, 1:, :] = np.transpose(dinv, (0, 2, 1))
-        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-        self.tet_local = to_local[tets]
-        self.tet_coords = p
-        self.tet_grads = grads
-        self.tet_vol = vol
-        self.tet_mass = vol[:, None, None] * (np.ones((4, 4)) + np.eye(4)) / 20.0
-
-        keep = mesh.tri_tags != GAMMA_F
-        tris = mesh.tris[keep]
-        self.tri_local = to_local[tris] - dof.n_s     # into the interface block
-        self.tri_coords = mesh.vertices[tris]
-        self.tri_normals = mesh.tri_normals[keep]
-        e1 = self.tri_coords[:, 1] - self.tri_coords[:, 0]
-        e2 = self.tri_coords[:, 2] - self.tri_coords[:, 0]
-        self.tri_area = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-        self.tri_mass = self.tri_area[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
-
-        # Adjacent solid tet of every interface triangle, for boundary gradients.
-        face_of = {}
-        local_faces = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-        for t in range(tets.shape[0]):
-            for lf in local_faces:
-                face_of[tuple(sorted(tets[t, lf]))] = t
-        adj = np.array([face_of[tuple(sorted(tri))] for tri in tris], dtype=np.int64)
-        self.tri_tet = adj
-
-        # Exact integral of products of three P1 hats on a triangle, per unit
-        # area: int lam^a lam^b lam^c = 2A a! b! c! / (a+b+c+2)!.
-        T = np.zeros((3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    expo = np.bincount([i, j, k], minlength=3)
-                    num = np.prod([factorial(int(e)) for e in expo])
-                    T[i, j, k] = 2.0 * num / factorial(5)
-        self.tri_cubic = T
-
-
-def _quadrature_pack(sys) -> _SolidQuadrature:
-    pack = getattr(sys, "_solid_quadrature", None)
-    if pack is None:
-        pack = _SolidQuadrature(sys.mesh, sys.dof)
-        sys._solid_quadrature = pack
-    return pack
-
-
-def _mass_g_factor(sys) -> Factorization:
-    fact = getattr(sys, "_mass_g_factor", None)
-    if fact is None:
-        fact = Factorization(sys.M_G.tocsc())
-        sys._mass_g_factor = fact
-    return fact
-
-
-def surface_spectral_of(sys) -> SurfaceSpectral:
-    """Shared fractional-norm machinery for a system, built once per object."""
-    spectral = getattr(sys, "_surface_spectral", None)
-    if spectral is None:
-        if hasattr(sys, "surface_spectral"):
-            spectral = sys.surface_spectral
-        else:
-            spectral = SurfaceSpectral(sys.K_G, sys.M_G)
-        sys._surface_spectral = spectral
-    return spectral
-
-
 def recover_flux_nodal(flux_functional, sys) -> np.ndarray:
     """Nodal P1 representative of a flux functional: solve M_G lam = f."""
-    return _mass_g_factor(sys).solve(np.asarray(flux_functional))
+    return sys.mass_g_factor.solve(np.asarray(flux_functional))
 
 
 @dataclass
@@ -296,7 +163,7 @@ class MultiplierReport:
 
 
 def _mesh_h(sys) -> float:
-    q = _quadrature_pack(sys)
+    q = sys.solid_quadrature
     edges = q.tet_coords[:, [0, 0, 0, 1, 1, 2]] - q.tet_coords[:, [1, 2, 3, 2, 3, 3]]
     return float(np.max(np.linalg.norm(edges, axis=2)))
 
@@ -309,7 +176,7 @@ def multiplier_residual(z: ZField, f, beta, sys, which) -> MultiplierReport:
     div m = 1 (m = x/3, so the grad-div correction drops). ``f`` is the
     nodal right-hand side of -beta^2 z - Delta z = f.
     """
-    q = _quadrature_pack(sys)
+    q = sys.solid_quadrature
     zv = np.asarray(z.values, dtype=complex)
     fv = np.asarray(f, dtype=complex)
     beta = float(beta)
@@ -362,9 +229,7 @@ class FluxChainRecord:
     degenerate: bool = False
 
 
-def flux_chain_monitor(x: State, b: State, beta, sys,
-                       dmap: DirichletMap | None = None,
-                       spectral: SurfaceSpectral | None = None) -> FluxChainRecord:
+def flux_chain_monitor(x: State, b: State, beta, sys) -> FluxChainRecord:
     """Monitored ratios of the interface flux chain on a static solution.
 
     Each ratio divides a flux or energy quantity by the frequency-weighted
@@ -376,14 +241,10 @@ def flux_chain_monitor(x: State, b: State, beta, sys,
     bnorm = energy_norm(b, sys)
     if bnorm == 0.0:
         return FluxChainRecord(0.0, 0.0, 0.0, 0.0, degenerate=True)
-    if dmap is None:
-        dmap = DirichletMap(sys)
-    if spectral is None:
-        spectral = surface_spectral_of(sys)
 
     ab = abs(beta)
-    z = build_z(x, b, beta, sys, dmap)
-    fz = z_equation_load(x, b, beta, sys, dmap)
+    z = build_z(x, b, beta, sys)
+    fz = z_equation_load(x, b, beta, sys)
     flux_z = interface_flux(z.values, fz, beta, sys)
     lam = recover_flux_nodal(flux_z, sys)
     flux_l2 = float(np.sqrt(np.vdot(lam, sys.M_G @ lam).real))
@@ -400,8 +261,9 @@ def flux_chain_monitor(x: State, b: State, beta, sys,
     denom_thin = pairing + grad_u**2 + bnorm**2
 
     g = x.trace_u + b.h0
+    spectral = sys.surface_spectral
     gn = spectral.norm_function(g, 0.5)
-    dtn_norm = spectral.dual_norm(dmap.neumann(g), 0.5) / gn if gn > 0 else 0.0
+    dtn_norm = spectral.dual_norm(sys.dirichlet_map.neumann(g), 0.5) / gn if gn > 0 else 0.0
 
     zscale = float(np.max(np.abs(z.values))) if z.values.size else 0.0
     return FluxChainRecord(
@@ -447,7 +309,7 @@ def manufactured_study(ns, beta=2.0, base_config: MeshConfig | None = None):
             base_config.inner_lo, base_config.inner_hi, int(n),
         )
         mesh = build_mesh(config)
-        sys = build_solid_system(mesh)
+        sys = build_system(mesh)
         zv, fv = manufactured_field(mesh, sys.dof, beta)
         z = ZField(zv.astype(complex), float(beta), "manufactured")
         rep_rad = multiplier_residual(z, fv, beta, sys, "radial")

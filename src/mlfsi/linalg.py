@@ -20,26 +20,6 @@ class SingularMatrixError(RuntimeError):
     """Factorization hit an (almost) exactly singular pivot."""
 
 
-class NonSymmetricMatrixError(ValueError):
-    pass
-
-
-class NotSPDError(RuntimeError):
-    def __init__(self, pivot_index, pivot_value):
-        super().__init__(
-            f"matrix is not positive definite: pivot {pivot_index} has value {pivot_value:g}"
-        )
-        self.pivot_index = pivot_index
-        self.pivot_value = pivot_value
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    iterations: int
-    relative_residual: float
-    factorization_reused: bool
-
-
 class Factorization:
     """Reusable LU factorization of a sparse matrix (real or complex).
 
@@ -70,70 +50,9 @@ class Factorization:
             )
         return self.lu.solve(b, trans=trans)
 
-    def u_pivots(self):
-        return self.lu.U.diagonal()
-
     def __reduce__(self):
         # SuperLU handles cannot cross process boundaries; re-factorize there.
         return (Factorization, (self.matrix,))
-
-
-def factorize(A) -> Factorization:
-    return Factorization(A)
-
-
-def _residual(A, x, b):
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return 0.0
-    return float(np.linalg.norm(A @ x - b) / nb)
-
-
-def check_symmetric(A, tol=1e-12):
-    scale = max(abs(A.max()), abs(A.min()), 1.0)
-    asym = abs((A - A.T)).max()
-    if asym > tol * scale:
-        raise NonSymmetricMatrixError(f"matrix asymmetry {asym:g} exceeds {tol:g} * scale")
-
-
-def solve_spd(A, b, fact: Factorization | None = None, tol=1e-10):
-    """Direct solve of a symmetric positive definite system.
-
-    Returns (x, SolveReport). Symmetry is checked up front; a bad pivot or a
-    residual above ``tol`` raises with the offending pivot.
-    """
-    reused = fact is not None
-    if fact is None:
-        check_symmetric(A)
-        fact = Factorization(A)
-    x = fact.solve(b)
-    res = _residual(fact.matrix, x, b)
-    if res > tol:
-        piv = fact.u_pivots().real
-        bad = int(np.argmin(piv))
-        if piv[bad] <= 0:
-            raise NotSPDError(bad, float(piv[bad]))
-        raise SingularMatrixError(
-            f"SPD solve residual {res:g} exceeds tolerance {tol:g}"
-        )
-    return x, SolveReport(0, res, reused)
-
-
-def solve_complex(A, b, fact: Factorization | None = None, tol=1e-10):
-    """Direct solve of a (complex) nonsingular system; returns (x, SolveReport)."""
-    reused = fact is not None
-    if fact is None:
-        fact = Factorization(sp.csc_matrix(A, dtype=np.complex128))
-    x = fact.solve(np.asarray(b, dtype=np.complex128))
-    if not np.all(np.isfinite(x.view(np.float64))):
-        raise SingularMatrixError("solution is not finite: matrix singular to working precision")
-    res = _residual(fact.matrix, x, b)
-    if res > tol:
-        raise SingularMatrixError(
-            f"complex solve residual {res:g} exceeds tolerance {tol:g}: "
-            "matrix is singular to tolerance"
-        )
-    return x, SolveReport(0, res, reused)
 
 
 @dataclass
@@ -203,41 +122,3 @@ def gram_opnorm(apply, gram, dim, tol=1e-4, seed=0) -> OpnormInfo:
         lambda v: gram_solve(rmatvec(gram @ matvec(v))), gram, dim, tol=tol, seed=seed
     )
 
-
-def generalized_opnorm(apply, gram, dim, tol=1e-4, **kwargs) -> float:
-    """Operator norm of a linear map measured in the gram metric."""
-    return gram_opnorm(apply, gram, dim, tol=tol, **kwargs).sigma
-
-
-def smallest_singular_value(A, fact: Factorization | None = None,
-                            tol=1e-3, max_iter=200, seed=0) -> float:
-    """Estimate sigma_min(A) by power iteration on (A A^H)^{-1}."""
-    if fact is None:
-        fact = Factorization(A)
-    rng = np.random.default_rng(seed)
-    n = fact.matrix.shape[0]
-    v = rng.standard_normal(n).astype(fact.matrix.dtype)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = fact.solve(fact.solve(v), trans="H")
-        lam_new = float(np.linalg.norm(w))
-        w /= lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
-            lam = lam_new
-            break
-        lam, v = lam_new, w
-    return 1.0 / np.sqrt(lam)
-
-
-def dump_coo(A, path):
-    """Coordinate text dump: one `row col value` line per stored entry."""
-    coo = sp.coo_matrix(A)
-    with open(path, "w") as fh:
-        fh.write(f"coo {coo.shape[0]} {coo.shape[1]} {coo.nnz} {coo.dtype.kind}\n")
-        if coo.dtype.kind == "c":
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v.real:.17g} {v.imag:.17g}\n")
-        else:
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v:.17g}\n")

@@ -14,7 +14,6 @@ flux-chain monitors.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -25,13 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .assembly import State, SystemMatrices, energy_norm, fluid_gradient_norm
-from .identities import (
-    DirichletMap,
-    fluid_interface_flux,
-    flux_chain_monitor,
-    interface_lift,
-    surface_spectral_of,
-)
+from .identities import fluid_interface_flux, flux_chain_monitor, interface_lift
 from .linalg import Factorization, SingularMatrixError, opnorm_from_normal
 
 GROWTH_REFERENCE_EXPONENT = 11.0 / 2.0
@@ -157,20 +150,18 @@ def poincare_ratio(beta, b: State, x: State, sys: SystemMatrices) -> float:
     return float(math.sqrt(abs(beta)) * unorm / denom) if denom > 0 else 0.0
 
 
-def trace_ratio(beta, b: State, x: State, sys: SystemMatrices, spectral=None) -> float:
+def trace_ratio(beta, b: State, x: State, sys: SystemMatrices) -> float:
     """|beta h0|_{1/2,h} / (|grad u| + |b|_H), the kinematic trace monitor."""
-    spectral = spectral or surface_spectral_of(sys)
-    num = abs(beta) * spectral.norm_function(x.h0, 0.5)
+    num = abs(beta) * sys.surface_spectral.norm_function(x.h0, 0.5)
     denom = fluid_gradient_norm(x, sys) + energy_norm(b, sys)
     return float(num / denom) if denom > 0 else 0.0
 
 
-def flux_ratio(beta, b: State, x: State, sys: SystemMatrices, spectral=None) -> float:
+def flux_ratio(beta, b: State, x: State, sys: SystemMatrices) -> float:
     """Variational heat flux in the dual half norm against its |beta|^(1/2) majorant."""
-    spectral = spectral or surface_spectral_of(sys)
     fl = fluid_interface_flux(x, b, beta, sys)
     denom = math.sqrt(abs(beta)) * (fluid_gradient_norm(x, sys) + energy_norm(b, sys))
-    return float(spectral.dual_norm(fl, 0.5) / denom) if denom > 0 else 0.0
+    return float(sys.surface_spectral.dual_norm(fl, 0.5) / denom) if denom > 0 else 0.0
 
 
 def resolvent_opnorm(beta, sys: SystemMatrices, tol=1e-4,
@@ -195,14 +186,6 @@ def resolvent_opnorm(beta, sys: SystemMatrices, tol=1e-4,
     return info.sigma, info.iterations
 
 
-def resolvent_norm(beta, sys: SystemMatrices, tol=1e-4) -> float:
-    """Energy-metric norm of the discrete resolvent at i*beta, |beta| >= 1."""
-    if abs(beta) < 1.0:
-        raise ValueError(f"resolvent norm is tracked for |beta| >= 1, got {beta}")
-    value, _ = resolvent_opnorm(beta, sys, tol=tol)
-    return value
-
-
 def probe_state(sys: SystemMatrices, seed) -> State:
     """Seeded random probe data with unit energy norm."""
     b = State.random(sys.dof, seed)
@@ -212,17 +195,14 @@ def probe_state(sys: SystemMatrices, seed) -> State:
 
 def sample_point(beta, sys: SystemMatrices, b: State, *,
                  shifted: ShiftedFactor | None = None,
-                 compute_opnorm=True, opnorm_tol=1e-4, solve_tol=1e-10,
-                 dmap: DirichletMap | None = None, spectral=None) -> ResolventSample:
+                 compute_opnorm=True, opnorm_tol=1e-4, solve_tol=1e-10) -> ResolventSample:
     """All per-frequency diagnostics for one beta and one probe vector."""
     if shifted is None:
         shifted = ShiftedFactor(beta, sys)
-    spectral = spectral or surface_spectral_of(sys)
-    dmap = dmap or DirichletMap(sys)
 
     x = solve_static(beta, b, sys, shifted=shifted, tol=solve_tol)
     diss = dissipation_residual(beta, b, x, sys)
-    chain = flux_chain_monitor(x, b, beta, sys, dmap=dmap, spectral=spectral)
+    chain = flux_chain_monitor(x, b, beta, sys)
     if compute_opnorm:
         opnorm, iters = resolvent_opnorm(beta, sys, tol=opnorm_tol, shifted=shifted)
     else:
@@ -232,8 +212,8 @@ def sample_point(beta, sys: SystemMatrices, b: State, *,
         opnorm=opnorm,
         dissipation_residual=diss / energy_norm(b, sys) ** 2,
         poincare_ratio=poincare_ratio(beta, b, x, sys),
-        trace_ratio=trace_ratio(beta, b, x, sys, spectral),
-        flux_ratio=flux_ratio(beta, b, x, sys, spectral),
+        trace_ratio=trace_ratio(beta, b, x, sys),
+        flux_ratio=flux_ratio(beta, b, x, sys),
         iters=iters,
         r_crux=chain.r_crux,
         r_s3=chain.r_s3,
@@ -243,24 +223,17 @@ def sample_point(beta, sys: SystemMatrices, b: State, *,
     )
 
 
-def _sampler(sys, b, options):
-    """sample_point with the probe and the beta-independent state bound."""
-    return functools.partial(
-        sample_point, sys=sys, b=b, dmap=DirichletMap(sys), spectral=surface_spectral_of(sys),
-        **options,
-    )
-
-
-_worker_sampler = None      # set once per pool worker by _init_sweep_worker
+_worker_args = None     # (sys, b, options), set once per pool worker by _init_sweep_worker
 
 
 def _init_sweep_worker(sys, b, options):
-    global _worker_sampler
-    _worker_sampler = _sampler(sys, b, options)
+    global _worker_args
+    _worker_args = (sys, b, options)
 
 
 def _sweep_task(beta):
-    return _worker_sampler(beta)
+    sys, b, options = _worker_args
+    return sample_point(beta, sys, b, **options)
 
 
 def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
@@ -268,10 +241,10 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
     """Diagnostics along a frequency grid; results ordered by the grid.
 
     The beta-independent state (the Dirichlet map and the surface
-    eigenbasis) is built once per process. With jobs > 1 the system reaches
-    each worker once, through the pool initializer; tasks carry only beta,
-    and results are reassembled in grid order, so output does not depend on
-    jobs.
+    eigenbasis) is cached on the system, so it is built once per process.
+    With jobs > 1 the system reaches each worker once, through the pool
+    initializer; tasks carry only beta, and results are reassembled in grid
+    order, so output does not depend on jobs.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size < 1:
@@ -289,8 +262,7 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
             initargs=(sys, b, options),
         ) as pool:
             return list(pool.map(_sweep_task, grid))
-    sample = _sampler(sys, b, options)
-    return [sample(bb) for bb in grid]
+    return [sample_point(bb, sys, b, **options) for bb in grid]
 
 
 def fit_growth(samples, top_decade=True) -> GrowthFit:

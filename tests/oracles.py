@@ -206,6 +206,12 @@ def dense_generator(sys):
     return sys.A.toarray()
 
 
+def dense_gram_extreme_eigs(sys):
+    """Smallest and largest eigenvalues of the composite Gram matrix (dense)."""
+    w = np.linalg.eigvalsh(dense_gram(sys))
+    return float(w[0]), float(w[-1])
+
+
 def dense_resolvent_opnorm(beta, sys):
     """Energy-metric norm of b -> x via Cholesky change of basis and SVD."""
     Md = dense_gram(sys)
@@ -246,3 +252,15 @@ def arpack_resolvent_opnorm(beta, sys):
     top = spla.eigsh(op, k=2, M=Mc, Minv=minv, which="LA", tol=1e-12,
                      v0=np.ones(n, np.complex128), return_eigenvectors=False)
     return float(np.sqrt(top.max()))
+
+
+def solid_face_owner_loop(mesh):
+    """Index among the solid tets of the solid tet bounded by each interface
+    triangle, by a dict over every face of every solid tet."""
+    tets = mesh.tets[mesh.tet_regions == SOLID]
+    face_of = {}
+    for t, tet in enumerate(tets):
+        for lf in ([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]):
+            face_of[tuple(sorted(tet[lf]))] = t
+    tris = mesh.tris[mesh.tri_tags != GAMMA_F]
+    return np.array([face_of[tuple(sorted(tri))] for tri in tris], dtype=np.int64)

@@ -4,15 +4,16 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from mlfsi.assembly import State, compose_first_order, energy_norm, graph_norm
+import mlfsi.evolution as evolution
 from mlfsi.evolution import (
     CNStepper,
     fit_decay,
     make_stepper,
     prepare_smooth_data,
     simulate,
-    step_cn,
     EnergyTrace,
 )
+from mlfsi.linalg import Factorization, SingularMatrixError
 
 
 def dense_flow(sys, t):
@@ -23,8 +24,8 @@ def dense_flow(sys, t):
 
 def test_step_zero_state(default_sys):
     x = State.zeros(default_sys.dof)
-    out = step_cn(x, 0.01, default_sys)
-    assert np.all(out.vec == 0)
+    out = make_stepper(default_sys, 0.01).step(x.vec)
+    assert np.all(out == 0)
 
 
 def test_scalar_model_closed_form():
@@ -122,6 +123,18 @@ def test_prepare_smooth_data(default_sys):
     assert energy_norm(x1, default_sys) <= 1.0 + 1e-10
     x3 = prepare_smooth_data(12, default_sys)
     assert not np.array_equal(x1.vec, x3.vec)
+
+
+def test_prepare_smooth_data_rejects_a_wrong_solve(monkeypatch, default_sys):
+    # A factorization that returns a wrong vector without failing: the
+    # residual check of A x = M r must catch it.
+    class WrongSolve(Factorization):
+        def solve(self, b, trans="N"):
+            return 1.5 * super().solve(b, trans=trans)
+
+    monkeypatch.setattr(evolution, "Factorization", WrongSolve)
+    with pytest.raises(SingularMatrixError, match="relative residual"):
+        prepare_smooth_data(11, default_sys)
 
 
 def test_fit_decay_synthetic_power_law():

@@ -1,9 +1,16 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfsi.geometry import (
     FLUID,
     GAMMA_F,
+    GAMMA_TAGS,
     SOLID,
     Mesh,
     MeshConfig,
@@ -156,3 +163,116 @@ def test_tiny_config_valid():
     mesh = build_mesh(TINY_CONFIG)
     assert mesh.vertices.shape[0] == 64
     assert mesh.region_volume(SOLID) == pytest.approx(0.125, rel=1e-12)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_triple = st.tuples(_finite, _finite, _finite)
+
+
+@st.composite
+def _meshes(draw):
+    nv = draw(st.integers(1, 6))
+    idx = st.integers(0, nv - 1)
+    vertices = draw(st.lists(_triple, min_size=nv, max_size=nv))
+    tets = draw(st.lists(st.tuples(idx, idx, idx, idx, st.sampled_from([FLUID, SOLID])), max_size=5))
+    tris = draw(st.lists(
+        st.tuples(idx, idx, idx, st.sampled_from([GAMMA_F, *GAMMA_TAGS]), *[_finite] * 3), max_size=5
+    ))
+    config = draw(st.none() | st.builds(MeshConfig, _triple, _triple, _triple, _triple, st.integers(1, 64)))
+    tets = np.array(tets, dtype=np.int64).reshape(-1, 5)
+    tris = np.array(tris, dtype=object).reshape(-1, 7)
+    return Mesh(
+        np.array(vertices, dtype=np.float64), tets[:, :4], tets[:, 4].astype(np.int8),
+        tris[:, :3].astype(np.int64), tris[:, 3].astype(np.int8), tris[:, 4:].astype(np.float64),
+        config=config,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_meshes())
+def test_roundtrip_bit_exact_property(mesh):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.txt"
+        save_mesh(mesh, path)
+        back = load_mesh(path)
+        assert np.array_equal(_bits(back.vertices), _bits(mesh.vertices))
+        assert np.array_equal(back.tets, mesh.tets)
+        assert np.array_equal(back.tet_regions, mesh.tet_regions)
+        assert np.array_equal(back.tris, mesh.tris)
+        assert np.array_equal(back.tri_tags, mesh.tri_tags)
+        assert np.array_equal(_bits(back.tri_normals), _bits(mesh.tri_normals))
+        assert (back.config is None) == (mesh.config is None)
+        if mesh.config is not None:
+            c, d = back.config, mesh.config
+            assert c.n == d.n
+            fields = ("outer_lo", "outer_hi", "inner_lo", "inner_hi")
+            assert all(np.array_equal(_bits(getattr(c, f)), _bits(getattr(d, f))) for f in fields)
+
+
+def _set_field(lines, header, row, col, value):
+    """Overwrite one field of a block row; returns the row's 1-based line number."""
+    i = header + 1 + row
+    fields = lines[i].split()
+    fields[col] = str(value)
+    lines[i] = " ".join(fields)
+    return i + 1
+
+
+def _recount(lines, header, delta):
+    tag, count = lines[header].split()
+    lines[header] = f"{tag} {int(count) + delta}"
+
+
+def _malform(lines, case):
+    """Apply one malformation to a dump; returns the message load_mesh must raise."""
+    hdr = {line.split()[0]: i for i, line in enumerate(lines)
+           if line.split()[0] in ("vertices", "tets", "tris")}
+    nv = int(lines[hdr["vertices"]].split()[1])
+    if case == "negative-tet-index":
+        return f"tets block, line {_set_field(lines, hdr['tets'], 3, 0, -1)}: vertex index outside"
+    if case == "tet-index-past-the-vertices":
+        return f"tets block, line {_set_field(lines, hdr['tets'], 5, 2, nv)}: vertex index outside"
+    if case == "tri-index-past-the-vertices":
+        return f"tris block, line {_set_field(lines, hdr['tris'], 2, 1, nv)}: vertex index outside"
+    if case == "region-tag-2":
+        return f"tets block, line {_set_field(lines, hdr['tets'], 7, 4, 2)}: region tag"
+    if case == "triangle-tag-9":
+        return f"tris block, line {_set_field(lines, hdr['tris'], 4, 3, 9)}: boundary tag"
+    if case == "short-vertices-block":
+        _recount(lines, hdr["vertices"], +1)
+        return f"vertices block, line {hdr['tets'] + 1}: expected 3 fields, got 2"
+    if case == "long-vertices-block":
+        _recount(lines, hdr["vertices"], -1)
+        return f"vertices block, line {hdr['tets']}: more rows than its count"
+    if case == "short-tets-block":
+        _recount(lines, hdr["tets"], +1)
+        return f"tets block, line {hdr['tris'] + 1}: expected 5 fields, got 2"
+    if case == "long-tets-block":
+        _recount(lines, hdr["tets"], -1)
+        return f"tets block, line {hdr['tris']}: more rows than its count"
+    if case == "short-tris-block":
+        _recount(lines, hdr["tris"], +1)
+        return f"tris block, line {len(lines) + 1}: file ends after"
+    if case == "long-tris-block":
+        _recount(lines, hdr["tris"], -1)
+        return f"tris block, line {len(lines)}: more rows than its count"
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "negative-tet-index", "tet-index-past-the-vertices", "tri-index-past-the-vertices",
+    "region-tag-2", "triangle-tag-9", "short-vertices-block", "long-vertices-block",
+    "short-tets-block", "long-tets-block", "short-tris-block", "long-tris-block",
+])
+def test_load_mesh_rejects_malformed_file(tmp_path, tiny_mesh, case):
+    path = tmp_path / "mesh.txt"
+    save_mesh(tiny_mesh, path)
+    lines = path.read_text().splitlines()
+    message = _malform(lines, case)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_mesh(path)

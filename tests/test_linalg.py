@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mlfsi.linalg import (
-    Factorization,
-    NonSymmetricMatrixError,
-    SingularMatrixError,
-    dump_coo,
-    generalized_opnorm,
-    gram_opnorm,
-    smallest_singular_value,
-    solve_complex,
-    solve_spd,
-)
+from mlfsi.linalg import Factorization, SingularMatrixError, gram_opnorm
 
 from oracles import dense_gram_opnorm
 
@@ -24,22 +14,22 @@ def random_spd(n, rng, scale=1.0):
 
 def test_solve_spd_identity(rng):
     b = rng.standard_normal(7)
-    x, rep = solve_spd(sp.eye(7, format="csr"), b)
+    x = Factorization(sp.eye(7, format="csr")).solve(b)
     assert np.allclose(x, b)
-    assert rep.iterations == 0 and not rep.factorization_reused
 
 
 def test_solve_spd_hand_2x2():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x, rep = solve_spd(A, np.array([1.0, 1.0]))
+    b = np.array([1.0, 1.0])
+    x = Factorization(A).solve(b)
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
-    assert rep.relative_residual <= 1e-10
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
 def test_solve_spd_matches_dense_oracle(rng):
     A = random_spd(50, rng)
     b = rng.standard_normal(50)
-    x, _ = solve_spd(A, b)
+    x = Factorization(A).solve(b)
     x_dense = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-9
 
@@ -49,27 +39,20 @@ def test_solve_then_multiply_residual(rng):
     fact = Factorization(A.tocsc())
     for _ in range(100):
         b = rng.standard_normal(40)
-        x, rep = solve_spd(A, b, fact=fact)
-        assert rep.factorization_reused
+        x = fact.solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
 def test_solve_spd_singular_raises():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
-        solve_spd(A, np.array([1.0, 0.0]))
-
-
-def test_solve_spd_rejects_asymmetric(rng):
-    A = sp.csr_matrix(rng.standard_normal((5, 5)) + 10 * np.eye(5))
-    with pytest.raises(NonSymmetricMatrixError):
-        solve_spd(A, np.ones(5))
+        Factorization(A).solve(np.array([1.0, 0.0]))
 
 
 def test_solve_complex_i_identity():
     A = sp.csr_matrix(1j * np.eye(3))
     e1 = np.array([1.0, 0.0, 0.0])
-    x, _ = solve_complex(A, e1)
+    x = Factorization(A).solve(e1)
     assert np.allclose(x, -1j * e1)
 
 
@@ -78,7 +61,7 @@ def test_solve_complex_diagonal(rng):
     beta = 3.0
     A = sp.diags(1j * beta - lam, format="csr")
     b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    x, _ = solve_complex(A, b)
+    x = Factorization(A).solve(b)
     assert np.allclose(x, b / (1j * beta - lam))
 
 
@@ -86,7 +69,7 @@ def test_solve_complex_assembled_matches_dense(tiny_sys, rng):
     beta = 1.0
     A = (1j * beta) * tiny_sys.M.astype(complex) - tiny_sys.A.astype(complex)
     b = rng.standard_normal(tiny_sys.dof.total) + 0j
-    x, _ = solve_complex(sp.csr_matrix(A), b)
+    x = Factorization(sp.csr_matrix(A)).solve(b)
     xd = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(x - xd) / np.linalg.norm(xd) < 1e-9
 
@@ -94,20 +77,20 @@ def test_solve_complex_assembled_matches_dense(tiny_sys, rng):
 def test_solve_complex_singular_raises():
     A = sp.csr_matrix(np.array([[1.0 + 0j, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
-        solve_complex(A, np.array([1.0 + 0j, 0.0]))
+        Factorization(A).solve(np.array([1.0 + 0j, 0.0]))
 
 
 def test_opnorm_identity(rng):
     G = random_spd(12, rng)
     eye = sp.eye(12, format="csr")
-    val = generalized_opnorm(eye, G, 12, tol=1e-8)
+    val = gram_opnorm(eye, G, 12, tol=1e-8).sigma
     assert val == pytest.approx(1.0, rel=1e-6)
 
 
 def test_opnorm_scalar_multiple(rng):
     G = random_spd(9, rng)
     c = -2.5
-    val = generalized_opnorm(sp.csr_matrix(c * np.eye(9)), G, 9, tol=1e-8)
+    val = gram_opnorm(sp.csr_matrix(c * np.eye(9)), G, 9, tol=1e-8).sigma
     assert val == pytest.approx(abs(c), rel=1e-6)
 
 
@@ -115,7 +98,7 @@ def test_opnorm_matches_dense_oracle(rng):
     n = 30
     T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     G = random_spd(n, rng)
-    val = generalized_opnorm(sp.csr_matrix(T), G, n, tol=1e-8)
+    val = gram_opnorm(sp.csr_matrix(T), G, n, tol=1e-8).sigma
     ref = dense_gram_opnorm(T, G.toarray())
     assert abs(val - ref) / ref < 1e-6
 
@@ -131,10 +114,10 @@ def test_opnorm_invariant_under_gram_orthogonal_conjugation(rng):
     W = np.linalg.solve(L.T, Q @ L.T)
     assert np.allclose(W.T @ G @ W, G)
     tol = 1e-7
-    v1 = generalized_opnorm(sp.csr_matrix(T), sp.csr_matrix(G), n, tol=tol)
-    v2 = generalized_opnorm(
+    v1 = gram_opnorm(sp.csr_matrix(T), sp.csr_matrix(G), n, tol=tol).sigma
+    v2 = gram_opnorm(
         sp.csr_matrix(np.linalg.solve(W, T @ W)), sp.csr_matrix(G), n, tol=tol
-    )
+    ).sigma
     assert abs(v1 - v2) / v1 < 1e-5
 
 
@@ -164,24 +147,3 @@ def test_factorization_ordering_rule_and_residual(n8_sys, rng, case):
         b = b.real
     x = fact.solve(b)
     assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) <= 1e-12
-
-
-def test_smallest_singular_value(rng):
-    d = np.array([3.0, 0.5, 7.0, 1.25])
-    A = sp.csc_matrix(np.diag(d))
-    assert smallest_singular_value(A) == pytest.approx(0.5, rel=1e-2)
-
-
-def test_dump_coo_roundtrip(tmp_path, rng):
-    A = sp.random(8, 8, density=0.4, random_state=np.random.RandomState(0), format="csr")
-    path = tmp_path / "mat.coo"
-    dump_coo(A, path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split()
-    assert header[0] == "coo" and int(header[3]) == A.nnz
-    rows, cols, vals = [], [], []
-    for line in lines[1:]:
-        i, j, v = line.split()
-        rows.append(int(i)); cols.append(int(j)); vals.append(float(v))
-    back = sp.coo_matrix((vals, (rows, cols)), shape=A.shape)
-    assert np.allclose(back.toarray(), A.toarray())
