@@ -23,7 +23,7 @@ from .assembly import (
     fluid_gradient_norm,
     graph_norm,
 )
-from .config import RunConfig, default_config, load_config, parse_config
+from .config import RunConfig, default_config, format_config, load_config, parse_config
 from .evolution import (
     CNStepper,
     DecayFit,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .config import (
     load_config,
     with_overrides,
 )
-from .geometry import MeshConfigError, build_mesh, save_mesh
+from .geometry import build_mesh, save_mesh
 from .identities import manufactured_study
 from .linalg import SingularMatrixError
 
@@ -47,7 +48,7 @@ def _dump_json(obj, path):
         fh.write("\n")
 
 
-def cmd_mesh(cfg: RunConfig) -> int:
+def cmd_mesh(cfg: RunConfig):
     out = _outdir(cfg)
     mesh = build_mesh(cfg.geometry)
     save_mesh(mesh, out / "mesh.txt")
@@ -56,10 +57,9 @@ def cmd_mesh(cfg: RunConfig) -> int:
         f"({int((mesh.tet_regions == geometry.SOLID).sum())} solid), "
         f"{mesh.tris.shape[0]} boundary triangles -> {out / 'mesh.txt'}"
     )
-    return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig):
     out = _outdir(cfg)
     mesh = build_mesh(cfg.geometry)
     system = build_system(mesh)
@@ -89,16 +89,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
         f"simulate: {len(trace.t) - 1} steps, fitted decay exponent "
         f"{payload['fitted_exponent']:.6g} (reference {2 / 11:.6g}) -> {out / 'energy.csv'}"
     )
-    return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, jobs=1) -> int:
+def cmd_sweep(cfg: RunConfig, jobs=1):
     out = _outdir(cfg)
     mesh = build_mesh(cfg.geometry)
     system = build_system(mesh)
     sw = cfg.sweep
-    if sw.points < 2:
-        raise ConfigError("insufficient points: a growth fit needs at least 2 frequencies")
     betas = np.logspace(np.log10(sw.beta_min), np.log10(sw.beta_max), sw.points)
     samples = resolvent.sweep(
         betas, system, probe_seed=sw.probe_seed, opnorm_tol=sw.opnorm_tol,
@@ -111,15 +108,14 @@ def cmd_sweep(cfg: RunConfig, jobs=1) -> int:
         f"sweep: {len(samples)} frequencies in [{sw.beta_min:g}, {sw.beta_max:g}], "
         f"growth slope {fit.slope:.6g} (reference {11 / 2}) -> {out / 'sweep.csv'}"
     )
-    return EXIT_OK
 
 
-def cmd_probe(cfg: RunConfig) -> int:
+def cmd_probe(cfg: RunConfig):
     out = _outdir(cfg)
     pc = cfg.probe
     if not pc.manufactured:
         print("probe: manufactured study disabled in config; nothing to do")
-        return EXIT_OK
+        return
     rows, orders = manufactured_study(pc.refinements, beta=pc.beta, base_config=cfg.geometry)
     payload = {
         "beta": pc.beta,
@@ -133,17 +129,21 @@ def cmd_probe(cfg: RunConfig) -> int:
         f"probe: residual orders radial {orders['radial']:.3g}, "
         f"unit-div {orders['unit_div']:.3g} -> {out / 'probe.json'}"
     )
-    return EXIT_OK
+
+
+# The steps that `all` runs, in order; every other command runs one of them.
+PIPELINE = ("mesh", "simulate", "sweep", "probe")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlfsi",
         description="Coupled heat / surface-wave / interior-wave numerical laboratory",
-        epilog="Config file schema (with defaults):\n\n" + DEFAULT_CONFIG_TEXT,
+        epilog="Config file keys with their defaults (simulate.initial is smooth or zero):\n\n"
+        + DEFAULT_CONFIG_TEXT,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=["mesh", "simulate", "sweep", "probe", "all"])
+    parser.add_argument("command", choices=[*PIPELINE, "all"])
     parser.add_argument("--config", help="path to a key-value config file")
     parser.add_argument("--outdir", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override for simulate and sweep probes")
@@ -159,23 +159,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = with_overrides(cfg, seed=args.seed, output_dir=args.outdir)
-        cfg.validate()
-        if args.command in ("mesh", "all"):
-            code = cmd_mesh(cfg)
-            if code or args.command == "mesh":
-                return code
-        if args.command in ("simulate", "all"):
-            code = cmd_simulate(cfg)
-            if code or args.command == "simulate":
-                return code
-        if args.command in ("sweep", "all"):
-            code = cmd_sweep(cfg, jobs=args.jobs)
-            if code or args.command == "sweep":
-                return code
-        if args.command in ("probe", "all"):
-            return cmd_probe(cfg)
+        # Built per call to use the current cmd_* bindings; a failing step raises.
+        steps = {"mesh": cmd_mesh, "simulate": cmd_simulate,
+                 "sweep": partial(cmd_sweep, jobs=args.jobs), "probe": cmd_probe}
+        for name in PIPELINE if args.command == "all" else (args.command,):
+            steps[name](cfg)
         return EXIT_OK
-    except (ConfigError, MeshConfigError, resolvent.InsufficientPointsError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, MeshConfigError, InsufficientPointsError, ...
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except (evolution.SolverFailure, SingularMatrixError) as exc:

@@ -1,47 +1,22 @@
 """Plain-text key-value run configuration.
 
 Format: one ``section.key = value`` per line; ``#`` starts a comment; blank
-lines ignored. Vector values are whitespace separated. Unknown keys are
-errors. See DEFAULT_CONFIG_TEXT for the full schema with defaults.
+lines ignored. Tuple values are whitespace separated; booleans are
+true/1/yes or false/0/no. Unknown keys are errors.
+
+The frozen dataclasses below (with ``geometry.MeshConfig``) are the schema:
+each field is one key, its type annotation says how the value parses, and its
+default is the only default. ``format_config`` prints a config in the same
+format, so ``DEFAULT_CONFIG_TEXT`` is ``format_config(RunConfig())``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import reduce
+from typing import get_args, get_origin, get_type_hints
 
 from .geometry import MeshConfig
-
-DEFAULT_CONFIG_TEXT = """\
-# geometry: outer box, strictly interior cube, cells per unit length
-geometry.outer_lo = 0 0 0
-geometry.outer_hi = 1 1 1
-geometry.inner_lo = 0.25 0.25 0.25
-geometry.inner_hi = 0.75 0.75 0.75
-geometry.n = 4
-
-# time-domain run
-simulate.T = 60
-simulate.tau = 0.01
-simulate.seed = 1
-simulate.fit_window = 1 50
-simulate.initial = smooth        # smooth | zero
-
-# frequency sweep
-sweep.beta_min = 1
-sweep.beta_max = 200
-sweep.points = 25
-sweep.probe_seed = 2
-sweep.opnorm_tol = 1e-4
-
-# multiplier probe
-probe.manufactured = true
-probe.refinements = 4 8 16
-probe.beta = 2
-
-# outputs
-output_dir = out
-solve_tol = 1e-10
-"""
 
 
 class ConfigError(ValueError):
@@ -53,8 +28,8 @@ class SimulateConfig:
     T: float = 60.0
     tau: float = 0.01
     seed: int = 1
-    fit_window: tuple = (1.0, 50.0)
-    initial: str = "smooth"
+    fit_window: tuple[float, float] = (1.0, 50.0)
+    initial: str = "smooth"     # smooth | zero
 
 
 @dataclass(frozen=True)
@@ -69,7 +44,7 @@ class SweepConfig:
 @dataclass(frozen=True)
 class ProbeConfig:
     manufactured: bool = True
-    refinements: tuple = (4, 8, 16)
+    refinements: tuple[int, ...] = (4, 8, 16)
     beta: float = 2.0
 
 
@@ -97,62 +72,56 @@ class RunConfig:
             raise ConfigError("sweep.beta_min must be >= 1")
         if w.beta_max <= w.beta_min:
             raise ConfigError("sweep.beta_max must exceed sweep.beta_min")
-        if w.points < 1:
-            raise ConfigError("sweep.points must be positive")
+        if w.points < 2:
+            raise ConfigError(f"insufficient points: a growth fit needs at least 2 frequencies, "
+                              f"got sweep.points = {w.points}")
         if w.opnorm_tol <= 0 or self.solve_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if len(self.probe.refinements) < 1:
             raise ConfigError("probe.refinements must name at least one resolution")
 
 
-def _vec3(raw, key):
-    parts = raw.split()
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected 3 numbers, got {raw!r}")
-    return tuple(float(p) for p in parts)
+def _schema(cls, prefix=""):
+    """(key, annotation) of every leaf field, nested dataclasses flattened."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _schema(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, hints[f.name]
 
 
-def _bool(raw, key):
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+# key ("section.field" or a top-level field) -> type annotation
+SCHEMA = dict(_schema(RunConfig))
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_value(hint, raw):
+    if hint is bool:
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"expected a boolean, got {raw!r}")
+        return _BOOLS[raw.lower()]
+    if get_origin(hint) is tuple:
+        types, parts = get_args(hint), raw.split()
+        if types[-1] is Ellipsis:
+            types = (types[0],) * len(parts)
+        elif len(parts) != len(types):
+            raise ValueError(f"expected {len(types)} values, got {raw!r}")
+        return tuple(t(p) for t, p in zip(types, parts))
+    return hint(raw)
+
+
+def _format_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(map(_format_value, value))
+    return str(value)
 
 
 def parse_config(text: str) -> RunConfig:
-    geo = {}
-    sim = {}
-    swp = {}
-    prb = {}
-    top = {}
-    setters = {
-        "geometry.outer_lo": lambda v: geo.__setitem__("outer_lo", _vec3(v, "geometry.outer_lo")),
-        "geometry.outer_hi": lambda v: geo.__setitem__("outer_hi", _vec3(v, "geometry.outer_hi")),
-        "geometry.inner_lo": lambda v: geo.__setitem__("inner_lo", _vec3(v, "geometry.inner_lo")),
-        "geometry.inner_hi": lambda v: geo.__setitem__("inner_hi", _vec3(v, "geometry.inner_hi")),
-        "geometry.n": lambda v: geo.__setitem__("n", int(v)),
-        "simulate.T": lambda v: sim.__setitem__("T", float(v)),
-        "simulate.tau": lambda v: sim.__setitem__("tau", float(v)),
-        "simulate.seed": lambda v: sim.__setitem__("seed", int(v)),
-        "simulate.fit_window": lambda v: sim.__setitem__(
-            "fit_window", tuple(float(p) for p in v.split())
-        ),
-        "simulate.initial": lambda v: sim.__setitem__("initial", v.strip()),
-        "sweep.beta_min": lambda v: swp.__setitem__("beta_min", float(v)),
-        "sweep.beta_max": lambda v: swp.__setitem__("beta_max", float(v)),
-        "sweep.points": lambda v: swp.__setitem__("points", int(v)),
-        "sweep.probe_seed": lambda v: swp.__setitem__("probe_seed", int(v)),
-        "sweep.opnorm_tol": lambda v: swp.__setitem__("opnorm_tol", float(v)),
-        "probe.manufactured": lambda v: prb.__setitem__("manufactured", _bool(v, "probe.manufactured")),
-        "probe.refinements": lambda v: prb.__setitem__(
-            "refinements", tuple(int(p) for p in v.split())
-        ),
-        "probe.beta": lambda v: prb.__setitem__("beta", float(v)),
-        "output_dir": lambda v: top.__setitem__("output_dir", v.strip()),
-        "solve_tol": lambda v: top.__setitem__("solve_tol", float(v)),
-    }
+    sections = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -160,24 +129,33 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in setters:
+        if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            setters[key](value)
-        except ConfigError:
-            raise
+            parsed = _parse_value(SCHEMA[key], value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        section, _, name = key.rpartition(".")
+        sections.setdefault(section, {})[name] = parsed
 
-    cfg = RunConfig(
-        geometry=MeshConfig(**geo),
-        simulate=SimulateConfig(**sim),
-        sweep=SweepConfig(**swp),
-        probe=ProbeConfig(**prb),
-        **top,
-    )
+    cfg = RunConfig()
+    nested = {s: replace(getattr(cfg, s), **kv) for s, kv in sections.items() if s}
+    cfg = replace(cfg, **nested, **sections.get("", {}))
     cfg.validate()
     return cfg
+
+
+def format_config(cfg: RunConfig) -> str:
+    """``cfg`` as ``parse_config`` text, every key in schema order, one per line.
+
+    ``parse_config`` reads it back to ``cfg`` whenever ``cfg`` is valid and
+    ``output_dir`` holds no ``#`` or line break and no surrounding whitespace.
+    """
+    values = (reduce(getattr, key.split("."), cfg) for key in SCHEMA)
+    return "".join(f"{key} = {_format_value(value)}\n" for key, value in zip(SCHEMA, values))
+
+
+DEFAULT_CONFIG_TEXT = format_config(RunConfig())
 
 
 def load_config(path) -> RunConfig:

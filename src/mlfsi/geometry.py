@@ -42,10 +42,10 @@ class MeshConfig:
     and cube face must land exactly on a grid plane.
     """
 
-    outer_lo: tuple = (0.0, 0.0, 0.0)
-    outer_hi: tuple = (1.0, 1.0, 1.0)
-    inner_lo: tuple = (0.25, 0.25, 0.25)
-    inner_hi: tuple = (0.75, 0.75, 0.75)
+    outer_lo: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    outer_hi: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    inner_lo: tuple[float, float, float] = (0.25, 0.25, 0.25)
+    inner_hi: tuple[float, float, float] = (0.75, 0.75, 0.75)
     n: int = 4
 
     def validate(self):
@@ -270,9 +270,10 @@ def load_mesh(path) -> Mesh:
     """Read a ``save_mesh`` dump.
 
     Raises ValueError naming the block and the line of the first malformed
-    entry: a block header or row of the wrong shape, a block shorter or
-    longer than its count, a vertex index out of range, or a region or
-    boundary tag that the geometry does not define.
+    entry: a config line or block row of the wrong shape, a field that does
+    not parse as its number type, a block header that does not match, a
+    block shorter or longer than its count, a vertex index out of range, or
+    a region or boundary tag that the geometry does not define.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -282,12 +283,17 @@ def load_mesh(path) -> Mesh:
     config = None
     if pos < len(lines) and lines[pos].startswith("config "):
         parts = lines[pos].split()[1:]
-        f = [float(x) for x in parts[:12]]
-        config = MeshConfig(tuple(f[0:3]), tuple(f[3:6]), tuple(f[6:9]), tuple(f[9:12]), int(parts[12]))
+        try:
+            if len(parts) != 13:
+                raise ValueError(f"expected 13 fields, got {len(parts)}")
+            f = [float(x) for x in parts[:12]]
+            config = MeshConfig(*(tuple(f[k:k + 3]) for k in (0, 3, 6, 9)), int(parts[12]))
+        except ValueError as exc:
+            raise ValueError(f"config block, line {pos + 1}: {exc}") from None
         pos += 1
 
-    def read_block(tag, ncols, dtype, prev=None):
-        """Rows of block ``tag`` and the 1-based line number of its first row.
+    def read_block(tag, ncols, prev=None):
+        """Rows of block ``tag`` as strings, and the 1-based line of its first.
 
         ``prev`` is the (tag, width) of the block before; a row of that width
         where this header belongs means that block is longer than its count.
@@ -310,26 +316,39 @@ def load_mesh(path) -> Mesh:
             raise ValueError(f"{tag} block, line {first + len(rows)}: file ends after "
                              f"{len(rows)} of {count} rows")
         pos += 1 + count
-        return np.array(rows, dtype=dtype).reshape(count, ncols), first
+        return np.array(rows, dtype=object).reshape(count, ncols), first
+
+    def typed(raw, dtype, tag, first):
+        """``raw`` as ``dtype``; a field that does not parse names its line."""
+        try:
+            return np.array(raw, dtype=dtype)
+        except (ValueError, OverflowError):
+            for i, row in enumerate(raw):
+                try:
+                    np.array(row, dtype=dtype)
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"{tag} block, line {first + i}: {exc}") from None
+            raise
 
     def reject(bad, tag, first, what):
         rows = np.flatnonzero(bad)
         if rows.size:
             raise ValueError(f"{tag} block, line {first + rows[0]}: {what}")
 
-    vertices, _ = read_block("vertices", 3, np.float64)
+    vraw, first = read_block("vertices", 3)
+    vertices = typed(vraw, np.float64, "vertices", first)
     nv = vertices.shape[0]
-    traw, first = read_block("tets", 5, object, prev=("vertices", 3))
-    tets = traw[:, :4].astype(np.int64)
-    regions = traw[:, 4].astype(np.int64)
+    traw, first = read_block("tets", 5, prev=("vertices", 3))
+    tets = typed(traw[:, :4], np.int64, "tets", first)
+    regions = typed(traw[:, 4], np.int64, "tets", first)
     reject(np.any((tets < 0) | (tets >= nv), axis=1), "tets", first,
            f"vertex index outside [0, {nv})")
     reject(~np.isin(regions, (FLUID, SOLID)), "tets", first,
            f"region tag not in {{{FLUID}, {SOLID}}}")
-    braw, first = read_block("tris", 7, object, prev=("tets", 5))
-    tris = braw[:, :3].astype(np.int64)
-    tags = braw[:, 3].astype(np.int64)
-    normals = braw[:, 4:].astype(np.float64)
+    braw, first = read_block("tris", 7, prev=("tets", 5))
+    tris = typed(braw[:, :3], np.int64, "tris", first)
+    tags = typed(braw[:, 3], np.int64, "tris", first)
+    normals = typed(braw[:, 4:], np.float64, "tris", first)
     reject(np.any((tris < 0) | (tris >= nv), axis=1), "tris", first,
            f"vertex index outside [0, {nv})")
     reject(~np.isin(tags, (GAMMA_F, *GAMMA_TAGS)), "tris", first,

@@ -70,8 +70,6 @@ class ZField:
     """Homogenized interior wave field; vanishes on the interface by construction."""
 
     values: np.ndarray      # nodal, solid ordering [interior, interface]
-    beta: float
-    provenance: str
     boundary_residual: float = 0.0
 
 
@@ -107,7 +105,7 @@ def build_z(x: State, b: State, beta, sys) -> ZField:
         raise ValueError(
             f"boundary trace of z failed to vanish: {bres:.3g} vs scale {scale:.3g}"
         )
-    return ZField(z, float(beta), "resolvent", boundary_residual=bres)
+    return ZField(z, boundary_residual=bres)
 
 
 def z_equation_load(x: State, b: State, beta, sys) -> np.ndarray:
@@ -311,7 +309,7 @@ def manufactured_study(ns, beta=2.0, base_config: MeshConfig | None = None):
         mesh = build_mesh(config)
         sys = build_system(mesh)
         zv, fv = manufactured_field(mesh, sys.dof, beta)
-        z = ZField(zv.astype(complex), float(beta), "manufactured")
+        z = ZField(zv.astype(complex))
         rep_rad = multiplier_residual(z, fv, beta, sys, "radial")
         rep_div = multiplier_residual(z, fv, beta, sys, "unit-div")
         rows.append({"n": int(n), "radial": rep_rad, "unit_div": rep_div})

@@ -59,17 +59,6 @@ class Factorization:
 class OpnormInfo:
     sigma: float
     iterations: int     # applications of the normal operator
-    converged: bool
-
-
-def _as_matvec_pair(apply):
-    if isinstance(apply, tuple):
-        return apply
-    if hasattr(apply, "matvec") and hasattr(apply, "rmatvec"):
-        return apply.matvec, apply.rmatvec
-    if sp.issparse(apply) or isinstance(apply, np.ndarray):
-        return (lambda v: apply @ v), (lambda v: apply.conj().T @ v)
-    raise TypeError("apply must expose matvec/rmatvec or be a (matvec, rmatvec) pair")
 
 
 # Lanczos basis size (ARPACK's ncv) of the norm estimate. At n=16 the 13-point
@@ -105,20 +94,4 @@ def opnorm_from_normal(normal, gram, dim, tol=1e-4, seed=0) -> OpnormInfo:
         op, k=1, M=gram, Minv=identity, which="LA", v0=v0, ncv=min(LANCZOS_NCV, dim),
         tol=1e-2 * tol, rng=seed, return_eigenvectors=False,
     )
-    return OpnormInfo(float(np.sqrt(max(lam.max(), 0.0))), applications, True)
-
-
-def gram_opnorm(apply, gram, dim, tol=1e-4, seed=0) -> OpnormInfo:
-    """Largest singular value of ``apply`` in the gram norm on both sides.
-
-    ``apply`` is a (matvec, rmatvec) pair, an object exposing both, or a
-    matrix; rmatvec is the Euclidean adjoint. The normal operator is formed
-    with a factorization of the gram matrix; callers that know it in closed
-    form call ``opnorm_from_normal`` directly.
-    """
-    matvec, rmatvec = _as_matvec_pair(apply)
-    gram_solve = Factorization(gram).solve
-    return opnorm_from_normal(
-        lambda v: gram_solve(rmatvec(gram @ matvec(v))), gram, dim, tol=tol, seed=seed
-    )
-
+    return OpnormInfo(float(np.sqrt(max(lam.max(), 0.0))), applications)

@@ -4,7 +4,9 @@ Everything here recomputes quantities through a different code path than the
 package: element integrals by reference-element quadrature instead of closed
 forms, the composite system by evaluating the weak form on basis states, and
 operator norms by dense factorizations. Oracle values are never produced by
-the functions under test.
+the functions under test. The one exception, `gram_opnorm`, is a driver, not
+an oracle: it builds the gram-normal operator of a generic map so that the
+tests can run `mlfsi.linalg.opnorm_from_normal` on it.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mlfsi.geometry import FLUID, GAMMA_F, SOLID
+from mlfsi.linalg import Factorization, opnorm_from_normal
 
 # Degree-2 exact quadrature on the reference tetrahedron (4 symmetric points).
 _TA, _TB = 0.5854101966249685, 0.1381966011250105
@@ -227,6 +230,31 @@ def dense_gram_opnorm(T, G):
     L = np.linalg.cholesky(G)
     S = L.T @ T @ np.linalg.inv(L.T)
     return np.linalg.svd(S, compute_uv=False)[0]
+
+
+def _as_matvec_pair(apply):
+    if isinstance(apply, tuple):
+        return apply
+    if hasattr(apply, "matvec") and hasattr(apply, "rmatvec"):
+        return apply.matvec, apply.rmatvec
+    if sp.issparse(apply) or isinstance(apply, np.ndarray):
+        return (lambda v: apply @ v), (lambda v: apply.conj().T @ v)
+    raise TypeError("apply must expose matvec/rmatvec or be a (matvec, rmatvec) pair")
+
+
+def gram_opnorm(apply, gram, dim, tol=1e-4, seed=0):
+    """Largest singular value of ``apply`` in the gram norm on both sides.
+
+    ``apply`` is a (matvec, rmatvec) pair, an object exposing both, or a
+    matrix; rmatvec is the Euclidean adjoint. The normal operator is formed
+    with a factorization of the gram matrix and handed to
+    ``opnorm_from_normal``.
+    """
+    matvec, rmatvec = _as_matvec_pair(apply)
+    gram_solve = Factorization(gram).solve
+    return opnorm_from_normal(
+        lambda v: gram_solve(rmatvec(gram @ matvec(v))), gram, dim, tol=tol, seed=seed
+    )
 
 
 def arpack_resolvent_opnorm(beta, sys):

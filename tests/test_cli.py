@@ -1,11 +1,25 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfsi.cli import main
-from mlfsi.config import ConfigError, default_config, parse_config
-from mlfsi.geometry import load_mesh
+from mlfsi.config import (
+    SCHEMA,
+    ConfigError,
+    ProbeConfig,
+    RunConfig,
+    SimulateConfig,
+    SweepConfig,
+    default_config,
+    format_config,
+    parse_config,
+)
+from mlfsi.geometry import MeshConfig, load_mesh
 
 SMALL_GEOMETRY = """
 geometry.outer_lo = 0 0 0
@@ -56,6 +70,73 @@ def test_parse_config_rejects_bad_window():
 def test_parse_config_rejects_beta_below_one():
     with pytest.raises(ConfigError, match="beta_min"):
         parse_config("sweep.beta_min = 0.5\n")
+
+
+def test_parse_config_rejects_wrong_tuple_length():
+    with pytest.raises(ConfigError, match=r"simulate\.fit_window: expected 2 values"):
+        parse_config("simulate.fit_window = 1 20 50\n")
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that pass ``validate``: corners on grid planes, ordered windows."""
+    n = draw(st.integers(1, 8))
+    olo = tuple(draw(_floats(-10, 10)) for _ in range(3))
+    steps = [sorted(draw(st.sets(st.integers(1, 12), min_size=3, max_size=3))) for _ in range(3)]
+    ilo, ihi, ohi = (tuple(o + s[k] / n for o, s in zip(olo, steps)) for k in range(3))
+    T = draw(_floats(1e-3, 1e6))
+    ta = draw(_floats(0, T, exclude_max=True))
+    beta_min = draw(_floats(1, 1e6))
+    return RunConfig(
+        geometry=MeshConfig(olo, ohi, ilo, ihi, n),
+        simulate=SimulateConfig(
+            T=T, tau=draw(_floats(1e-6, 1)), seed=draw(st.integers(0, 2**32)),
+            fit_window=(ta, draw(_floats(ta, T, exclude_min=True))),
+            initial=draw(st.sampled_from(["smooth", "zero"])),
+        ),
+        sweep=SweepConfig(
+            beta_min=beta_min, beta_max=draw(_floats(beta_min, 1e7, exclude_min=True)),
+            points=draw(st.integers(2, 1000)), probe_seed=draw(st.integers(0, 2**32)),
+            opnorm_tol=draw(_floats(0, 1, exclude_min=True)),
+        ),
+        probe=ProbeConfig(
+            manufactured=draw(st.booleans()),
+            refinements=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))),
+            beta=draw(_floats(-1e6, 1e6)),
+        ),
+        output_dir=draw(
+            st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"),
+                                  exclude_characters="#"), max_size=20)
+            .filter(lambda s: s == s.strip())
+        ),
+        solve_tol=draw(_floats(0, 1, exclude_min=True)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_format_config_round_trips(cfg):
+    cfg.validate()
+    assert parse_config(format_config(cfg)) == cfg
+
+
+def test_help_lists_every_schema_key(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in SCHEMA:
+        assert re.search(rf"^{re.escape(key)} = ", out, re.M), key
+
+
+def test_readme_defaults_block_parses_to_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"The defaults:\n\n```\n(.*?)```", readme, re.S).group(1)
+    assert parse_config(block) == RunConfig()
 
 
 def test_cmd_mesh_writes_dump(tmp_path, capsys):
@@ -176,6 +257,24 @@ def test_cmd_all_produces_every_artifact(tmp_path):
     assert main(["all", "--config", cfg, "--outdir", str(out)]) == 0
     for name in ("mesh.txt", "energy.csv", "decay.json", "sweep.csv", "growth.json", "probe.json"):
         assert (out / name).exists(), name
+
+
+def test_cmd_all_matches_the_commands_one_by_one(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        FAST_SWEEP
+        + "simulate.T = 2\nsimulate.tau = 0.01\nsimulate.fit_window = 0.5 2\n"
+        + "probe.refinements = 4 8\n",
+    )
+    assert main(["all", "--config", cfg, "--outdir", str(tmp_path / "all")]) == 0
+    for command in ("mesh", "simulate", "sweep", "probe"):
+        assert main([command, "--config", cfg, "--outdir", str(tmp_path / "each")]) == 0
+    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "each").iterdir())
+    assert names == sorted(["mesh.txt", "energy.csv", "decay.json", "sweep.csv", "growth.json",
+                            "probe.json"])
+    for name in names:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "each" / name).read_bytes(), name
 
 
 def test_cmd_sweep_jobs_flag_matches_serial(tmp_path):

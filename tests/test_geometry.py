@@ -260,6 +260,24 @@ def _malform(lines, case):
     if case == "long-tris-block":
         _recount(lines, hdr["tris"], -1)
         return f"tris block, line {len(lines)}: more rows than its count"
+    if case == "non-integer-tet-index":
+        return f"tets block, line {_set_field(lines, hdr['tets'], 3, 1, 1.5)}: invalid literal for int()"
+    if case == "non-integer-region-tag":
+        return f"tets block, line {_set_field(lines, hdr['tets'], 6, 4, 'x')}: invalid literal for int()"
+    if case == "non-integer-tri-index":
+        return f"tris block, line {_set_field(lines, hdr['tris'], 2, 0, 1.5)}: invalid literal for int()"
+    if case == "non-integer-tri-tag":
+        return f"tris block, line {_set_field(lines, hdr['tris'], 5, 3, '1e0')}: invalid literal for int()"
+    if case == "non-float-vertex":
+        return f"vertices block, line {_set_field(lines, hdr['vertices'], 4, 2, 'x')}: could not convert"
+    if case == "non-float-tri-normal":
+        return f"tris block, line {_set_field(lines, hdr['tris'], 3, 5, 'nul')}: could not convert"
+    if case == "short-config-line":
+        lines[1] = lines[1].rsplit(" ", 1)[0]
+        return "config block, line 2: expected 13 fields, got 12"
+    if case == "non-float-config-field":
+        _set_field(lines, 0, 0, 3, "x")
+        return "config block, line 2: could not convert"
     raise AssertionError(case)
 
 
@@ -267,6 +285,9 @@ def _malform(lines, case):
     "negative-tet-index", "tet-index-past-the-vertices", "tri-index-past-the-vertices",
     "region-tag-2", "triangle-tag-9", "short-vertices-block", "long-vertices-block",
     "short-tets-block", "long-tets-block", "short-tris-block", "long-tris-block",
+    "non-integer-tet-index", "non-integer-region-tag", "non-integer-tri-index",
+    "non-integer-tri-tag", "non-float-vertex", "non-float-tri-normal", "short-config-line",
+    "non-float-config-field",
 ])
 def test_load_mesh_rejects_malformed_file(tmp_path, tiny_mesh, case):
     path = tmp_path / "mesh.txt"

@@ -166,7 +166,7 @@ def test_build_z_interior_matches_dense_composition(tiny_sys, rich_sys):
 
 
 def test_multiplier_zero_field(default_sys):
-    z = ZField(np.zeros(default_sys.dof.n_s + default_sys.dof.n_i, dtype=complex), 2.0, "manufactured")
+    z = ZField(np.zeros(default_sys.dof.n_s + default_sys.dof.n_i, dtype=complex))
     f = np.zeros_like(z.values)
     for which in ("radial", "unit-div"):
         rep = multiplier_residual(z, f, 2.0, default_sys, which)
@@ -174,7 +174,7 @@ def test_multiplier_zero_field(default_sys):
 
 
 def test_multiplier_unknown_identity(default_sys):
-    z = ZField(np.zeros(default_sys.dof.n_s + default_sys.dof.n_i, dtype=complex), 2.0, "manufactured")
+    z = ZField(np.zeros(default_sys.dof.n_s + default_sys.dof.n_i, dtype=complex))
     with pytest.raises(ValueError):
         multiplier_residual(z, z.values, 2.0, default_sys, "bogus")
 
@@ -220,7 +220,7 @@ def test_unit_div_identity_equals_weak_form_residual():
     sys = build_system(mesh)
     beta = 2.0
     zv, fv = manufactured_field(mesh, sys.dof, beta)
-    z = ZField(zv.astype(complex), beta, "manufactured")
+    z = ZField(zv.astype(complex))
     rep = multiplier_residual(z, fv, beta, sys, "unit-div")
 
     Md, Kd = dense_volume_matrices(mesh, SOLID)

@@ -8,7 +8,6 @@ import mlfsi.linalg as linalg
 from mlfsi.assembly import State, build_system, energy_norm
 from mlfsi.geometry import MeshConfig, build_mesh
 from mlfsi.identities import flux_chain_monitor
-from mlfsi.linalg import gram_opnorm
 from mlfsi.resolvent import (
     CSV_HEADER,
     FrequencySingularityError,
@@ -27,7 +26,7 @@ from mlfsi.resolvent import (
     write_sweep_csv,
 )
 
-from oracles import arpack_resolvent_opnorm, dense_resolvent_opnorm
+from oracles import arpack_resolvent_opnorm, dense_resolvent_opnorm, gram_opnorm
 
 
 def test_zero_data_gives_zero_solution(default_sys):
