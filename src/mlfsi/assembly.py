@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .geometry import FLUID, GAMMA_F, GAMMA_TAGS, SOLID, Mesh
+from .geometry import FLUID, GAMMA_F, SOLID, TET_FACES, Mesh, face_keys
 from .linalg import Factorization
 
 
@@ -30,7 +30,6 @@ from .linalg import Factorization
 # (1 + delta_ij) / 12 on a triangle.
 _TET_MASS = (np.ones((4, 4)) + np.eye(4)) / 20.0
 _TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
-_TET_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 def _tet_kernel(p):
@@ -104,15 +103,13 @@ def assemble_surface(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 class DofMap:
     """Vertex index partitions and the flat state layout built on them.
 
-    Interface vertices are exactly the vertices of the interface triangles;
-    a vertex on a cube edge or corner appears in the vertex list of every
-    face containing it. Outer-boundary vertices carry no unknown.
+    Interface vertices are exactly the vertices of the interface triangles.
+    Outer-boundary vertices carry no unknown.
     """
 
     fluid_interior: np.ndarray
     interface: np.ndarray
     solid_interior: np.ndarray
-    face_vertices: dict
 
     @property
     def n_fi(self):
@@ -160,7 +157,7 @@ class DofMap:
 
 
 def build_dofmap(mesh: Mesh) -> DofMap:
-    iface_tris = mesh.tris[mesh.tri_tags != GAMMA_F]
+    iface_tris = mesh.interface_tris()
     if iface_tris.shape[0] == 0:
         raise ValueError("mesh has no fluid/solid interface")
     outer = np.unique(mesh.tris[mesh.tri_tags == GAMMA_F])
@@ -172,13 +169,7 @@ def build_dofmap(mesh: Mesh) -> DofMap:
     solid_verts = np.unique(mesh.tets[mesh.tet_regions != FLUID])
     fluid_interior = np.setdiff1d(fluid_verts, np.union1d(outer, interface))
     solid_interior = np.setdiff1d(solid_verts, interface)
-
-    faces = {}
-    for tag in GAMMA_TAGS:
-        sel = mesh.tri_tags == tag
-        if np.any(sel):
-            faces[int(tag)] = np.unique(mesh.tris[sel])
-    return DofMap(fluid_interior, interface, solid_interior, faces)
+    return DofMap(fluid_interior, interface, solid_interior)
 
 
 @dataclass
@@ -193,12 +184,8 @@ class State:
         return cls(dof, np.zeros(dof.total, dtype=dtype))
 
     @classmethod
-    def random(cls, dof, seed, dtype=float):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(dof.total)
-        if np.dtype(dtype).kind == "c":
-            v = v + 1j * rng.standard_normal(dof.total)
-        return cls(dof, v.astype(dtype))
+    def random(cls, dof, seed):
+        return cls(dof, np.random.default_rng(seed).standard_normal(dof.total))
 
     @property
     def u(self):
@@ -324,12 +311,11 @@ class _SolidQuadrature:
 def _face_owner(tets, tris, nv):
     """Row of ``tets`` having each row of ``tris`` as a face.
 
-    Faces and triangles are keyed by their sorted vertex triple; a sorted
-    search over the keys of all 4 faces of every tet finds each owner.
+    Faces and triangles are keyed by ``face_keys``; a sorted search over the
+    keys of all 4 faces of every tet finds each owner.
     """
-    faces = np.sort(tets[:, _TET_FACES], axis=2).reshape(-1, 3)
-    face_key = np.ravel_multi_index(faces.T, (nv,) * 3)
-    tri_key = np.ravel_multi_index(np.sort(tris, axis=1).T, (nv,) * 3)
+    face_key = face_keys(tets[:, TET_FACES], nv)
+    tri_key = face_keys(tris, nv)
     order = np.argsort(face_key, kind="stable")
     pos = np.searchsorted(face_key, tri_key, sorter=order).clip(max=order.size - 1)
     owner = order[pos]

@@ -14,8 +14,6 @@ import sys as _sys
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import evolution, geometry, resolvent
 from .assembly import State, build_system
 from .config import (
@@ -96,9 +94,8 @@ def cmd_sweep(cfg: RunConfig, jobs=1):
     mesh = build_mesh(cfg.geometry)
     system = build_system(mesh)
     sw = cfg.sweep
-    betas = np.logspace(np.log10(sw.beta_min), np.log10(sw.beta_max), sw.points)
     samples = resolvent.sweep(
-        betas, system, probe_seed=sw.probe_seed, opnorm_tol=sw.opnorm_tol,
+        sw.grid(), system, probe_seed=sw.probe_seed, opnorm_tol=sw.opnorm_tol,
         solve_tol=cfg.solve_tol, jobs=jobs,
     )
     resolvent.write_sweep_csv(samples, out / "sweep.csv")

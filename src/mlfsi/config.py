@@ -16,7 +16,10 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from typing import get_args, get_origin, get_type_hints
 
-from .geometry import MeshConfig
+import numpy as np
+
+from .geometry import MeshConfig, MeshConfigError
+from .resolvent import in_top_decade
 
 
 class ConfigError(ValueError):
@@ -39,6 +42,10 @@ class SweepConfig:
     points: int = 25
     probe_seed: int = 2
     opnorm_tol: float = 1e-4
+
+    def grid(self):
+        """The frequencies of the sweep, log-spaced on [beta_min, beta_max]."""
+        return np.logspace(np.log10(self.beta_min), np.log10(self.beta_max), self.points)
 
 
 @dataclass(frozen=True)
@@ -75,10 +82,19 @@ class RunConfig:
         if w.points < 2:
             raise ConfigError(f"insufficient points: a growth fit needs at least 2 frequencies, "
                               f"got sweep.points = {w.points}")
+        betas = w.grid()
+        if np.count_nonzero(in_top_decade(betas)) < 2:
+            raise ConfigError(f"insufficient points: the growth-fit window [{betas.max() / 10:g}, "
+                              f"{betas.max():g}] holds fewer than 2 of {w.points} frequencies")
         if w.opnorm_tol <= 0 or self.solve_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if len(self.probe.refinements) < 1:
             raise ConfigError("probe.refinements must name at least one resolution")
+        for n in self.probe.refinements:
+            try:
+                replace(self.geometry, n=n).validate()
+            except MeshConfigError as exc:
+                raise ConfigError(f"probe.refinements: n = {n}: {exc}") from exc
 
 
 def _schema(cls, prefix=""):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import State, SystemMatrices, graph_norm
-from .linalg import Factorization, SingularMatrixError
+from .linalg import Factorization, SingularMatrixError, loglog_fit
 
 
 class SolverFailure(RuntimeError):
@@ -38,14 +38,16 @@ class EnergyTrace:
     balance_residual: np.ndarray   # length len(t) - 1, one per step
 
     def log_slope(self):
-        """Instantaneous d log|x| / d log t, centered differences, 0 where undefined."""
-        out = np.zeros_like(self.t)
+        """Instantaneous d log|x| / d log t, centered differences, 0 where undefined.
+
+        The logs are ``math.log`` per sample: ``np.log`` differs from it in
+        the last bit on a few inputs, and ``energy.csv`` keeps its bytes.
+        """
         t, n = self.t, self.norm_H
-        for i in range(1, len(t) - 1):
-            if t[i - 1] > 0 and n[i - 1] > 0 and n[i + 1] > 0:
-                out[i] = (math.log(n[i + 1]) - math.log(n[i - 1])) / (
-                    math.log(t[i + 1]) - math.log(t[i - 1])
-                )
+        lt, ln = (np.array([math.log(v) if v > 0 else math.nan for v in a.tolist()]) for a in (t, n))
+        out = np.zeros_like(t)
+        np.divide(ln[2:] - ln[:-2], lt[2:] - lt[:-2], out=out[1:-1],
+                  where=(t[:-2] > 0) & (n[:-2] > 0) & (n[2:] > 0))
         return out
 
     def max_balance_residual(self):
@@ -172,10 +174,7 @@ def fit_decay(trace: EnergyTrace, window) -> DecayFit:
         raise ValueError(f"window holds {tt.size} samples; need at least 10")
     if np.any(nn <= 0):
         raise ValueError("trace is not positive on the window")
-    lt, ln = np.log(tt), np.log(nn)
-    coef, res_info = np.polyfit(lt, ln, 1, full=True)[:2]
-    slope, intercept = coef
-    residual = float(np.sqrt(res_info[0] / tt.size)) if res_info.size else 0.0
+    slope, intercept, residual = loglog_fit(tt, nn)
     return DecayFit(
         window=(float(ta), float(tb)),
         exponent=float(-slope),

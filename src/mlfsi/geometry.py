@@ -10,7 +10,6 @@ integer grid-index space; floating point coordinates are never compared.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,9 @@ _MESH_VERSION = 1
 # The 6 tetrahedra of the corner-to-corner (Kuhn) split of a hex, as paths
 # of axis steps from the low corner to the high corner.
 _AXIS_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+# Local vertex triples of the 4 faces of a tet; face f omits vertex f.
+TET_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 class MeshConfigError(ValueError):
@@ -112,158 +114,117 @@ class Mesh:
         return self.tris[self.tri_tags != GAMMA_F]
 
 
-def _vertex_ids(shape, i, j, k):
-    return (i * (shape[1] + 1) + j) * (shape[2] + 1) + k
-
-
 def build_mesh(config: MeshConfig) -> Mesh:
     """Mesh the cube-in-box geometry; raises MeshConfigError on misalignment."""
     cells, ilo, ihi = config.grid_counts()
-    nx, ny, nz = cells
-    olo = np.asarray(config.outer_lo, float)
     h = 1.0 / config.n
-
-    ii, jj, kk = np.meshgrid(
-        np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1), indexing="ij"
-    )
-    vertices = olo + np.stack([ii, jj, kk], axis=-1).reshape(-1, 3) * h
-
-    ci, cj, ck = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    ci, cj, ck = ci.ravel(), cj.ravel(), ck.ravel()
-    solid_cell = (
-        (ci >= ilo[0]) & (ci < ihi[0])
-        & (cj >= ilo[1]) & (cj < ihi[1])
-        & (ck >= ilo[2]) & (ck < ihi[2])
-    )
+    # Grid points and cells in C order: vertex id = ravel_multi_index(ijk, cells + 1).
+    vertices = np.asarray(config.outer_lo, float) + np.indices(cells + 1).reshape(3, -1).T * h
+    corner = np.indices(cells).reshape(3, -1).T          # low grid corner of each cell
+    solid_cell = np.all((corner >= ilo) & (corner < ihi), axis=1)
 
     # Kuhn split: each tet is a monotone path of axis steps low corner -> high corner.
-    ncell = ci.size
-    tets = np.empty((ncell * 6, 4), dtype=np.int64)
+    tets = np.empty((corner.shape[0] * 6, 4), dtype=np.int64)
     regions = np.repeat(np.where(solid_cell, SOLID, FLUID), 6).astype(np.int8)
-    corner = np.stack([ci, cj, ck], axis=1)  # (ncell, 3)
     for t, perm in enumerate(_AXIS_PERMS):
         offs = np.zeros((4, 3), dtype=np.int64)
         for step, axis in enumerate(perm):
             offs[step + 1:, axis] = 1
         for v in range(4):
-            idx = corner + offs[v]
-            tets[t::6, v] = _vertex_ids(cells, idx[:, 0], idx[:, 1], idx[:, 2])
+            tets[t::6, v] = np.ravel_multi_index((corner + offs[v]).T, cells + 1)
 
-    # Canonical positive orientation.
+    # Canonical positive orientation: a negative tet swaps its last two vertices.
     p = vertices[tets]
     det = np.linalg.det(p[:, 1:] - p[:, :1])
-    flip = det < 0
-    tets[flip, 2], tets[flip, 3] = tets[flip, 3].copy(), tets[flip, 2].copy()
-    if np.any(np.linalg.det((vertices[tets])[:, 1:] - (vertices[tets])[:, :1]) <= 0):
+    if np.any(det == 0):
         raise AssertionError("degenerate tetrahedron produced by hex split")
+    tets[det < 0, 2:] = tets[det < 0, :1:-1]
 
     tris, tags, normals = _extract_boundary(cells, ilo, ihi, tets, regions)
     return Mesh(vertices, tets, regions, tris, tags, normals, config=config)
 
 
+def face_keys(faces, nv):
+    """One int64 key per row of ``faces``, a vertex triple in any order.
+
+    The key is the flat index of the sorted triple in an (nv, nv, nv) array,
+    so keys sort like the sorted triples do, lexicographically. Raises
+    ValueError when nv**3 overflows int64, which the unit box reaches at
+    n >= 127.
+    """
+    return np.ravel_multi_index(np.sort(faces, axis=-1).reshape(-1, 3).T, (nv,) * 3)
+
+
 def _extract_boundary(cells, ilo, ihi, tets, regions):
     """Outer-box faces and fluid/solid shared faces, tagged and oriented."""
-    nx, ny, nz = cells
-    local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    faces = tets[:, local].reshape(-1, 3)
+    faces = tets[:, TET_FACES].reshape(-1, 3)
     owner = np.repeat(np.arange(tets.shape[0]), 4)
-    key = np.sort(faces, axis=1)
-    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    key = face_keys(faces, int(np.prod(cells + 1)))
+    order = np.argsort(key, kind="stable")
     key, faces, owner = key[order], faces[order], owner[order]
 
-    same = np.all(key[1:] == key[:-1], axis=1)
-    run_start = np.flatnonzero(np.concatenate([[True], ~same]))
-    run_len = np.diff(np.concatenate([run_start, [key.shape[0]]]))
+    run_start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    run_len = np.diff(np.append(run_start, key.size))
     if run_len.max() > 2:
         raise AssertionError("nonconforming mesh: face shared by more than two tets")
-
     single = run_start[run_len == 1]
     pair = run_start[run_len == 2]
     iface = pair[regions[owner[pair]] != regions[owner[pair + 1]]]
 
-    def index_triple(vids):
-        k = vids % (nz + 1)
-        rest = vids // (nz + 1)
-        j = rest % (ny + 1)
-        i = rest // (ny + 1)
-        return i, j, k
-
-    out_tris, out_tags, out_normals = [], [], []
-
-    # Outer boundary: every lone face must lie on exactly one box plane.
-    fi, fj, fk = index_triple(faces[single])
-    for axis, (idx, count) in enumerate([(fi, nx), (fj, ny), (fk, nz)]):
-        for side, plane in ((0, 0), (1, count)):
-            on = np.all(idx == plane, axis=1)
-            if not np.any(on):
-                continue
-            nvec = np.zeros(3)
-            nvec[axis] = -1.0 if side == 0 else 1.0
-            out_tris.append(faces[single][on])
-            out_tags.append(np.full(int(on.sum()), GAMMA_F, dtype=np.int8))
-            out_normals.append(np.tile(nvec, (int(on.sum()), 1)))
-    n_outer = sum(t.shape[0] for t in out_tris)
-    if n_outer != single.size:
-        raise AssertionError("boundary face off the outer box: mesh is not conforming")
-
-    # Interface: shared fluid/solid faces, tagged by cube face plane,
-    # normal pointing into the solid.
-    gi, gj, gk = index_triple(faces[iface])
-    n_iface = 0
-    for axis, idx in enumerate([gi, gj, gk]):
-        for side, plane in ((0, ilo[axis]), (1, ihi[axis])):
-            on = np.all(idx == plane, axis=1)
-            if not np.any(on):
-                continue
-            nvec = np.zeros(3)
-            nvec[axis] = 1.0 if side == 0 else -1.0
-            out_tris.append(faces[iface][on])
-            out_tags.append(np.full(int(on.sum()), 1 + 2 * axis + side, dtype=np.int8))
-            out_normals.append(np.tile(nvec, (int(on.sum()), 1)))
-            n_iface += int(on.sum())
-    if n_iface != iface.size:
-        raise AssertionError("fluid/solid shared face off the cube surface")
-
-    return (
-        np.concatenate(out_tris, axis=0),
-        np.concatenate(out_tags, axis=0),
-        np.concatenate(out_normals, axis=0),
+    # Lone faces lie on the outer box, with the normal out of the fluid;
+    # fluid/solid pairs lie on the cube, tagged 1 + 2*axis + side, with the
+    # normal into the solid. Every face must land on one of its group's planes.
+    groups = (
+        (faces[single], (np.zeros(3, int), cells), True,
+         "boundary face off the outer box: mesh is not conforming"),
+        (faces[iface], (ilo, ihi), False, "fluid/solid shared face off the cube surface"),
     )
+    out_tris, out_tags, out_normals = [], [], []
+    for group, planes, outer, message in groups:
+        grid = np.unravel_index(group, cells + 1)
+        placed = 0
+        for axis in range(3):
+            for side in (0, 1):
+                on = np.all(grid[axis] == planes[side][axis], axis=1)
+                count = int(on.sum())
+                normals = np.zeros((count, 3))
+                normals[:, axis] = (2 * side - 1) * (1.0 if outer else -1.0)
+                out_tris.append(group[on])
+                out_tags.append(np.full(count, GAMMA_F if outer else 1 + 2 * axis + side, np.int8))
+                out_normals.append(normals)
+                placed += count
+        if placed != group.shape[0]:
+            raise AssertionError(message)
+
+    return tuple(np.concatenate(a) for a in (out_tris, out_tags, out_normals))
 
 
 def interface_area(mesh: Mesh) -> float:
     """Total area of the fluid/solid interface triangles."""
-    on_iface = mesh.tri_tags != GAMMA_F
-    if not np.any(on_iface):
+    areas = mesh.tri_areas()[mesh.tri_tags != GAMMA_F]
+    if not areas.size:
         raise ValueError("mesh has no interface triangles")
-    return float(mesh.tri_areas()[on_iface].sum())
+    return float(areas.sum())
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _block(tag, row, table):
+    """Block ``tag``: its count line, then one ``row`` template per table row."""
+    return f"{tag} {len(table)}\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def save_mesh(mesh: Mesh, path):
     """Versioned text dump; float columns round-trip bit-exactly."""
-    buf = io.StringIO()
-    buf.write(f"{_MESH_FORMAT} {_MESH_VERSION}\n")
+    text = [f"{_MESH_FORMAT} {_MESH_VERSION}\n"]
     if mesh.config is not None:
         c = mesh.config
-        vals = [*c.outer_lo, *c.outer_hi, *c.inner_lo, *c.inner_hi]
-        buf.write("config " + " ".join(_fmt(v) for v in vals) + f" {c.n}\n")
-    buf.write(f"vertices {mesh.vertices.shape[0]}\n")
-    for v in mesh.vertices:
-        buf.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-    buf.write(f"tets {mesh.tets.shape[0]}\n")
-    for t, r in zip(mesh.tets, mesh.tet_regions):
-        buf.write(f"{t[0]} {t[1]} {t[2]} {t[3]} {int(r)}\n")
-    buf.write(f"tris {mesh.tris.shape[0]}\n")
-    for t, g, nrm in zip(mesh.tris, mesh.tri_tags, mesh.tri_normals):
-        buf.write(
-            f"{t[0]} {t[1]} {t[2]} {int(g)} {_fmt(nrm[0])} {_fmt(nrm[1])} {_fmt(nrm[2])}\n"
-        )
+        text.append(("config" + " %.17g" * 12 + " %s\n")
+                    % (*c.outer_lo, *c.outer_hi, *c.inner_lo, *c.inner_hi, c.n))
+    text.append(_block("vertices", "%.17g %.17g %.17g\n", mesh.vertices))
+    text.append(_block("tets", "%d %d %d %d %d\n", np.column_stack([mesh.tets, mesh.tet_regions])))
+    tris = np.column_stack([a.astype(object) for a in (mesh.tris, mesh.tri_tags, mesh.tri_normals)])
+    text.append(_block("tris", "%d %d %d %d %.17g %.17g %.17g\n", tris))
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write("".join(text))
 
 
 def load_mesh(path) -> Mesh:

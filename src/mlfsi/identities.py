@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import DofMap, State, build_system, energy_norm, fluid_gradient_norm
 from .geometry import Mesh, MeshConfig, build_mesh
-from .linalg import Factorization
+from .linalg import Factorization, loglog_fit
 
 
 class DirichletMap:
@@ -318,5 +318,5 @@ def manufactured_study(ns, beta=2.0, base_config: MeshConfig | None = None):
     for key in ("radial", "unit_div"):
         hs = np.array([r[key].h for r in rows])
         res = np.array([max(r[key].residual, 1e-300) for r in rows])
-        orders[key] = float(np.polyfit(np.log(hs), np.log(res), 1)[0]) if len(rows) > 1 else float("nan")
+        orders[key] = loglog_fit(hs, res)[0] if len(rows) > 1 else float("nan")
     return rows, orders

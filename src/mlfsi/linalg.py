@@ -1,4 +1,5 @@
-"""Sparse solve kernels and gram-weighted operator-norm estimation.
+"""Sparse solve kernels, gram-weighted operator-norm estimation, and the
+log-log fit behind every rate.
 
 Direct SuperLU factorizations serve both the real SPD and the complex
 shifted systems at desk scale; a factorization is immutable after
@@ -95,3 +96,13 @@ def opnorm_from_normal(normal, gram, dim, tol=1e-4, seed=0) -> OpnormInfo:
         tol=1e-2 * tol, rng=seed, return_eigenvectors=False,
     )
     return OpnormInfo(float(np.sqrt(max(lam.max(), 0.0))), applications)
+
+
+def loglog_fit(x, y):
+    """Least-squares line log y = slope * log x + intercept.
+
+    Returns (slope, intercept, RMS residual); the residual is 0.0 for two
+    points, where the line is exact.
+    """
+    coef, res = np.polyfit(np.log(x), np.log(y), 1, full=True)[:2]
+    return float(coef[0]), float(coef[1]), float(np.sqrt(res[0] / len(x))) if res.size else 0.0

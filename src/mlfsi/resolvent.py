@@ -25,7 +25,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from .assembly import State, SystemMatrices, energy_norm, fluid_gradient_norm
 from .identities import fluid_interface_flux, flux_chain_monitor, interface_lift
-from .linalg import Factorization, SingularMatrixError, opnorm_from_normal
+from .linalg import Factorization, SingularMatrixError, loglog_fit, opnorm_from_normal
 
 GROWTH_REFERENCE_EXPONENT = 11.0 / 2.0
 
@@ -194,12 +194,9 @@ def probe_state(sys: SystemMatrices, seed) -> State:
 
 
 def sample_point(beta, sys: SystemMatrices, b: State, *,
-                 shifted: ShiftedFactor | None = None,
                  compute_opnorm=True, opnorm_tol=1e-4, solve_tol=1e-10) -> ResolventSample:
     """All per-frequency diagnostics for one beta and one probe vector."""
-    if shifted is None:
-        shifted = ShiftedFactor(beta, sys)
-
+    shifted = ShiftedFactor(beta, sys)
     x = solve_static(beta, b, sys, shifted=shifted, tol=solve_tol)
     diss = dissipation_residual(beta, b, x, sys)
     chain = flux_chain_monitor(x, b, beta, sys)
@@ -265,6 +262,11 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
     return [sample_point(bb, sys, b, **options) for bb in grid]
 
 
+def in_top_decade(betas):
+    """Mask of the frequencies in the top decade of a grid, the growth-fit window."""
+    return betas >= betas.max() / 10.0
+
+
 def fit_growth(samples, top_decade=True) -> GrowthFit:
     """Log-log slope of the operator norm versus frequency.
 
@@ -278,18 +280,15 @@ def fit_growth(samples, top_decade=True) -> GrowthFit:
         )
     betas = np.array([s.beta for s in pts])
     if top_decade:
-        keep = betas >= betas.max() / 10.0
+        keep = in_top_decade(betas)
         pts = [s for s, k in zip(pts, keep) if k]
         betas = betas[keep]
     if len(pts) < 2:
         raise InsufficientPointsError("top decade holds fewer than 2 samples")
-    norms = np.array([s.opnorm for s in pts])
-    lb, ln = np.log(betas), np.log(norms)
-    coef, res_info = np.polyfit(lb, ln, 1, full=True)[:2]
-    residual = float(np.sqrt(res_info[0] / len(pts))) if res_info.size else 0.0
+    slope, _, residual = loglog_fit(betas, np.array([s.opnorm for s in pts]))
     return GrowthFit(
         betas=betas,
-        slope=float(coef[0]),
+        slope=slope,
         residual=residual,
         window=(float(betas.min()), float(betas.max())),
         points=len(pts),
@@ -303,7 +302,7 @@ def trend_slope(betas, values) -> float:
     keep = values > 0
     if keep.sum() < 2:
         return 0.0
-    return float(np.polyfit(np.log(betas[keep]), np.log(values[keep]), 1)[0])
+    return loglog_fit(betas[keep], values[keep])[0]
 
 
 def write_sweep_csv(samples, path):

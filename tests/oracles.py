@@ -6,8 +6,12 @@ forms, the composite system by evaluating the weak form on basis states, and
 operator norms by dense factorizations. Oracle values are never produced by
 the functions under test. The one exception, `gram_opnorm`, is a driver, not
 an oracle: it builds the gram-normal operator of a generic map so that the
-tests can run `mlfsi.linalg.opnorm_from_normal` on it.
+tests can run `mlfsi.linalg.opnorm_from_normal` on it. The last three
+functions are earlier loop-and-lexsort versions of package kernels, kept so
+the tests can check that the vectorized ones give the same arrays and bytes.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -292,3 +296,89 @@ def solid_face_owner_loop(mesh):
             face_of[tuple(sorted(tet[lf]))] = t
     tris = mesh.tris[mesh.tri_tags != GAMMA_F]
     return np.array([face_of[tuple(sorted(tri))] for tri in tris], dtype=np.int64)
+
+
+def extract_boundary_lexsort(cells, ilo, ihi, tets, regions):
+    """Boundary triangles, tags and normals by a 3-key lexsort of the sorted
+    face triples and one tagging pass per boundary group."""
+    nx, ny, nz = cells
+    local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    faces = tets[:, local].reshape(-1, 3)
+    owner = np.repeat(np.arange(tets.shape[0]), 4)
+    key = np.sort(faces, axis=1)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    key, faces, owner = key[order], faces[order], owner[order]
+
+    same = np.all(key[1:] == key[:-1], axis=1)
+    run_start = np.flatnonzero(np.concatenate([[True], ~same]))
+    run_len = np.diff(np.concatenate([run_start, [key.shape[0]]]))
+    assert run_len.max() <= 2
+    single = run_start[run_len == 1]
+    pair = run_start[run_len == 2]
+    iface = pair[regions[owner[pair]] != regions[owner[pair + 1]]]
+
+    def index_triple(vids):
+        k = vids % (nz + 1)
+        rest = vids // (nz + 1)
+        return rest // (ny + 1), rest % (ny + 1), k
+
+    out_tris, out_tags, out_normals = [], [], []
+    fi, fj, fk = index_triple(faces[single])
+    for axis, (idx, count) in enumerate([(fi, nx), (fj, ny), (fk, nz)]):
+        for side, plane in ((0, 0), (1, count)):
+            on = np.all(idx == plane, axis=1)
+            nvec = np.zeros(3)
+            nvec[axis] = -1.0 if side == 0 else 1.0
+            out_tris.append(faces[single][on])
+            out_tags.append(np.zeros(int(on.sum()), dtype=np.int8))
+            out_normals.append(np.tile(nvec, (int(on.sum()), 1)))
+    assert sum(t.shape[0] for t in out_tris) == single.size
+
+    gi, gj, gk = index_triple(faces[iface])
+    n_iface = 0
+    for axis, idx in enumerate([gi, gj, gk]):
+        for side, plane in ((0, ilo[axis]), (1, ihi[axis])):
+            on = np.all(idx == plane, axis=1)
+            nvec = np.zeros(3)
+            nvec[axis] = 1.0 if side == 0 else -1.0
+            out_tris.append(faces[iface][on])
+            out_tags.append(np.full(int(on.sum()), 1 + 2 * axis + side, dtype=np.int8))
+            out_normals.append(np.tile(nvec, (int(on.sum()), 1)))
+            n_iface += int(on.sum())
+    assert n_iface == iface.size
+    return (np.concatenate(out_tris), np.concatenate(out_tags), np.concatenate(out_normals))
+
+
+def mesh_text_rows(mesh):
+    """The ``mesh.txt`` text of a mesh, written row by row with one f-string
+    per row and ``format(float(x), ".17g")`` per float."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    out = ["mlfsi-mesh 1\n"]
+    if mesh.config is not None:
+        c = mesh.config
+        vals = [*c.outer_lo, *c.outer_hi, *c.inner_lo, *c.inner_hi]
+        out.append("config " + " ".join(fmt(v) for v in vals) + f" {c.n}\n")
+    out.append(f"vertices {mesh.vertices.shape[0]}\n")
+    for v in mesh.vertices:
+        out.append(f"{fmt(v[0])} {fmt(v[1])} {fmt(v[2])}\n")
+    out.append(f"tets {mesh.tets.shape[0]}\n")
+    for t, r in zip(mesh.tets, mesh.tet_regions):
+        out.append(f"{t[0]} {t[1]} {t[2]} {t[3]} {int(r)}\n")
+    out.append(f"tris {mesh.tris.shape[0]}\n")
+    for t, g, nrm in zip(mesh.tris, mesh.tri_tags, mesh.tri_normals):
+        out.append(f"{t[0]} {t[1]} {t[2]} {int(g)} {fmt(nrm[0])} {fmt(nrm[1])} {fmt(nrm[2])}\n")
+    return "".join(out)
+
+
+def log_slope_loop(t, n):
+    """Centered d log n / d log t per sample by a Python loop over ``math.log``,
+    0 where a neighbour is not positive."""
+    out = np.zeros_like(t)
+    for i in range(1, len(t) - 1):
+        if t[i - 1] > 0 and n[i - 1] > 0 and n[i + 1] > 0:
+            out[i] = (math.log(n[i + 1]) - math.log(n[i - 1])) / (
+                math.log(t[i + 1]) - math.log(t[i - 1])
+            )
+    return out

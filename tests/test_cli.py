@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -83,7 +84,9 @@ def _floats(lo, hi, **kw):
 
 @st.composite
 def valid_configs(draw):
-    """Configs that pass ``validate``: corners on grid planes, ordered windows."""
+    """Configs that pass ``validate``: corners on grid planes at n and at every
+    refinement (a multiple of n), ordered windows, and a sweep grid with at
+    least 2 points in its top decade (fewer than 0.99 decades between points)."""
     n = draw(st.integers(1, 8))
     olo = tuple(draw(_floats(-10, 10)) for _ in range(3))
     steps = [sorted(draw(st.sets(st.integers(1, 12), min_size=3, max_size=3))) for _ in range(3)]
@@ -91,6 +94,8 @@ def valid_configs(draw):
     T = draw(_floats(1e-3, 1e6))
     ta = draw(_floats(0, T, exclude_max=True))
     beta_min = draw(_floats(1, 1e6))
+    beta_max = draw(_floats(beta_min, 1e7, exclude_min=True))
+    decades = math.log10(beta_max / beta_min)
     return RunConfig(
         geometry=MeshConfig(olo, ohi, ilo, ihi, n),
         simulate=SimulateConfig(
@@ -99,13 +104,14 @@ def valid_configs(draw):
             initial=draw(st.sampled_from(["smooth", "zero"])),
         ),
         sweep=SweepConfig(
-            beta_min=beta_min, beta_max=draw(_floats(beta_min, 1e7, exclude_min=True)),
-            points=draw(st.integers(2, 1000)), probe_seed=draw(st.integers(0, 2**32)),
+            beta_min=beta_min, beta_max=beta_max,
+            points=draw(st.integers(math.floor(decades / 0.99) + 2, 1000)),
+            probe_seed=draw(st.integers(0, 2**32)),
             opnorm_tol=draw(_floats(0, 1, exclude_min=True)),
         ),
         probe=ProbeConfig(
             manufactured=draw(st.booleans()),
-            refinements=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))),
+            refinements=tuple(n * k for k in draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))),
             beta=draw(_floats(-1e6, 1e6)),
         ),
         output_dir=draw(
@@ -216,6 +222,19 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     code = main(["sweep", "--config", cfg, "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert "insufficient points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("sweep.points = 3", "growth-fit window [20, 200] holds fewer than 2 of 3 frequencies"),
+    ("probe.refinements = 4 6", "probe.refinements: n = 6: axis 0: inner_lo does not align"),
+    ("probe.refinements = 4 0", "probe.refinements: n = 0: n must be a positive integer"),
+])
+def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
+    cfg = write_config(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert main(["all", "--config", cfg, "--outdir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cmd_probe_residuals_decrease(tmp_path):

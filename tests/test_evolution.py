@@ -15,6 +15,8 @@ from mlfsi.evolution import (
 )
 from mlfsi.linalg import Factorization, SingularMatrixError
 
+from oracles import log_slope_loop
+
 
 def dense_flow(sys, t):
     Md = sys.M.toarray()
@@ -186,6 +188,17 @@ def test_simulate_aborts_on_nonfinite_state(default_sys, rng):
     x0 = State(default_sys.dof, rng.standard_normal(default_sys.dof.total))
     with pytest.raises(SolverFailure, match="step 3"):
         simulate(x0, 0.1, 0.01, default_sys, stepper=BrokenStepper())
+
+
+def test_log_slope_matches_the_loop_bit_for_bit(default_sys):
+    trace = simulate(prepare_smooth_data(1, default_sys), 60.0, 0.01, default_sys)
+    zeroed = trace.norm_H.copy()
+    zeroed[[0, 5, 6, 100, 3001, len(zeroed) - 1]] = 0.0
+    for norm in (trace.norm_H, zeroed):
+        tr = EnergyTrace(trace.t, trace.E, trace.dissipation, norm, trace.balance_residual)
+        slope = tr.log_slope()
+        assert np.array_equal(slope.view(np.uint64), log_slope_loop(trace.t, norm).view(np.uint64))
+        assert np.count_nonzero(slope) > len(slope) - 20
 
 
 def test_trace_csv_schema(tmp_path, default_sys, rng):

@@ -16,12 +16,14 @@ from mlfsi.geometry import (
     MeshConfig,
     MeshConfigError,
     build_mesh,
+    face_keys,
     interface_area,
     load_mesh,
     save_mesh,
 )
 
-from conftest import TINY_CONFIG
+from conftest import RICH_CONFIG, TINY_CONFIG
+from oracles import extract_boundary_lexsort, mesh_text_rows
 
 
 def test_default_counts(default_mesh):
@@ -165,6 +167,37 @@ def test_tiny_config_valid():
     assert mesh.region_volume(SOLID) == pytest.approx(0.125, rel=1e-12)
 
 
+NON_CUBIC_CONFIG = MeshConfig(
+    outer_lo=(0.0, -0.5, 0.25), outer_hi=(2.0, 1.0, 1.5),
+    inner_lo=(0.5, 0.0, 0.5), inner_hi=(1.25, 0.75, 1.0), n=4,
+)
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, RICH_CONFIG, MeshConfig(n=8), NON_CUBIC_CONFIG],
+                         ids=["tiny", "rich", "n8", "non-cubic"])
+def test_boundary_and_dump_match_references(tmp_path, config):
+    mesh = build_mesh(config)
+    tris, tags, normals = extract_boundary_lexsort(*config.grid_counts(), mesh.tets, mesh.tet_regions)
+    assert np.array_equal(mesh.tris, tris)
+    assert np.array_equal(mesh.tri_tags, tags) and mesh.tri_tags.dtype == tags.dtype
+    assert np.array_equal(_bits(mesh.tri_normals), _bits(normals))
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    assert path.read_bytes() == mesh_text_rows(mesh).encode()
+
+
+def test_face_keys_order_and_overflow():
+    faces = np.array([[3, 1, 2], [2, 1, 3], [0, 4, 1], [4, 0, 2]])
+    keys = face_keys(faces, 5)
+    assert keys[0] == keys[1]
+    assert np.array_equal(np.argsort(keys, kind="stable"),
+                          np.lexsort(np.sort(faces, axis=1).T[::-1]))
+    # (n + 1)**3 vertices on the unit box: n = 126 fits int64 keys, n = 127 does not.
+    assert face_keys(faces, 127**3).dtype == np.int64
+    with pytest.raises(ValueError):
+        face_keys(faces, 128**3)
+
+
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
@@ -198,6 +231,7 @@ def test_roundtrip_bit_exact_property(mesh):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mesh.txt"
         save_mesh(mesh, path)
+        assert path.read_text() == mesh_text_rows(mesh)
         back = load_mesh(path)
         assert np.array_equal(_bits(back.vertices), _bits(mesh.vertices))
         assert np.array_equal(back.tets, mesh.tets)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mlfsi.linalg import Factorization, SingularMatrixError
+from mlfsi.linalg import Factorization, SingularMatrixError, loglog_fit
 
 from oracles import dense_gram_opnorm, gram_opnorm
 
@@ -146,3 +146,15 @@ def test_factorization_ordering_rule_and_residual(n8_sys, rng, case):
         b = b.real
     x = fact.solve(b)
     assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) <= 1e-12
+
+
+def test_loglog_fit_matches_polyfit():
+    rng = np.random.default_rng(7)
+    for size in (2, 3, 10, 50):
+        for _ in range(50):
+            x, y = rng.uniform(0.1, 100.0, (2, size))
+            slope, intercept, rms = loglog_fit(x, y)
+            assert [slope, intercept] == np.polyfit(np.log(x), np.log(y), 1).tolist()
+            misfit = np.log(y) - (slope * np.log(x) + intercept)
+            assert rms == pytest.approx(np.sqrt(np.mean(misfit**2)), abs=1e-12)
+    assert loglog_fit([1.0, 10.0, 100.0], [2.0, 20.0, 200.0])[0] == pytest.approx(1.0, abs=1e-12)
