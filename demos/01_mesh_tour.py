@@ -5,6 +5,9 @@ the cube. Every grid hex splits into 6 tets with one fixed diagonal pattern,
 so the fluid and solid triangulations share the interface faces exactly.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from mlfsi import FLUID, SOLID, MeshConfig, build_mesh, interface_area, load_mesh, save_mesh
@@ -18,8 +21,9 @@ for n in (4, 8):
     print(f"   interface area {interface_area(mesh):.15f} (exact 1.5)")
 
 mesh = build_mesh(MeshConfig(n=4))
-save_mesh(mesh, "/tmp/mlfsi_mesh.txt")
-back = load_mesh("/tmp/mlfsi_mesh.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    save_mesh(mesh, Path(tmp) / "mesh.txt")
+    back = load_mesh(Path(tmp) / "mesh.txt")
 print("round trip exact:", np.array_equal(back.vertices, mesh.vertices))
 
 # Normals on the interface point from the fluid into the solid.

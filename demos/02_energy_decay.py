@@ -8,6 +8,9 @@ model decays much faster, and the fitted exponent is recorded against that
 reference bound.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from mlfsi import MeshConfig, build_mesh, build_system, energy_norm
@@ -33,5 +36,7 @@ fit = fit_decay(trace, (1.0, 50.0))
 print(f"fitted decay exponent over [1, 50]: {fit.exponent:.4f} "
       f"(reference lower bound {DECAY_REFERENCE_EXPONENT:.4f})")
 
-trace.to_csv("/tmp/mlfsi_energy.csv")
-print("trace written to /tmp/mlfsi_energy.csv (t,E,dissipation,norm_H,log_slope)")
+with tempfile.TemporaryDirectory() as tmp:
+    trace.to_csv(Path(tmp) / "energy.csv")
+    lines = (Path(tmp) / "energy.csv").read_text().splitlines()
+print(f"energy.csv: header {lines[0]}, {len(lines) - 1} rows")

@@ -8,6 +8,9 @@ the finite model stays far below it (the fitted slope is typically negative
 once beta leaves the discrete spectrum).
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from mlfsi import MeshConfig, build_mesh, build_system
@@ -27,5 +30,7 @@ fit = fit_growth(samples)
 print(f"\ngrowth fit over the top decade [{fit.window[0]:.0f}, {fit.window[1]:.0f}]: "
       f"slope {fit.slope:.3f} (theoretical ceiling {GROWTH_REFERENCE_EXPONENT})")
 
-write_sweep_csv(samples, "/tmp/mlfsi_sweep.csv")
-print("samples written to /tmp/mlfsi_sweep.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    write_sweep_csv(samples, Path(tmp) / "sweep.csv")
+    lines = (Path(tmp) / "sweep.csv").read_text().splitlines()
+print(f"sweep.csv: header {lines[0]}, {len(lines) - 1} rows")

@@ -47,9 +47,7 @@ from .geometry import (
 )
 from .identities import (
     DirichletMap,
-    FluxChainRecord,
     MultiplierReport,
-    ZField,
     build_z,
     flux_chain_monitor,
     manufactured_study,
@@ -61,7 +59,6 @@ from .resolvent import (
     ResolventSample,
     dissipation_residual,
     fit_growth,
-    poincare_ratio,
     solve_static,
     sweep,
 )

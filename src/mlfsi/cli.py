@@ -156,6 +156,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = with_overrides(cfg, seed=args.seed, output_dir=args.outdir)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         # Built per call to use the current cmd_* bindings; a failing step raises.
         steps = {"mesh": cmd_mesh, "simulate": cmd_simulate,
                  "sweep": partial(cmd_sweep, jobs=args.jobs), "probe": cmd_probe}

@@ -75,6 +75,9 @@ class RunConfig:
         if s.initial not in ("smooth", "zero"):
             raise ConfigError(f"simulate.initial must be smooth or zero, got {s.initial!r}")
         w = self.sweep
+        for key, seed in (("simulate.seed", s.seed), ("sweep.probe_seed", w.probe_seed)):
+            if seed < 0:
+                raise ConfigError(f"{key} must be non-negative, got {seed}")
         if w.beta_min < 1:
             raise ConfigError("sweep.beta_min must be >= 1")
         if w.beta_max <= w.beta_min:
@@ -184,9 +187,11 @@ def default_config() -> RunConfig:
 
 
 def with_overrides(cfg: RunConfig, *, seed=None, output_dir=None) -> RunConfig:
+    """``cfg`` with the command-line overrides applied, validated again."""
     if seed is not None:
         cfg = replace(cfg, simulate=replace(cfg.simulate, seed=seed),
                       sweep=replace(cfg.sweep, probe_seed=seed))
     if output_dir is not None:
         cfg = replace(cfg, output_dir=output_dir)
+    cfg.validate()
     return cfg

@@ -10,6 +10,7 @@ integer grid-index space; floating point coordinates are never compared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,12 @@ class MeshConfig:
                     f"axis {axis}: need outer_lo < inner_lo < inner_hi < outer_hi, "
                     f"got {olo[axis]} {ilo[axis]} {ihi[axis]} {ohi[axis]}"
                 )
+        vertices = math.prod(int(cells) + 1 for cells in np.rint(self.n * (ohi - olo)))
+        if vertices**3 > np.iinfo(np.int64).max:
+            raise MeshConfigError(
+                f"n = {self.n} gives {vertices} vertices; face keys need "
+                f"vertices**3 to fit int64, so the grid is too large"
+            )
         for name, val in (("outer_hi", ohi - olo), ("inner_lo", ilo - olo), ("inner_hi", ihi - olo)):
             scaled = self.n * val
             for axis in range(3):
@@ -149,8 +156,8 @@ def face_keys(faces, nv):
 
     The key is the flat index of the sorted triple in an (nv, nv, nv) array,
     so keys sort like the sorted triples do, lexicographically. Raises
-    ValueError when nv**3 overflows int64, which the unit box reaches at
-    n >= 127.
+    ValueError when nv**3 overflows int64; `MeshConfig.validate` rejects
+    such grids (n >= 127 on the unit box) before any mesh is built.
     """
     return np.ravel_multi_index(np.sort(faces, axis=-1).reshape(-1, 3).T, (nv,) * 3)
 

@@ -2,18 +2,19 @@
 
 Provides the discrete harmonic (Dirichlet) extension and its flux map, the
 homogenized interior field z built from a frequency-domain solution, exact
-evaluation of the two wave multiplier identities, and the monitored ratio
-chain used across frequency sweeps. All normal derivatives are recovered
-variationally (residual tested against interface hat functions), which is
-the one flux notion for which the discrete Green identities hold exactly.
+evaluation of the two wave multiplier identities, and the one pass that
+computes every per-frequency monitor of a sweep. All normal derivatives are
+recovered variationally (residual tested against interface hat functions),
+which is the one flux notion for which the discrete Green identities hold
+exactly.
 
 Orientation convention: nu points from the fluid into the solid everywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import pi
 
 import numpy as np
 
@@ -65,14 +66,6 @@ class DirichletMap:
         return float(h1 / gn) if gn > 0 else 0.0
 
 
-@dataclass
-class ZField:
-    """Homogenized interior wave field; vanishes on the interface by construction."""
-
-    values: np.ndarray      # nodal, solid ordering [interior, interface]
-    boundary_residual: float = 0.0
-
-
 def interface_lift(x: State, b: State, beta) -> np.ndarray:
     """(i/beta) * (trace u + data displacement trace) on the interface.
 
@@ -84,35 +77,30 @@ def interface_lift(x: State, b: State, beta) -> np.ndarray:
     return (1j / beta) * (x.trace_u + b.h0)
 
 
-def build_z(x: State, b: State, beta, sys) -> ZField:
-    """z = w0 + (i/beta) E(trace u + trace of the data displacement).
+def build_z(x: State, b: State, beta, sys) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal (z, load) on the solid ordering [interior, interface].
 
-    The kinematic rows of the static solve make the interface values cancel
-    exactly, so the boundary trace must vanish to solver precision; this is
-    asserted at 1e-12 relative to the field's max magnitude.
+    z = w0 + (i/beta) E(trace u + trace of the data displacement) solves
+    -beta^2 z - Delta z = load, with load = -i beta E(...) + w1 + i beta w0
+    of the data; both come from one Dirichlet extension. The kinematic rows
+    of the static solve make the interface values cancel exactly, so the
+    boundary trace must vanish to solver precision; this is asserted at
+    1e-12 relative to the field's max magnitude.
     """
     if abs(beta) < 1.0:
         raise ValueError(f"z construction requires |beta| >= 1, got {beta}")
-    g = x.trace_u + b.h0
-    ext = sys.dirichlet_map.extend(g)
-    lift = interface_lift(x, b, beta)
+    n_s = sys.dof.n_s
+    ext = sys.dirichlet_map.extend(x.trace_u + b.h0)
     z = x.w0_full.astype(complex)
-    z[: sys.dof.n_s] += (1j / beta) * ext[: sys.dof.n_s]
-    z[sys.dof.n_s:] += lift
-    scale = float(np.max(np.abs(z))) if z.size else 0.0
-    bres = float(np.max(np.abs(z[sys.dof.n_s:]))) if sys.dof.n_i else 0.0
+    z[:n_s] += (1j / beta) * ext[:n_s]
+    z[n_s:] += interface_lift(x, b, beta)
+    scale = float(np.max(np.abs(z)))
+    bres = float(np.max(np.abs(z[n_s:])))
     if scale > 0 and bres > 1e-12 * scale:
         raise ValueError(
             f"boundary trace of z failed to vanish: {bres:.3g} vs scale {scale:.3g}"
         )
-    return ZField(z, boundary_residual=bres)
-
-
-def z_equation_load(x: State, b: State, beta, sys) -> np.ndarray:
-    """Right-hand side of the homogenized equation -beta^2 z - Delta z = F."""
-    g = x.trace_u + b.h0
-    ext = sys.dirichlet_map.extend(g)
-    return -1j * beta * ext + b.w1_full + 1j * beta * b.w0_full
+    return z, -1j * beta * ext + b.w1_full + 1j * beta * b.w0_full
 
 
 def interface_flux(v_full, load_full, beta, sys) -> np.ndarray:
@@ -166,8 +154,8 @@ def _mesh_h(sys) -> float:
     return float(np.max(np.linalg.norm(edges, axis=2)))
 
 
-def multiplier_residual(z: ZField, f, beta, sys, which) -> MultiplierReport:
-    """Evaluate both sides of a wave multiplier identity for the field z.
+def multiplier_residual(z, f, beta, sys, which) -> MultiplierReport:
+    """Evaluate both sides of a wave multiplier identity for the nodal field z.
 
     ``which`` is "radial" for the gradient identity with m(x) = x (Jacobian
     the identity), or "unit-div" for the equipartition identity with
@@ -175,7 +163,7 @@ def multiplier_residual(z: ZField, f, beta, sys, which) -> MultiplierReport:
     nodal right-hand side of -beta^2 z - Delta z = f.
     """
     q = sys.solid_quadrature
-    zv = np.asarray(z.values, dtype=complex)
+    zv = np.asarray(z, dtype=complex)
     fv = np.asarray(f, dtype=complex)
     beta = float(beta)
 
@@ -217,39 +205,41 @@ def multiplier_residual(z: ZField, f, beta, sys, which) -> MultiplierReport:
     return MultiplierReport(which, lhs, rhs, abs(lhs - rhs), _mesh_h(sys))
 
 
-@dataclass
-class FluxChainRecord:
-    r_crux: float
-    r_s3: float
-    r_I1: float
-    dtn_norm: float
-    z_boundary: float = 0.0     # boundary trace of z relative to max |z|
-    degenerate: bool = False
+# The keys of `flux_chain_monitor`, in `resolvent.ResolventSample` field order.
+MONITORS = ("poincare_ratio", "trace_ratio", "flux_ratio",
+            "r_crux", "r_s3", "r_I1", "dtn_norm", "z_boundary")
 
 
-def flux_chain_monitor(x: State, b: State, beta, sys) -> FluxChainRecord:
-    """Monitored ratios of the interface flux chain on a static solution.
+def flux_chain_monitor(x: State, b: State, beta, sys) -> dict[str, float]:
+    """Every monitored value of one static solution, keyed by its sample field.
 
-    Each ratio divides a flux or energy quantity by the frequency-weighted
-    majorant it is expected to stay below; the constants are unknown, so
-    only boundedness across a sweep is meaningful, never a specific value.
+    The sharpened Poincare ratio, the kinematic trace and heat flux ratios,
+    the interface flux chain (r_crux, r_s3, r_I1), the Dirichlet-to-Neumann
+    ratio and the z boundary trace relative to max |z|. Each ratio divides a
+    flux or energy quantity by the frequency-weighted majorant it is expected
+    to stay below; the constants are unknown, so only boundedness across a
+    sweep is meaningful, never a specific value. Zero data gives all zeros.
     """
     if abs(beta) < 1.0:
         raise ValueError(f"flux chain monitors require |beta| >= 1, got {beta}")
     bnorm = energy_norm(b, sys)
     if bnorm == 0.0:
-        return FluxChainRecord(0.0, 0.0, 0.0, 0.0, degenerate=True)
+        return dict.fromkeys(MONITORS, 0.0)
 
     ab = abs(beta)
-    z = build_z(x, b, beta, sys)
-    fz = z_equation_load(x, b, beta, sys)
-    flux_z = interface_flux(z.values, fz, beta, sys)
+    spectral = sys.surface_spectral
+    grad_u = fluid_gradient_norm(x, sys)
+    base = grad_u + bnorm       # |grad u| + |b|_H, shared by the fluid-side ratios
+    unorm = math.sqrt(max(np.vdot(x.u, sys.M_f @ x.u).real, 0.0))
+    heat_flux = spectral.dual_norm(fluid_interface_flux(x, b, beta, sys), 0.5)
+
+    z, fz = build_z(x, b, beta, sys)
+    flux_z = interface_flux(z, fz, beta, sys)
     lam = recover_flux_nodal(flux_z, sys)
     flux_l2 = float(np.sqrt(np.vdot(lam, sys.M_G @ lam).real))
 
-    zh1 = float(np.sqrt(np.vdot(z.values, (sys.K_s + sys.M_s) @ z.values).real))
-    zb = ab * float(np.sqrt(np.vdot(z.values, sys.M_s @ z.values).real))
-    grad_u = fluid_gradient_norm(x, sys)
+    zh1 = float(np.sqrt(np.vdot(z, (sys.K_s + sys.M_s) @ z).real))
+    zb = ab * float(np.sqrt(np.vdot(z, sys.M_s @ z).real))
     denom = ab ** 2.75 * grad_u + ab**3 * bnorm
 
     thin = float(np.vdot(x.h0, (sys.K_G + sys.M_G) @ x.h0).real)
@@ -259,18 +249,20 @@ def flux_chain_monitor(x: State, b: State, beta, sys) -> FluxChainRecord:
     denom_thin = pairing + grad_u**2 + bnorm**2
 
     g = x.trace_u + b.h0
-    spectral = sys.surface_spectral
     gn = spectral.norm_function(g, 0.5)
     dtn_norm = spectral.dual_norm(sys.dirichlet_map.neumann(g), 0.5) / gn if gn > 0 else 0.0
 
-    zscale = float(np.max(np.abs(z.values))) if z.values.size else 0.0
-    return FluxChainRecord(
-        r_crux=flux_l2 / denom,
-        r_s3=(zh1 + zb + flux_l2) / denom,
-        r_I1=thin / denom_thin,
-        dtn_norm=float(dtn_norm),
-        z_boundary=z.boundary_residual / zscale if zscale > 0 else 0.0,
-    )
+    zmax = float(np.max(np.abs(z)))
+    return {
+        "poincare_ratio": math.sqrt(ab) * unorm / base,
+        "trace_ratio": ab * spectral.norm_function(x.h0, 0.5) / base,
+        "flux_ratio": heat_flux / (math.sqrt(ab) * base),
+        "r_crux": flux_l2 / denom,
+        "r_s3": (zh1 + zb + flux_l2) / denom,
+        "r_I1": thin / denom_thin,
+        "dtn_norm": dtn_norm,
+        "z_boundary": float(np.max(np.abs(z[sys.dof.n_s:]))) / zmax if zmax > 0 else 0.0,
+    }
 
 
 def manufactured_field(mesh: Mesh, dof: DofMap, beta) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +277,7 @@ def manufactured_field(mesh: Mesh, dof: DofMap, beta) -> tuple[np.ndarray, np.nd
         raise ValueError("manufactured field needs the mesh configuration for the cube bounds")
     a = np.asarray(mesh.config.inner_lo, float)
     bb = np.asarray(mesh.config.inner_hi, float)
-    kappa = pi / (bb - a)
+    kappa = math.pi / (bb - a)
     coords = mesh.vertices[dof.solid_all]
     z = np.prod(np.sin(kappa * (coords - a)), axis=1)
     f = (float(np.sum(kappa**2)) - beta**2) * z
@@ -309,9 +301,8 @@ def manufactured_study(ns, beta=2.0, base_config: MeshConfig | None = None):
         mesh = build_mesh(config)
         sys = build_system(mesh)
         zv, fv = manufactured_field(mesh, sys.dof, beta)
-        z = ZField(zv.astype(complex))
-        rep_rad = multiplier_residual(z, fv, beta, sys, "radial")
-        rep_div = multiplier_residual(z, fv, beta, sys, "unit-div")
+        rep_rad = multiplier_residual(zv, fv, beta, sys, "radial")
+        rep_div = multiplier_residual(zv, fv, beta, sys, "unit-div")
         rows.append({"n": int(n), "radial": rep_rad, "unit_div": rep_div})
 
     orders = {}

@@ -8,14 +8,14 @@ exact algebraic dissipation identity
     u^H K_f u = Re <b, x>_H
 
 holds for every solve up to solver tolerance and is recorded per sample,
-along with the sharpened-Poincare ratio, trace and flux ratios, and the
-flux-chain monitors.
+along with every value of the one monitor pass
+(`identities.flux_chain_monitor`): the sharpened-Poincare, trace and flux
+ratios and the flux-chain monitors.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from .assembly import State, SystemMatrices, energy_norm, fluid_gradient_norm
-from .identities import fluid_interface_flux, flux_chain_monitor, interface_lift
+from .assembly import State, SystemMatrices, energy_norm
+from .identities import flux_chain_monitor, interface_lift
 from .linalg import Factorization, SingularMatrixError, loglog_fit, opnorm_from_normal
 
 GROWTH_REFERENCE_EXPONENT = 11.0 / 2.0
@@ -85,10 +85,10 @@ class GrowthFit:
         }
 
 
-CSV_HEADER = (
-    "beta,opnorm,dissipation_residual,poincare_ratio,trace_ratio,flux_ratio,"
-    "iters,r_crux,r_s3,r_I1,dtn_norm"
-)
+# The sweep.csv columns, each a ResolventSample field, in file order.
+CSV_COLUMNS = ("beta", "opnorm", "dissipation_residual", "poincare_ratio", "trace_ratio",
+               "flux_ratio", "iters", "r_crux", "r_s3", "r_I1", "dtn_norm")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 class ShiftedFactor:
@@ -141,29 +141,6 @@ def dissipation_residual(beta, b: State, x: State, sys: SystemMatrices) -> float
     return float(abs(grad_sq - pairing))
 
 
-def poincare_ratio(beta, b: State, x: State, sys: SystemMatrices) -> float:
-    """|beta|^(1/2) |u| / (|grad u| + |b|_H), monitored for boundedness."""
-    if abs(beta) < 1.0:
-        raise ValueError(f"poincare ratio is monitored for |beta| >= 1, got {beta}")
-    unorm = math.sqrt(max(np.vdot(x.u, sys.M_f @ x.u).real, 0.0))
-    denom = fluid_gradient_norm(x, sys) + energy_norm(b, sys)
-    return float(math.sqrt(abs(beta)) * unorm / denom) if denom > 0 else 0.0
-
-
-def trace_ratio(beta, b: State, x: State, sys: SystemMatrices) -> float:
-    """|beta h0|_{1/2,h} / (|grad u| + |b|_H), the kinematic trace monitor."""
-    num = abs(beta) * sys.surface_spectral.norm_function(x.h0, 0.5)
-    denom = fluid_gradient_norm(x, sys) + energy_norm(b, sys)
-    return float(num / denom) if denom > 0 else 0.0
-
-
-def flux_ratio(beta, b: State, x: State, sys: SystemMatrices) -> float:
-    """Variational heat flux in the dual half norm against its |beta|^(1/2) majorant."""
-    fl = fluid_interface_flux(x, b, beta, sys)
-    denom = math.sqrt(abs(beta)) * (fluid_gradient_norm(x, sys) + energy_norm(b, sys))
-    return float(sys.surface_spectral.dual_norm(fl, 0.5) / denom) if denom > 0 else 0.0
-
-
 def resolvent_opnorm(beta, sys: SystemMatrices, tol=1e-4,
                      shifted: ShiftedFactor | None = None, seed=0):
     """Operator norm of b -> x in the energy metric; returns (value, applications).
@@ -199,25 +176,14 @@ def sample_point(beta, sys: SystemMatrices, b: State, *,
     shifted = ShiftedFactor(beta, sys)
     x = solve_static(beta, b, sys, shifted=shifted, tol=solve_tol)
     diss = dissipation_residual(beta, b, x, sys)
-    chain = flux_chain_monitor(x, b, beta, sys)
+    monitors = flux_chain_monitor(x, b, beta, sys)
     if compute_opnorm:
         opnorm, iters = resolvent_opnorm(beta, sys, tol=opnorm_tol, shifted=shifted)
     else:
         opnorm, iters = float("nan"), 0
-    return ResolventSample(
-        beta=float(beta),
-        opnorm=opnorm,
-        dissipation_residual=diss / energy_norm(b, sys) ** 2,
-        poincare_ratio=poincare_ratio(beta, b, x, sys),
-        trace_ratio=trace_ratio(beta, b, x, sys),
-        flux_ratio=flux_ratio(beta, b, x, sys),
-        iters=iters,
-        r_crux=chain.r_crux,
-        r_s3=chain.r_s3,
-        r_I1=chain.r_I1,
-        dtn_norm=chain.dtn_norm,
-        z_boundary=chain.z_boundary,
-    )
+    return ResolventSample(beta=float(beta), opnorm=opnorm,
+                           dissipation_residual=diss / energy_norm(b, sys) ** 2,
+                           iters=iters, **monitors)
 
 
 _worker_args = None     # (sys, b, options), set once per pool worker by _init_sweep_worker
@@ -309,16 +275,7 @@ def write_sweep_csv(samples, path):
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for s in samples:
-            row = [
-                s.beta, s.opnorm, s.dissipation_residual, s.poincare_ratio,
-                s.trace_ratio, s.flux_ratio,
-            ]
-            fh.write(
-                ",".join(format(v, ".17g") for v in row)
-                + f",{s.iters},"
-                + ",".join(format(v, ".17g") for v in (s.r_crux, s.r_s3, s.r_I1, s.dtn_norm))
-                + "\n"
-            )
+            fh.write(",".join(format(getattr(s, c), ".17g") for c in CSV_COLUMNS) + "\n")
 
 
 def write_growth_json(fit: GrowthFit, path):

@@ -6,9 +6,11 @@ forms, the composite system by evaluating the weak form on basis states, and
 operator norms by dense factorizations. Oracle values are never produced by
 the functions under test. The one exception, `gram_opnorm`, is a driver, not
 an oracle: it builds the gram-normal operator of a generic map so that the
-tests can run `mlfsi.linalg.opnorm_from_normal` on it. The last three
-functions are earlier loop-and-lexsort versions of package kernels, kept so
-the tests can check that the vectorized ones give the same arrays and bytes.
+tests can run `mlfsi.linalg.opnorm_from_normal` on it. The functions from
+`solid_face_owner_loop` on are earlier versions of package code: loop and
+lexsort kernels, the stand-alone ratio monitors that recomputed their shared
+norms, and the hand-written sweep.csv row. They are kept so the tests can
+check that the current code gives the same arrays, bits and bytes.
 """
 
 import math
@@ -17,7 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mlfsi.assembly import energy_norm, fluid_gradient_norm
 from mlfsi.geometry import FLUID, GAMMA_F, SOLID
+from mlfsi.identities import fluid_interface_flux
 from mlfsi.linalg import Factorization, opnorm_from_normal
 
 # Degree-2 exact quadrature on the reference tetrahedron (4 symmetric points).
@@ -382,3 +386,38 @@ def log_slope_loop(t, n):
                 math.log(t[i + 1]) - math.log(t[i - 1])
             )
     return out
+
+
+def poincare_ratio(beta, b, x, sys):
+    """|beta|^(1/2) |u| / (|grad u| + |b|_H), monitored for boundedness."""
+    if abs(beta) < 1.0:
+        raise ValueError(f"poincare ratio is monitored for |beta| >= 1, got {beta}")
+    unorm = math.sqrt(max(np.vdot(x.u, sys.M_f @ x.u).real, 0.0))
+    denom = fluid_gradient_norm(x, sys) + energy_norm(b, sys)
+    return float(math.sqrt(abs(beta)) * unorm / denom) if denom > 0 else 0.0
+
+
+def trace_ratio(beta, b, x, sys):
+    """|beta h0|_{1/2,h} / (|grad u| + |b|_H), the kinematic trace monitor."""
+    num = abs(beta) * sys.surface_spectral.norm_function(x.h0, 0.5)
+    denom = fluid_gradient_norm(x, sys) + energy_norm(b, sys)
+    return float(num / denom) if denom > 0 else 0.0
+
+
+def flux_ratio(beta, b, x, sys):
+    """Variational heat flux in the dual half norm against its |beta|^(1/2) majorant."""
+    fl = fluid_interface_flux(x, b, beta, sys)
+    denom = math.sqrt(abs(beta)) * (fluid_gradient_norm(x, sys) + energy_norm(b, sys))
+    return float(sys.surface_spectral.dual_norm(fl, 0.5) / denom) if denom > 0 else 0.0
+
+
+def sweep_csv_row(s):
+    """One sweep.csv data row, written with `iters` as an int between two
+    hand-listed runs of ``format(v, ".17g")`` floats."""
+    row = [s.beta, s.opnorm, s.dissipation_residual, s.poincare_ratio, s.trace_ratio, s.flux_ratio]
+    return (
+        ",".join(format(v, ".17g") for v in row)
+        + f",{s.iters},"
+        + ",".join(format(v, ".17g") for v in (s.r_crux, s.r_s3, s.r_I1, s.dtn_norm))
+        + "\n"
+    )

@@ -228,11 +228,26 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("sweep.points = 3", "growth-fit window [20, 200] holds fewer than 2 of 3 frequencies"),
     ("probe.refinements = 4 6", "probe.refinements: n = 6: axis 0: inner_lo does not align"),
     ("probe.refinements = 4 0", "probe.refinements: n = 0: n must be a positive integer"),
+    ("simulate.seed = -1", "simulate.seed must be non-negative, got -1"),
+    ("sweep.probe_seed = -2", "sweep.probe_seed must be non-negative, got -2"),
+    ("geometry.n = 127", "n = 127 gives 2097152 vertices"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")
     out = tmp_path / "out"
     assert main(["all", "--config", cfg, "--outdir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "simulate.seed must be non-negative, got -1"),
+    (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["--jobs", "-3"], "--jobs must be at least 1, got -3"),
+])
+def test_cmd_all_rejects_bad_flag_before_any_artifact(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["all", "--outdir", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 

@@ -1,7 +1,10 @@
 """Each demo runs to the end, so a library name that a demo still uses
-cannot disappear unnoticed. The demos print their own checks as True/False."""
+cannot disappear unnoticed. The demos print their own checks as True/False.
+Demos write their files into a temporary directory, which the test places
+under its own tmp_path, so concurrent runs never share a file."""
 
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(path, capsys):
+def test_demo_runs(path, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out and "False" not in out

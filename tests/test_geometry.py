@@ -198,6 +198,17 @@ def test_face_keys_order_and_overflow():
         face_keys(faces, 128**3)
 
 
+def test_mesh_config_rejects_grid_too_large_for_face_keys():
+    # (n + 1)**3 vertices on the unit box, with a cube on the grid at either n.
+    # validate only reads the config; neither mesh is built.
+    def unit_box(n):
+        return MeshConfig(inner_lo=(1 / n,) * 3, inner_hi=(1 - 1 / n,) * 3, n=n)
+
+    unit_box(126).validate()
+    with pytest.raises(MeshConfigError, match=r"n = 127 gives 2097152 vertices"):
+        unit_box(127).validate()
+
+
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 

@@ -16,7 +16,6 @@ from mlfsi.resolvent import (
     ShiftedFactor,
     dissipation_residual,
     fit_growth,
-    poincare_ratio,
     probe_state,
     resolvent_opnorm,
     sample_point,
@@ -26,7 +25,7 @@ from mlfsi.resolvent import (
     write_sweep_csv,
 )
 
-from oracles import arpack_resolvent_opnorm, dense_resolvent_opnorm, gram_opnorm
+from oracles import arpack_resolvent_opnorm, dense_resolvent_opnorm, gram_opnorm, sweep_csv_row
 
 
 def test_zero_data_gives_zero_solution(default_sys):
@@ -123,7 +122,7 @@ def test_poincare_ratio_zero_heat_component(default_sys):
     b = State(sys.dof, bvec)
     x = solve_static(beta, b, sys)
     assert np.max(np.abs(x.vec - target.vec)) <= 1e-8
-    assert poincare_ratio(beta, b, x, sys) <= 1e-8
+    assert flux_chain_monitor(x, b, beta, sys)["poincare_ratio"] <= 1e-8
 
 
 def test_poincare_spot_value_matches_dense(tiny_sys):
@@ -131,7 +130,7 @@ def test_poincare_spot_value_matches_dense(tiny_sys):
     beta = 4.0
     b = probe_state(sys, 7)
     x = solve_static(beta, b, sys)
-    got = poincare_ratio(beta, b, x, sys)
+    got = flux_chain_monitor(x, b, beta, sys)["poincare_ratio"]
     C = (1j * beta) * sys.M.toarray() - sys.A.toarray()
     xd = np.linalg.solve(C, sys.M.toarray() @ b.vec)
     u = xd[: sys.dof.n_u]
@@ -146,7 +145,7 @@ def test_poincare_requires_beta_at_least_one(default_sys):
     b = probe_state(default_sys, 3)
     x = solve_static(1.0, b, default_sys)
     with pytest.raises(ValueError):
-        poincare_ratio(0.5, b, x, default_sys)
+        flux_chain_monitor(x, b, 0.5, default_sys)
 
 
 def test_opnorm_diagonal_surrogate():
@@ -237,6 +236,7 @@ def test_sample_point_and_csv(tmp_path, default_sys):
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == len(samples) + 1
+    assert lines[1:] == [sweep_csv_row(s).rstrip("\n") for s in samples]
     first = lines[1].split(",")
     assert len(first) == len(CSV_HEADER.split(","))
     assert float(first[0]) == pytest.approx(betas[0])
@@ -287,12 +287,27 @@ def test_sweep_builds_dirichlet_map_once(monkeypatch):
     count(assembly.SurfaceSpectral, "surface eigenbasis")
     count(linalg.Factorization, "M_G factorization", lambda args: args[0] is M_G)
 
+    # One Dirichlet extension for (z, load) and one for the Neumann map.
+    solve = linalg.Factorization.solve
+    extensions = []
+
+    def counted_solve(self, *args, **kwargs):
+        dmap = vars(sys).get("dirichlet_map")      # the cached map, once built
+        if dmap is not None and self is dmap.factor:
+            extensions.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.Factorization, "solve", counted_solve)
+
     betas = np.logspace(0, 1, 4)
     sweep(betas, sys, probe_seed=2, compute_opnorm=False)
     sweep(betas, sys, probe_seed=3, compute_opnorm=False)
     b = probe_state(sys, 9)
     flux_chain_monitor(solve_static(3.0, b, sys), b, 3.0, sys)
     assert sorted(built) == ["M_G factorization", "dirichlet map", "surface eigenbasis"]
+    assert sys.dirichlet_map.factor is not None
+    monitor_passes = 2 * len(betas) + 1
+    assert 0 < len(extensions) <= 2 * monitor_passes
 
 
 def test_singularity_detection():
