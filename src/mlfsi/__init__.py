@@ -11,6 +11,7 @@ the decay and resolvent-growth rates.
 
 from .assembly import (
     DofMap,
+    KinematicSplit,
     State,
     SurfaceSpectral,
     SystemMatrices,

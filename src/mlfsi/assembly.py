@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .geometry import FLUID, GAMMA_F, SOLID, TET_FACES, Mesh, face_keys
-from .linalg import Factorization
+from .linalg import Factorization, nested_dissection
 
 
 # Exact P1 element mass per unit measure: (1 + delta_ij) / 20 on a tet,
@@ -269,6 +269,62 @@ def compose_first_order(dof: DofMap, M_f, K_f, M_G, K_G, M_s, K_s):
     return M, A
 
 
+class KinematicSplit:
+    """(M, A) split into kinematic displacement unknowns d and velocity unknowns v.
+
+    The displacement rows of the first-order system read P d' = P E v, with
+    P = M[d, d] the SPD potential-energy Gram block and E the selection
+    (E v)_k = v[e[k]]; the velocity rows couple back through
+    A[V, d] = -E^T P, with A[d, d] = 0 and M[V, d] = 0. The constructor
+    checks these four identities exactly (bit for bit) and raises
+    ``ValueError`` if one fails. Every shifted and midpoint solve then
+    eliminates d in closed form and factors a matrix on v alone, built from
+
+        M_VV = M[V, V],  K = -A[V, V],  EtP = E^T P,  Q = E^T P E.
+
+    ``d`` lists the displacement positions in the state; v is the rest, in
+    state order. ``order`` is the symmetric fill-reducing order of the v
+    unknowns that every `Factorization` on them uses.
+    """
+
+    def __init__(self, M, A, d, e, order):
+        M, A = sp.csr_matrix(M), sp.csr_matrix(A)
+        self.d = np.asarray(d, dtype=np.int64)
+        self.v = np.setdiff1d(np.arange(M.shape[0]), self.d)
+        self.e = np.asarray(e, dtype=np.int64)
+        d, v = self.d, self.v
+        E = sp.csr_matrix((np.ones(d.size), (np.arange(d.size), self.e)), shape=(d.size, v.size))
+        P = M[d][:, d]
+        self.EtP = (E.T @ P).tocsr()
+        identities = {
+            "A[d, V] = P E": A[d][:, v] != P @ E,
+            "A[V, d] = -E^T P": A[v][:, d] != -self.EtP,
+            "A[d, d] = 0": A[d][:, d],
+            "M[V, d] = M[d, V]^T = 0": abs(M[v][:, d]) + abs(M[d][:, v].T),
+        }
+        for name, mismatch in identities.items():
+            if mismatch.count_nonzero():
+                raise ValueError(f"the kinematic rows do not split: {name} fails")
+        self.M_VV = M[v][:, v].tocsr()
+        self.K = (-A[v][:, v]).tocsr()
+        self.Q = (self.EtP @ E).tocsr()
+        self.order = np.asarray(order, dtype=np.int64)
+
+
+def kinematic_split(dof: DofMap, M, A, vertices) -> KinematicSplit:
+    """The split of a pair (M, A) on the shared-trace layout of ``dof``.
+
+    d = (h0, w0) and v = (u, w1); E maps u on the interface to h0 and w1 to
+    w0. Each v unknown lives on its own mesh vertex (every vertex off the
+    outer boundary), and the v unknowns are ordered by nested dissection of
+    those vertices' coordinates.
+    """
+    d = np.arange(dof.n_u, dof.n_u + dof.n_i + dof.n_s)
+    e = np.concatenate([dof.n_fi + np.arange(dof.n_i), dof.n_u + np.arange(dof.n_s)])
+    order = nested_dissection(vertices[np.concatenate([dof.fluid_free, dof.solid_interior])])
+    return KinematicSplit(M, A, d, e, order)
+
+
 def _hat_triple_integrals():
     """int lam_i lam_j lam_k over a triangle per unit area, 2 a! b! c! / (a+b+c+2)!,
     where a, b, c count how often each vertex appears among (i, j, k)."""
@@ -333,12 +389,12 @@ class SystemMatrices:
     every frequency-independent piece derived from them.
 
     Only the DofMap is built up front. Each block, the pair and each derived
-    piece (factorizations, surface eigenbasis, Dirichlet map, solid
-    quadrature) is built on first use and then kept, so a caller that needs
-    only the solid side never assembles the fluid. Blocks are restricted to
-    their own index sets: fluid matrices to [fluid interior, interface],
-    solid matrices to [solid interior, interface], surface matrices to the
-    interface.
+    piece (factorizations, the kinematic split with its nested-dissection
+    order, surface eigenbasis, Dirichlet map, solid quadrature) is built on
+    first use and then kept, so a caller that needs only the solid side
+    never assembles the fluid. Blocks are restricted to their own index
+    sets: fluid matrices to [fluid interior, interface], solid matrices to
+    [solid interior, interface], surface matrices to the interface.
     """
 
     def __init__(self, mesh: Mesh):
@@ -371,6 +427,10 @@ class SystemMatrices:
     K_G = cached_property(lambda self: self._surface[1])
     M = cached_property(lambda self: self._first_order[0])
     A = cached_property(lambda self: self._first_order[1])
+
+    @cached_property
+    def kinematic(self) -> KinematicSplit:
+        return kinematic_split(self.dof, self.M, self.A, self.mesh.vertices)
 
     @cached_property
     def mass_factor(self) -> Factorization:

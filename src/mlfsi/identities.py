@@ -52,11 +52,13 @@ class DirichletMap:
         interior = -self.factor.solve(self.K_IG @ g)
         return np.concatenate([interior, g])
 
-    def neumann(self, g):
-        e = self.extend(g)
+    def neumann(self, g, ext=None):
+        """Flux functional of g; ``ext`` is ``extend(g)`` when already solved."""
         if self.n_s == 0:
             return self.K_GG @ g
-        return self.K_GI @ e[: self.n_s] + self.K_GG @ g
+        if ext is None:
+            ext = self.extend(g)
+        return self.K_GI @ ext[: self.n_s] + self.K_GG @ g
 
     def h1_ratio(self, g, sys) -> float:
         """Monitored boundedness constant |E g|_{H1} / |g|_{1/2,h}."""
@@ -77,20 +79,23 @@ def interface_lift(x: State, b: State, beta) -> np.ndarray:
     return (1j / beta) * (x.trace_u + b.h0)
 
 
-def build_z(x: State, b: State, beta, sys) -> tuple[np.ndarray, np.ndarray]:
+def build_z(x: State, b: State, beta, sys, ext=None) -> tuple[np.ndarray, np.ndarray]:
     """Nodal (z, load) on the solid ordering [interior, interface].
 
     z = w0 + (i/beta) E(trace u + trace of the data displacement) solves
     -beta^2 z - Delta z = load, with load = -i beta E(...) + w1 + i beta w0
-    of the data; both come from one Dirichlet extension. The kinematic rows
-    of the static solve make the interface values cancel exactly, so the
-    boundary trace must vanish to solver precision; this is asserted at
-    1e-12 relative to the field's max magnitude.
+    of the data; both come from one Dirichlet extension of
+    g = trace u + h0 of the data, passed as ``ext`` when the caller has
+    already solved it. The kinematic rows of the static solve make the
+    interface values cancel exactly, so the boundary trace must vanish to
+    solver precision; this is asserted at 1e-12 relative to the field's max
+    magnitude.
     """
     if abs(beta) < 1.0:
         raise ValueError(f"z construction requires |beta| >= 1, got {beta}")
     n_s = sys.dof.n_s
-    ext = sys.dirichlet_map.extend(x.trace_u + b.h0)
+    if ext is None:
+        ext = sys.dirichlet_map.extend(x.trace_u + b.h0)
     z = x.w0_full.astype(complex)
     z[:n_s] += (1j / beta) * ext[:n_s]
     z[n_s:] += interface_lift(x, b, beta)
@@ -233,7 +238,9 @@ def flux_chain_monitor(x: State, b: State, beta, sys) -> dict[str, float]:
     unorm = math.sqrt(max(np.vdot(x.u, sys.M_f @ x.u).real, 0.0))
     heat_flux = spectral.dual_norm(fluid_interface_flux(x, b, beta, sys), 0.5)
 
-    z, fz = build_z(x, b, beta, sys)
+    g = x.trace_u + b.h0
+    ext = sys.dirichlet_map.extend(g)
+    z, fz = build_z(x, b, beta, sys, ext)
     flux_z = interface_flux(z, fz, beta, sys)
     lam = recover_flux_nodal(flux_z, sys)
     flux_l2 = float(np.sqrt(np.vdot(lam, sys.M_G @ lam).real))
@@ -248,9 +255,8 @@ def flux_chain_monitor(x: State, b: State, beta, sys) -> dict[str, float]:
     pairing = abs(np.vdot(x.h0, flux_w0))
     denom_thin = pairing + grad_u**2 + bnorm**2
 
-    g = x.trace_u + b.h0
     gn = spectral.norm_function(g, 0.5)
-    dtn_norm = spectral.dual_norm(sys.dirichlet_map.neumann(g), 0.5) / gn if gn > 0 else 0.0
+    dtn_norm = spectral.dual_norm(sys.dirichlet_map.neumann(g, ext), 0.5) / gn if gn > 0 else 0.0
 
     zmax = float(np.max(np.abs(z)))
     return {

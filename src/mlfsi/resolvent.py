@@ -1,9 +1,11 @@
 """Frequency-domain engine: shifted solves, operator norms, sweeps, growth fits.
 
-For a real frequency beta the static system is (i beta M - A) x = M b. The
-operator norm of the map b -> x is measured with the energy Gram matrix M on
-both sides, which is the operator norm on the discrete energy space. The
-exact algebraic dissipation identity
+For a real frequency beta the static system is (i beta M - A) x = M b. Its
+kinematic rows are eliminated in closed form, so each frequency factors one
+matrix on the velocity unknowns only (`ShiftedFactor`). The operator norm
+of the map b -> x is measured with the energy Gram matrix M on both sides,
+which is the operator norm on the discrete energy space. The exact
+algebraic dissipation identity
 
     u^H K_f u = Re <b, x>_H
 
@@ -20,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .assembly import State, SystemMatrices, energy_norm
@@ -92,22 +93,50 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 class ShiftedFactor:
-    """Complex LU of (i beta M - A), shared by solves and the opnorm adjoint."""
+    """The map T: b -> x with (i beta M - A) x = M b, and its M-adjoint.
+
+    The kinematic rows give the displacement unknowns in closed form,
+    d = (E v + b_d) / (i beta), so only the velocity unknowns v are factored
+    (`assembly.KinematicSplit`):
+
+        (i beta M_VV + K + Q / (i beta)) v = M_VV b_V - E^T P b_d / (i beta).
+
+    The LU is taken in the split's nested-dissection order. The M-adjoint
+    T* = R^H M (R = (i beta M - A)^{-1}) solves with the conjugate transpose
+    of the same LU, then d = (E y - z_d) / (i beta).
+    """
 
     def __init__(self, beta, sys: SystemMatrices):
         self.beta = float(beta)
-        shifted = (1j * self.beta) * sys.M.astype(np.complex128) - sys.A.astype(np.complex128)
+        self.split = split = sys.kinematic
+        self.shift = 1j * self.beta
+        reduced = self.shift * split.M_VV + split.K + split.Q * (1.0 / self.shift)
         try:
-            self.factor = Factorization(sp.csc_matrix(shifted))
+            self.factor = Factorization(reduced, order=split.order)
         except SingularMatrixError as exc:
             raise FrequencySingularityError(beta, str(exc)) from exc
-        self.matrix = self.factor.matrix
 
-    def solve(self, rhs):
-        return self.factor.solve(np.asarray(rhs, dtype=np.complex128))
+    def _velocity_rhs(self, b):
+        s = self.split
+        return s.M_VV @ b[s.v] - (s.EtP @ b[s.d]) / self.shift
 
-    def solve_adjoint(self, rhs):
-        return self.factor.solve(np.asarray(rhs, dtype=np.complex128), trans="H")
+    def solve(self, b):
+        """x = R M b."""
+        s = self.split
+        b = np.asarray(b, dtype=np.complex128)
+        x = np.empty_like(b)
+        x[s.v] = v = self.factor.solve(self._velocity_rhs(b))
+        x[s.d] = (v[s.e] + b[s.d]) / self.shift
+        return x
+
+    def solve_adjoint(self, z):
+        """y = R^H M z, the M-adjoint of `solve`."""
+        s = self.split
+        z = np.asarray(z, dtype=np.complex128)
+        y = np.empty_like(z)
+        y[s.v] = v = self.factor.solve(self._velocity_rhs(z), trans="H")
+        y[s.d] = (v[s.e] - z[s.d]) / self.shift
+        return y
 
 
 def solve_static(beta, b: State, sys: SystemMatrices,
@@ -115,20 +144,21 @@ def solve_static(beta, b: State, sys: SystemMatrices,
     """Solve (i beta M - A) x = M b to relative residual <= tol.
 
     After the factorized solve, the thin kinematic row is substituted in
-    closed form, h0 = (trace u + data trace) / (i beta), so that relation
-    holds exactly in floating point (the residual is then re-verified on the
-    substituted solution). This is what makes the boundary trace of the
+    the closed form of `identities.interface_lift`, h0 = (trace u + data
+    trace) / (i beta), so that the z construction cancels it exactly in
+    floating point; the residual i beta M x - A x - M b is then verified on
+    the substituted solution. This is what makes the boundary trace of the
     homogenized field cancel identically.
     """
     if shifted is None:
         shifted = ShiftedFactor(beta, sys)
-    rhs = sys.M @ b.vec.astype(np.complex128)
-    xvec = shifted.solve(rhs)
+    xvec = shifted.solve(b.vec)
     x = State(sys.dof, xvec)
     xvec[sys.dof.slice_h0] = -interface_lift(x, b, beta)
+    rhs = sys.M @ b.vec.astype(np.complex128)
     nb = np.linalg.norm(rhs)
     if nb > 0:
-        res = np.linalg.norm(shifted.matrix @ xvec - rhs) / nb
+        res = np.linalg.norm(shifted.shift * (sys.M @ xvec) - sys.A @ xvec - rhs) / nb
         if not np.isfinite(res) or res > tol:
             raise FrequencySingularityError(beta, f"solve residual {res:g} exceeds {tol:g}")
     return x
@@ -146,18 +176,18 @@ def resolvent_opnorm(beta, sys: SystemMatrices, tol=1e-4,
     """Operator norm of b -> x in the energy metric; returns (value, applications).
 
     With R = (i beta M - A)^{-1} the map is T = R M, and its M-normal
-    operator M^{-1} T^H M T = R^H M R M costs two shifted solves and no mass
+    operator M^{-1} T^H M T = R^H M R M is `ShiftedFactor.solve` followed by
+    `ShiftedFactor.solve_adjoint`: two solves on the velocity LU and no mass
     solve. ``applications`` counts how often it was applied.
     """
     if shifted is None:
         shifted = ShiftedFactor(beta, sys)
-    M = sys.M
 
     def normal(v):
-        return shifted.solve_adjoint(M @ shifted.solve(M @ v))
+        return shifted.solve_adjoint(shifted.solve(v))
 
     try:
-        info = opnorm_from_normal(normal, M, sys.dof.total, tol=tol, seed=seed)
+        info = opnorm_from_normal(normal, sys.M, sys.dof.total, tol=tol, seed=seed)
     except ArpackNoConvergence as exc:
         raise OpnormConvergenceError(beta, str(exc)) from exc
     return info.sigma, info.iterations

@@ -9,7 +9,7 @@ an oracle: it builds the gram-normal operator of a generic map so that the
 tests can run `mlfsi.linalg.opnorm_from_normal` on it. The functions from
 `solid_face_owner_loop` on are earlier versions of package code: loop and
 lexsort kernels, the stand-alone ratio monitors that recomputed their shared
-norms, and the hand-written sweep.csv row. They are kept so the tests can
+norms or solves, and the hand-written sweep.csv row. They are kept so the tests can
 check that the current code gives the same arrays, bits and bytes.
 """
 
@@ -290,6 +290,25 @@ def arpack_resolvent_opnorm(beta, sys):
     return float(np.sqrt(top.max()))
 
 
+def full_shifted_lu(beta, sys):
+    """scipy's LU of the full shifted matrix i beta M - A, displacement rows
+    included: minimum degree on A^T + A in symmetric mode at SuperLU's
+    default pivot threshold, the factorization before the kinematic
+    elimination. Solve (i beta M - A) x = M b with ``lu.solve(M @ b)``."""
+    C = 1j * beta * sys.M.astype(np.complex128) - sys.A.astype(np.complex128)
+    return spla.splu(sp.csc_matrix(C), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
+def full_midpoint_steps(sys, tau, x, steps):
+    """``steps`` implicit midpoint steps of M x' = A x on the full state, each
+    a solve with one scipy LU of M - tau/2 A."""
+    lu = spla.splu(sp.csc_matrix(sys.M - (tau / 2.0) * sys.A))
+    B = sp.csr_matrix(sys.M + (tau / 2.0) * sys.A)
+    for _ in range(steps):
+        x = lu.solve(B @ x)
+    return x
+
+
 def solid_face_owner_loop(mesh):
     """Index among the solid tets of the solid tet bounded by each interface
     triangle, by a dict over every face of every solid tet."""
@@ -409,6 +428,14 @@ def flux_ratio(beta, b, x, sys):
     fl = fluid_interface_flux(x, b, beta, sys)
     denom = math.sqrt(abs(beta)) * (fluid_gradient_norm(x, sys) + energy_norm(b, sys))
     return float(sys.surface_spectral.dual_norm(fl, 0.5) / denom) if denom > 0 else 0.0
+
+
+def dtn_norm(beta, b, x, sys):
+    """Dirichlet-to-Neumann ratio |N g|_{-1/2,h} / |g|_{1/2,h} of g = trace u + h0,
+    with the Neumann map solving its own Dirichlet extension of g."""
+    g = x.trace_u + b.h0
+    gn = sys.surface_spectral.norm_function(g, 0.5)
+    return sys.surface_spectral.dual_norm(sys.dirichlet_map.neumann(g), 0.5) / gn if gn > 0 else 0.0
 
 
 def sweep_csv_row(s):

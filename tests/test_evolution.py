@@ -3,7 +3,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from mlfsi.assembly import State, compose_first_order, energy_norm, graph_norm
+from mlfsi.assembly import (
+    KinematicSplit,
+    State,
+    compose_first_order,
+    energy_norm,
+    graph_norm,
+    kinematic_split,
+)
 import mlfsi.evolution as evolution
 from mlfsi.evolution import (
     CNStepper,
@@ -35,7 +42,7 @@ def test_scalar_model_closed_form():
     M = sp.csr_matrix(np.array([[1.0]]))
     A = sp.csr_matrix(np.array([[-1.0]]))
     tau = 0.1
-    stepper = CNStepper(M, A, tau)
+    stepper = CNStepper(KinematicSplit(M, A, d=[], e=[], order=[0]), tau)
     x = np.array([2.0])
     out = stepper.step(x)
     assert out[0] == pytest.approx(2.0 * (1 - tau / 2) / (1 + tau / 2), rel=1e-14)
@@ -95,7 +102,7 @@ def test_reversible_when_dissipation_removed(default_sys):
     sys = default_sys
     K0 = sp.csr_matrix(sys.K_f.shape)
     _, A0 = compose_first_order(sys.dof, sys.M_f, K0, sys.M_G, sys.K_G, sys.M_s, sys.K_s)
-    stepper = CNStepper(sys.M, A0, 0.01)
+    stepper = CNStepper(kinematic_split(sys.dof, sys.M, A0, sys.mesh.vertices), 0.01)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(sys.dof.total)
     e0 = 0.5 * x @ (sys.M @ x)

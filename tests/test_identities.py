@@ -321,13 +321,14 @@ def test_z_equation_load_formula(default_sys):
 
 @pytest.mark.parametrize("name", ["rich_sys", "default_sys"])
 def test_monitor_matches_standalone_ratios_bitwise(name, request):
-    # One pass shares |grad u| and |b|_H among the fluid-side ratios; each
-    # value keeps the bits of the function that once computed it alone.
+    # One pass shares |grad u| and |b|_H among the fluid-side ratios, and one
+    # Dirichlet extension between z and the Neumann map; each value keeps
+    # the bits of the function that once computed it alone.
     sys = request.getfixturevalue(name)
     b = probe_state(sys, 2)
     for beta in (1.0, 13.5, 200.0):
         x = solve_static(beta, b, sys)
         got = flux_chain_monitor(x, b, beta, sys)
         assert tuple(got) == MONITORS
-        for key in ("poincare_ratio", "trace_ratio", "flux_ratio"):
+        for key in ("poincare_ratio", "trace_ratio", "flux_ratio", "dtn_norm"):
             assert got[key] == getattr(oracles, key)(beta, b, x, sys), (key, beta)

@@ -1,0 +1,105 @@
+"""The kinematic split of (M, A): its exact structural identities, the
+nested-dissection order of the velocity unknowns, and the shifted and
+midpoint solves on it against full-system scipy LUs."""
+
+import numpy as np
+import pytest
+
+from mlfsi.assembly import build_system, kinematic_split
+from mlfsi.evolution import make_stepper
+from mlfsi.geometry import MeshConfig, build_mesh
+from mlfsi.linalg import DISSECTION_LEAF, coordinate_bisection
+from mlfsi.resolvent import ShiftedFactor
+
+from oracles import full_midpoint_steps, full_shifted_lu
+
+# A box that is not a cube, around an off-center brick.
+BRICK_CONFIG = MeshConfig(
+    outer_lo=(0.0, 0.0, 0.0), outer_hi=(2.0, 1.0, 1.5),
+    inner_lo=(0.5, 0.25, 0.5), inner_hi=(1.5, 0.75, 1.0), n=4,
+)
+
+
+def rel_diff(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("beta", [1.0, 13.5, 200.0])
+def test_shifted_solves_match_full_system_lu(n8_sys, beta):
+    sys = n8_sys
+    rng = np.random.default_rng(int(beta))
+    b, z = rng.standard_normal((2, sys.dof.total)) + 1j * rng.standard_normal((2, sys.dof.total))
+    shifted = ShiftedFactor(beta, sys)
+    lu = full_shifted_lu(beta, sys)
+    assert rel_diff(shifted.solve(b), lu.solve(sys.M @ b)) <= 1e-12
+    assert rel_diff(shifted.solve_adjoint(z), lu.solve(sys.M @ z, trans="H")) <= 1e-12
+
+
+def test_midpoint_steps_match_full_system_lu(n8_sys):
+    sys = n8_sys
+    tau = 0.01
+    x0 = np.random.default_rng(4).standard_normal(sys.dof.total)
+    stepper = make_stepper(sys, tau)
+    x = x0
+    for _ in range(50):
+        x = stepper.step(x)
+    assert rel_diff(x, full_midpoint_steps(sys, tau, x0, 50)) <= 1e-12
+
+
+def _altered(sys, which):
+    """(M, A) with one entry of a kinematic block changed."""
+    M, A = sys.M.tolil(), sys.A.tolil()
+    h0, w0 = sys.dof.slice_h0.start, sys.dof.slice_w0.start
+    g = sys.dof.n_fi                        # u at the first interface vertex
+    if which == "A[d, V]":
+        A[h0, g] *= 1.0 + 1e-12
+    elif which == "A[V, d]":
+        A[g, h0] *= 1.0 + 1e-12
+    elif which == "A[d, d]":
+        A[h0, w0 + 1] = 1e-20
+    else:
+        M[0, h0] = M[h0, 0] = 1e-20
+    return M.tocsr(), A.tocsr()
+
+
+@pytest.mark.parametrize("which", ["A[d, V]", "A[V, d]", "A[d, d]", "M[V, d]"])
+def test_split_rejects_altered_kinematic_rows(default_sys, which):
+    sys = default_sys
+    kinematic_split(sys.dof, sys.M, sys.A, sys.mesh.vertices)      # the pair itself splits
+    M, A = _altered(sys, which)
+    with pytest.raises(ValueError, match="do not split"):
+        kinematic_split(sys.dof, M, A, sys.mesh.vertices)
+
+
+@pytest.mark.parametrize("config", [MeshConfig(n=4), MeshConfig(n=8), BRICK_CONFIG],
+                         ids=["n4", "n8", "brick"])
+def test_dissection_order_separates_every_bisection(config):
+    sys = build_system(build_mesh(config))
+    split = sys.kinematic
+    n_v = split.v.size
+    assert n_v == sys.dof.n_u + sys.dof.n_s
+    assert np.array_equal(np.sort(split.order), np.arange(n_v))
+    assert not np.array_equal(split.order, np.arange(n_v))
+    pattern = (abs(split.M_VV) + abs(split.K) + abs(split.Q)).tocsr()
+    coords = sys.mesh.vertices[np.concatenate([sys.dof.fluid_free, sys.dof.solid_interior])]
+    stack, bisections = [np.arange(n_v)], 0
+    while stack:
+        idx = stack.pop()
+        parts = coordinate_bisection(coords, idx) if idx.size > DISSECTION_LEAF else None
+        if parts is None:
+            continue
+        lower, upper, separator = parts
+        assert lower.size and upper.size and separator.size
+        assert pattern[lower][:, upper].count_nonzero() == 0
+        bisections += 1
+        stack += [lower, upper]
+    assert bisections > 0
+
+
+def test_reduced_shifted_fill_below_full_system_fill(n8_sys):
+    # Deterministic guard on the elimination and the order: SuperLU's fill
+    # does not depend on timing.
+    reduced = ShiftedFactor(200.0, n8_sys).factor.lu.nnz
+    full = full_shifted_lu(200.0, n8_sys).nnz
+    assert reduced <= 0.7 * full
+

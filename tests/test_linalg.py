@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -128,24 +130,49 @@ def test_gram_opnorm_info_converged(rng):
     assert info.sigma == pytest.approx(10.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("case", ["shifted-1", "shifted-200", "stepper", "mass", "generator"])
+def reduced_matrix(split, case):
+    """The velocity matrix of a shifted solve or a midpoint step (tau = 0.01)."""
+    return {
+        "reduced-shifted-1": 1j * split.M_VV + split.K - 1j * split.Q,
+        "reduced-shifted-200": 200j * split.M_VV + split.K - (1j / 200) * split.Q,
+        "reduced-stepper": split.M_VV + 0.005 * split.K + 0.005**2 * split.Q,
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["shifted-1", "shifted-200", "stepper", "mass", "generator",
+                                  "reduced-shifted-1", "reduced-shifted-200", "reduced-stepper"])
 def test_factorization_ordering_rule_and_residual(n8_sys, rng, case):
     M, A = n8_sys.M, n8_sys.A
-    mat = {
-        "shifted-1": 1j * M.astype(complex) - A.astype(complex),
-        "shifted-200": 200j * M.astype(complex) - A.astype(complex),
-        "stepper": M - 0.005 * A,
-        "mass": M,
-        "generator": A,
-    }[case]
-    fact = Factorization(mat.tocsc())
-    # Every matrix but the generator A has a zero-free diagonal.
+    order = None
+    if case.startswith("reduced"):
+        mat, order = reduced_matrix(n8_sys.kinematic, case), n8_sys.kinematic.order
+    else:
+        mat = {
+            "shifted-1": 1j * M.astype(complex) - A.astype(complex),
+            "shifted-200": 200j * M.astype(complex) - A.astype(complex),
+            "stepper": M - 0.005 * A,
+            "mass": M,
+            "generator": A,
+        }[case]
+    fact = Factorization(mat.tocsc(), order=order)
+    # Every matrix but the generator A has a zero-free diagonal; an ordered
+    # factorization is always in symmetric mode.
     assert fact.symmetric_mode == (case != "generator")
     b = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
     if not np.iscomplexobj(mat.data):
         b = b.real
     x = fact.solve(b)
     assert np.linalg.norm(mat @ x - b) / np.linalg.norm(b) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["reduced-shifted-200", "reduced-stepper"])
+def test_ordered_factorization_pickles_to_identical_solves(n8_sys, rng, case):
+    fact = Factorization(reduced_matrix(n8_sys.kinematic, case), order=n8_sys.kinematic.order)
+    copy = pickle.loads(pickle.dumps(fact))
+    assert np.array_equal(copy.order, fact.order)
+    b = rng.standard_normal(fact.matrix.shape[0]) + 1j * rng.standard_normal(fact.matrix.shape[0])
+    for trans in ("N", "H"):
+        assert np.array_equal(copy.solve(b, trans=trans), fact.solve(b, trans=trans))
 
 
 def test_loglog_fit_matches_polyfit():
