@@ -6,9 +6,11 @@ State layout (one flat vector):
 
 The interface block of u doubles as the surface velocity and as the trace of
 the interior-wave velocity; the interface block of the interior-wave
-displacement is h0 itself. With that sharing, the kinematic constraints hold
-by construction and the composite mass matrix M equals the Gram matrix of the
-energy inner product, so the semi-discrete system M x' = A x satisfies the
+displacement is h0 itself. `compose_first_order` builds the system from the
+blocks as its kinematic split into velocities v = (u, w1) and displacements
+d = (h0, w0), and M and A are that split permuted to this layout. So the
+kinematic constraints hold by construction and M equals the Gram matrix of
+the energy inner product: the semi-discrete system M x' = A x satisfies the
 exact algebraic dissipation identity Re(x^H A x) = -u^H K_f u.
 """
 
@@ -226,12 +228,14 @@ def _embed(block, row_off, col_off, shape):
     )
 
 
-def compose_first_order(dof: DofMap, M_f, K_f, M_G, K_G, M_s, K_s):
-    """Composite (M, A) of the first-order system from the restricted blocks.
+def compose_first_order(dof: DofMap, M_f, K_f, M_G, H1_G, M_s, K_s, vertices) -> KinematicSplit:
+    """The first-order system of the restricted blocks, as its kinematic split.
 
-    M is the Gram matrix of the energy inner product on the shared-trace
-    layout; the kinematic rows are premultiplied by the corresponding Gram
-    blocks so they fit the same M x' = A x shape.
+    ``H1_G`` is the surface H1 Gram matrix K_G + M_G. On v = (u, w1), K is
+    K_f on u and zero on w1; on d = (h0, w0), P = [[H1_G + Ks_GG, Ks_GI],
+    [Ks_IG, Ks_II]]; E v = v[n_fi:] is (u on the interface, w1). Each v
+    unknown lives on its own mesh vertex (every vertex off the outer
+    boundary), and the order of v is nested dissection of those vertices.
     """
     n_fi, n_i, n_s, n_u = dof.n_fi, dof.n_i, dof.n_s, dof.n_u
     s_int = slice(0, n_s)
@@ -241,88 +245,59 @@ def compose_first_order(dof: DofMap, M_f, K_f, M_G, K_G, M_s, K_s):
     Ms_GI, Ms_GG = M_s[s_ifc, s_int], M_s[s_ifc, s_ifc]
     Ks_II, Ks_IG = K_s[s_int, s_int], K_s[s_int, s_ifc]
     Ks_GI, Ks_GG = K_s[s_ifc, s_int], K_s[s_ifc, s_ifc]
-    S_G = (K_G + M_G).tocsr()
 
     G_uu = (M_f + _embed(M_G + Ms_GG, n_fi, n_fi, (n_u, n_u))).tocsr()
     G_uw1 = _embed(Ms_GI, n_fi, 0, (n_u, n_s)).tocsr()
-    G_h0h0 = (S_G + Ks_GG).tocsr()
+    M_VV = sp.bmat([[G_uu, G_uw1], [G_uw1.T, Ms_II]], format="csr")
+    K = sp.block_diag((K_f, sp.csr_matrix((n_s, n_s))), format="csr")
+    P = sp.bmat([[(H1_G + Ks_GG).tocsr(), Ks_GI], [Ks_IG, Ks_II]], format="csr")
 
-    M = sp.bmat(
-        [
-            [G_uu, None, None, G_uw1],
-            [None, G_h0h0, Ks_GI, None],
-            [None, Ks_IG, Ks_II, None],
-            [G_uw1.T, None, None, Ms_II],
-        ],
-        format="csr",
-    )
-
-    A = sp.bmat(
-        [
-            [-K_f, _embed(-G_h0h0, n_fi, 0, (n_u, n_i)), _embed(-Ks_GI, n_fi, 0, (n_u, n_s)), None],
-            [_embed(G_h0h0, 0, n_fi, (n_i, n_u)), None, None, Ks_GI],
-            [_embed(Ks_IG, 0, n_fi, (n_s, n_u)), None, None, Ks_II],
-            [None, -Ks_IG, -Ks_II, None],
-        ],
-        format="csr",
-    )
-    return M, A
+    d = np.arange(n_u, n_u + n_i + n_s)
+    v = np.concatenate([np.arange(n_u), np.arange(n_u + n_i + n_s, dof.total)])
+    order = nested_dissection(vertices[np.concatenate([dof.fluid_free, dof.solid_interior])])
+    return KinematicSplit(M_VV, K, P, d, v, order)
 
 
 class KinematicSplit:
-    """(M, A) split into kinematic displacement unknowns d and velocity unknowns v.
+    """M x' = A x on velocity unknowns v and kinematic displacement unknowns d.
 
-    The displacement rows of the first-order system read P d' = P E v, with
-    P = M[d, d] the SPD potential-energy Gram block and E the selection
-    (E v)_k = v[e[k]]; the velocity rows couple back through
-    A[V, d] = -E^T P, with A[d, d] = 0 and M[V, d] = 0. The constructor
-    checks these four identities exactly (bit for bit) and raises
-    ``ValueError`` if one fails. Every shifted and midpoint solve then
-    eliminates d in closed form and factors a matrix on v alone, built from
-
-        M_VV = M[V, V],  K = -A[V, V],  EtP = E^T P,  Q = E^T P E.
-
-    ``d`` lists the displacement positions in the state; v is the rest, in
-    state order. ``order`` is the symmetric fill-reducing order of the v
-    unknowns that every `Factorization` on them uses.
+    The displacement rows read P d' = P E v, with P the SPD potential-energy
+    Gram block and E v = v[n_fi:] (n_fi = |v| - |d|); the velocity rows read
+    M_VV v' = -K v - E^T P d. `M` and `A` are diag(M_VV, P) and
+    [[-K, -E^T P], [P E, 0]] on (v, d), permuted to the state positions
+    ``v`` and ``d``. Shifted and midpoint solves eliminate d in closed form
+    and factor a matrix on v alone from M_VV, K, ``EtP`` = E^T P and
+    Q = E^T P E, in the fill-reducing symmetric order ``order`` of v.
     """
 
-    def __init__(self, M, A, d, e, order):
-        M, A = sp.csr_matrix(M), sp.csr_matrix(A)
+    def __init__(self, M_VV, K, P, d, v, order):
+        self.M_VV, self.K, self.P = M_VV, K, P
         self.d = np.asarray(d, dtype=np.int64)
-        self.v = np.setdiff1d(np.arange(M.shape[0]), self.d)
-        self.e = np.asarray(e, dtype=np.int64)
-        d, v = self.d, self.v
-        E = sp.csr_matrix((np.ones(d.size), (np.arange(d.size), self.e)), shape=(d.size, v.size))
-        P = M[d][:, d]
+        self.v = np.asarray(v, dtype=np.int64)
+        self.n_fi = self.v.size - self.d.size
+        E = sp.eye(self.d.size, self.v.size, k=self.n_fi, format="csr")
         self.EtP = (E.T @ P).tocsr()
-        identities = {
-            "A[d, V] = P E": A[d][:, v] != P @ E,
-            "A[V, d] = -E^T P": A[v][:, d] != -self.EtP,
-            "A[d, d] = 0": A[d][:, d],
-            "M[V, d] = M[d, V]^T = 0": abs(M[v][:, d]) + abs(M[d][:, v].T),
-        }
-        for name, mismatch in identities.items():
-            if mismatch.count_nonzero():
-                raise ValueError(f"the kinematic rows do not split: {name} fails")
-        self.M_VV = M[v][:, v].tocsr()
-        self.K = (-A[v][:, v]).tocsr()
         self.Q = (self.EtP @ E).tocsr()
         self.order = np.asarray(order, dtype=np.int64)
 
+    def _to_state(self, B):
+        """A matrix on the unknowns (v, d), permuted to the state layout."""
+        pos = np.concatenate([self.v, self.d])
+        B = B.tocoo()
+        return sp.csr_matrix((B.data, (pos[B.row], pos[B.col])), shape=B.shape)
 
-def kinematic_split(dof: DofMap, M, A, vertices) -> KinematicSplit:
-    """The split of a pair (M, A) on the shared-trace layout of ``dof``.
+    @cached_property
+    def M(self):
+        return self._to_state(sp.bmat([[self.M_VV, None], [None, self.P]]))
 
-    d = (h0, w0) and v = (u, w1); E maps u on the interface to h0 and w1 to
-    w0. Each v unknown lives on its own mesh vertex (every vertex off the
-    outer boundary), and the v unknowns are ordered by nested dissection of
-    those vertices' coordinates.
-    """
-    d = np.arange(dof.n_u, dof.n_u + dof.n_i + dof.n_s)
-    e = np.concatenate([dof.n_fi + np.arange(dof.n_i), dof.n_u + np.arange(dof.n_s)])
-    order = nested_dissection(vertices[np.concatenate([dof.fluid_free, dof.solid_interior])])
-    return KinematicSplit(M, A, d, e, order)
+    @cached_property
+    def A(self):
+        # P E and E^T P as placed blocks keep P's explicit zeros, which the
+        # products behind EtP and Q drop.
+        n_v, n_d = self.v.size, self.d.size
+        PE = _embed(self.P, 0, self.n_fi, (n_d, n_v))
+        EtP = _embed(self.P, self.n_fi, 0, (n_v, n_d))
+        return self._to_state(sp.bmat([[-self.K, -EtP], [PE, None]]))
 
 
 def _hat_triple_integrals():
@@ -388,11 +363,12 @@ class SystemMatrices:
     """The discretization of one mesh: blocks, the composite pair (M, A), and
     every frequency-independent piece derived from them.
 
-    Only the DofMap is built up front. Each block, the pair and each derived
-    piece (factorizations, the kinematic split with its nested-dissection
-    order, surface eigenbasis, Dirichlet map, solid quadrature) is built on
-    first use and then kept, so a caller that needs only the solid side
-    never assembles the fluid. Blocks are restricted to their own index
+    Only the DofMap is built up front. Each block, the H1 Gram sums
+    H1_G = K_G + M_G and H1_s = K_s + M_s, the kinematic split (which holds
+    (M, A) and the nested-dissection order) and each derived piece
+    (factorizations, surface eigenbasis, Dirichlet map, solid quadrature) is
+    built on first use and then kept, so a caller that needs only the solid
+    side never assembles the fluid. Blocks are restricted to their own index
     sets: fluid matrices to [fluid interior, interface], solid matrices to
     [solid interior, interface], surface matrices to the interface.
     """
@@ -413,24 +389,21 @@ class SystemMatrices:
     def _surface(self):
         return _restricted(assemble_surface(self.mesh), self.dof.interface)
 
-    @cached_property
-    def _first_order(self):
-        return compose_first_order(
-            self.dof, self.M_f, self.K_f, self.M_G, self.K_G, self.M_s, self.K_s
-        )
-
     M_f = cached_property(lambda self: self._fluid[0])
     K_f = cached_property(lambda self: self._fluid[1])
     M_s = cached_property(lambda self: self._solid[0])
     K_s = cached_property(lambda self: self._solid[1])
     M_G = cached_property(lambda self: self._surface[0])
     K_G = cached_property(lambda self: self._surface[1])
-    M = cached_property(lambda self: self._first_order[0])
-    A = cached_property(lambda self: self._first_order[1])
+    H1_G = cached_property(lambda self: (self.K_G + self.M_G).tocsr())
+    H1_s = cached_property(lambda self: self.K_s + self.M_s)
+    M = cached_property(lambda self: self.kinematic.M)
+    A = cached_property(lambda self: self.kinematic.A)
 
     @cached_property
     def kinematic(self) -> KinematicSplit:
-        return kinematic_split(self.dof, self.M, self.A, self.mesh.vertices)
+        return compose_first_order(self.dof, self.M_f, self.K_f, self.M_G, self.H1_G,
+                                   self.M_s, self.K_s, self.mesh.vertices)
 
     @cached_property
     def mass_factor(self) -> Factorization:
@@ -442,7 +415,7 @@ class SystemMatrices:
 
     @cached_property
     def surface_spectral(self) -> SurfaceSpectral:
-        return SurfaceSpectral(self.K_G, self.M_G)
+        return SurfaceSpectral(self.H1_G, self.M_G)
 
     @cached_property
     def dirichlet_map(self):
@@ -479,18 +452,16 @@ def fluid_gradient_norm(x: State, sys: SystemMatrices) -> float:
 
 
 class SurfaceSpectral:
-    """Fractional surface norms from the pencil (K_G + M_G, M_G).
+    """Fractional surface norms from the pencil (H1_G, M_G), H1_G = K_G + M_G.
 
-    With generalized eigenpairs (K_G + M_G) v_k = omega_k M_G v_k and the
+    With generalized eigenpairs H1_G v_k = omega_k M_G v_k and the
     v_k M_G-orthonormal, a nodal surface function g has
     |g|_s^2 = sum_k omega_k^s |(V^T M_G g)_k|^2, and a load vector f
     (f_i = <F, phi_i>) has dual norm |F|_{-s}^2 = sum_k omega_k^{-s} |(V^T f)_k|^2.
     """
 
-    def __init__(self, K_G, M_G):
-        S = (K_G + M_G).toarray()
-        Md = M_G.toarray()
-        omega, V = scipy.linalg.eigh(S, Md)
+    def __init__(self, H1_G, M_G):
+        omega, V = scipy.linalg.eigh(H1_G.toarray(), M_G.toarray())
         self.omega = np.maximum(omega, 1e-14)
         self.V = V
         self.M_G = M_G

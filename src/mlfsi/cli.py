@@ -85,7 +85,8 @@ def cmd_simulate(cfg: RunConfig):
     _dump_json(payload, out / "decay.json")
     print(
         f"simulate: {len(trace.t) - 1} steps, fitted decay exponent "
-        f"{payload['fitted_exponent']:.6g} (reference {2 / 11:.6g}) -> {out / 'energy.csv'}"
+        f"{payload['fitted_exponent']:.6g} (reference {evolution.DECAY_REFERENCE_EXPONENT:.6g}) "
+        f"-> {out / 'energy.csv'}"
     )
 
 
@@ -103,7 +104,8 @@ def cmd_sweep(cfg: RunConfig, jobs=1):
     resolvent.write_growth_json(fit, out / "growth.json")
     print(
         f"sweep: {len(samples)} frequencies in [{sw.beta_min:g}, {sw.beta_max:g}], "
-        f"growth slope {fit.slope:.6g} (reference {11 / 2}) -> {out / 'sweep.csv'}"
+        f"growth slope {fit.slope:.6g} (reference {resolvent.GROWTH_REFERENCE_EXPONENT}) "
+        f"-> {out / 'sweep.csv'}"
     )
 
 

@@ -18,6 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .evolution import check_fit_window
 from .geometry import MeshConfig, MeshConfigError
 from .resolvent import in_top_decade
 
@@ -74,6 +75,11 @@ class RunConfig:
             raise ConfigError(f"fit window [{ta}, {tb}] must lie within [0, T]")
         if s.initial not in ("smooth", "zero"):
             raise ConfigError(f"simulate.initial must be smooth or zero, got {s.initial!r}")
+        if s.initial == "smooth":
+            try:
+                check_fit_window(s.T, s.tau, s.fit_window)
+            except (ValueError, OverflowError) as exc:    # T / tau too large to count
+                raise ConfigError(f"simulate.fit_window: {exc}") from exc
         w = self.sweep
         for key, seed in (("simulate.seed", s.seed), ("sweep.probe_seed", w.probe_seed)):
             if seed < 0:

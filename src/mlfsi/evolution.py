@@ -21,6 +21,10 @@ from .assembly import KinematicSplit, State, SystemMatrices, graph_norm
 from .linalg import Factorization, SingularMatrixError, loglog_fit
 
 
+# The fewest trace samples a decay fit takes.
+MIN_FIT_SAMPLES = 10
+
+
 class SolverFailure(RuntimeError):
     def __init__(self, message, step):
         super().__init__(f"{message} (step {step})")
@@ -99,12 +103,17 @@ class CNStepper:
         v_new = self.factor.solve(self.B_minus @ v - self.tau * (s.EtP @ d))
         out = np.empty(xvec.shape, dtype=v_new.dtype)
         out[s.v] = v_new
-        out[s.d] = d + (self.tau / 2.0) * (v + v_new)[s.e]
+        out[s.d] = d + (self.tau / 2.0) * (v + v_new)[s.n_fi:]
         return out
 
 
 def make_stepper(sys: SystemMatrices, tau) -> CNStepper:
     return CNStepper(sys.kinematic, tau)
+
+
+def _sample_times(first, last, tau):
+    """The trace times k * tau, first <= k <= last, as `simulate` records them."""
+    return np.arange(first, last + 1) * tau
 
 
 def _dissipation(uvec, K_f):
@@ -123,7 +132,7 @@ def simulate(x0: State, T, tau, sys: SystemMatrices,
 
     nsteps = math.ceil(T / tau)
     n_fi, n_u = sys.dof.n_fi, sys.dof.n_u
-    t = np.arange(nsteps + 1) * tau
+    t = _sample_times(0, nsteps, tau)
     E = np.empty(nsteps + 1)
     D = np.empty(nsteps + 1)
     norm = np.empty(nsteps + 1)
@@ -181,15 +190,9 @@ def fit_decay(trace: EnergyTrace, window) -> DecayFit:
     The fitted exponent p means |x| ~ amplitude * t^(-p) over the window.
     """
     ta, tb = window
-    if ta <= 0:
-        raise ValueError("window must start at positive time")
-    mask = (trace.t >= ta) & (trace.t <= tb)
-    if not np.any(mask):
-        raise ValueError(f"window [{ta}, {tb}] lies outside the trace")
+    mask = _fit_window_mask(trace.t, window)
     tt = trace.t[mask]
     nn = trace.norm_H[mask]
-    if tt.size < 10:
-        raise ValueError(f"window holds {tt.size} samples; need at least 10")
     if np.any(nn <= 0):
         raise ValueError("trace is not positive on the window")
     slope, intercept, residual = loglog_fit(tt, nn)
@@ -200,6 +203,31 @@ def fit_decay(trace: EnergyTrace, window) -> DecayFit:
         residual=residual,
         n_samples=int(tt.size),
     )
+
+
+def _fit_window_mask(t, window):
+    """Mask of the samples of ``t`` in ``window``; raises ValueError where
+    `fit_decay` cannot fit on them."""
+    ta, tb = window
+    if ta <= 0:
+        raise ValueError("window must start at positive time")
+    mask = (t >= ta) & (t <= tb)
+    count = np.count_nonzero(mask)
+    if not count:
+        raise ValueError(f"window [{ta}, {tb}] lies outside the trace")
+    if count < MIN_FIT_SAMPLES:
+        raise ValueError(f"window holds {count} samples; need at least {MIN_FIT_SAMPLES}")
+    return mask
+
+
+def check_fit_window(T, tau, window):
+    """Raise ValueError if `fit_decay` would refuse ``window`` on the trace of
+    `simulate` over [0, T] with step tau. A window's samples are consecutive
+    and the first is within three steps of k = floor(ta / tau) - 1, so the
+    MIN_FIT_SAMPLES + 3 times from there decide it however long the run."""
+    first = max(0, math.floor(window[0] / tau) - 1)
+    last = min(math.ceil(T / tau), first + MIN_FIT_SAMPLES + 2)
+    _fit_window_mask(_sample_times(first, last, tau), window)
 
 
 DECAY_REFERENCE_EXPONENT = 2.0 / 11.0

@@ -63,20 +63,9 @@ class DirichletMap:
     def h1_ratio(self, g, sys) -> float:
         """Monitored boundedness constant |E g|_{H1} / |g|_{1/2,h}."""
         e = self.extend(g)
-        h1 = np.sqrt(np.vdot(e, (sys.K_s + sys.M_s) @ e).real)
+        h1 = np.sqrt(np.vdot(e, sys.H1_s @ e).real)
         gn = sys.surface_spectral.norm_function(g, 0.5)
         return float(h1 / gn) if gn > 0 else 0.0
-
-
-def interface_lift(x: State, b: State, beta) -> np.ndarray:
-    """(i/beta) * (trace u + data displacement trace) on the interface.
-
-    Shared between the static solve (which substitutes the thin kinematic row
-    with exactly this expression) and the z construction (which adds it back),
-    so the boundary cancellation is exact in floating point, not just in
-    exact arithmetic.
-    """
-    return (1j / beta) * (x.trace_u + b.h0)
 
 
 def build_z(x: State, b: State, beta, sys, ext=None) -> tuple[np.ndarray, np.ndarray]:
@@ -86,10 +75,10 @@ def build_z(x: State, b: State, beta, sys, ext=None) -> tuple[np.ndarray, np.nda
     -beta^2 z - Delta z = load, with load = -i beta E(...) + w1 + i beta w0
     of the data; both come from one Dirichlet extension of
     g = trace u + h0 of the data, passed as ``ext`` when the caller has
-    already solved it. The kinematic rows of the static solve make the
-    interface values cancel exactly, so the boundary trace must vanish to
-    solver precision; this is asserted at 1e-12 relative to the field's max
-    magnitude.
+    already solved it. The static solve sets h0 = (trace u + h0 of the data)
+    / (i beta), which (i/beta)(trace u + h0 of the data) cancels exactly in
+    floating point, so the boundary trace must vanish to solver precision;
+    this is asserted at 1e-12 relative to the field's max magnitude.
     """
     if abs(beta) < 1.0:
         raise ValueError(f"z construction requires |beta| >= 1, got {beta}")
@@ -98,7 +87,7 @@ def build_z(x: State, b: State, beta, sys, ext=None) -> tuple[np.ndarray, np.nda
         ext = sys.dirichlet_map.extend(x.trace_u + b.h0)
     z = x.w0_full.astype(complex)
     z[:n_s] += (1j / beta) * ext[:n_s]
-    z[n_s:] += interface_lift(x, b, beta)
+    z[n_s:] += (1j / beta) * (x.trace_u + b.h0)
     scale = float(np.max(np.abs(z)))
     bres = float(np.max(np.abs(z[n_s:])))
     if scale > 0 and bres > 1e-12 * scale:
@@ -245,11 +234,11 @@ def flux_chain_monitor(x: State, b: State, beta, sys) -> dict[str, float]:
     lam = recover_flux_nodal(flux_z, sys)
     flux_l2 = float(np.sqrt(np.vdot(lam, sys.M_G @ lam).real))
 
-    zh1 = float(np.sqrt(np.vdot(z, (sys.K_s + sys.M_s) @ z).real))
+    zh1 = float(np.sqrt(np.vdot(z, sys.H1_s @ z).real))
     zb = ab * float(np.sqrt(np.vdot(z, sys.M_s @ z).real))
     denom = ab ** 2.75 * grad_u + ab**3 * bnorm
 
-    thin = float(np.vdot(x.h0, (sys.K_G + sys.M_G) @ x.h0).real)
+    thin = float(np.vdot(x.h0, sys.H1_G @ x.h0).real)
     fw0 = 1j * beta * b.w0_full + b.w1_full
     flux_w0 = interface_flux(x.w0_full, fw0, beta, sys)
     pairing = abs(np.vdot(x.h0, flux_w0))

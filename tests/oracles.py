@@ -7,9 +7,10 @@ operator norms by dense factorizations. Oracle values are never produced by
 the functions under test. The one exception, `gram_opnorm`, is a driver, not
 an oracle: it builds the gram-normal operator of a generic map so that the
 tests can run `mlfsi.linalg.opnorm_from_normal` on it. The functions from
-`solid_face_owner_loop` on are earlier versions of package code: loop and
-lexsort kernels, the stand-alone ratio monitors that recomputed their shared
-norms or solves, and the hand-written sweep.csv row. They are kept so the tests can
+`shared_trace_pair` on are earlier versions of package code: the composition
+of (M, A) on the state layout and the extraction of its kinematic split, loop
+and lexsort kernels, the stand-alone ratio monitors that recomputed their
+shared norms or solves, and the hand-written sweep.csv row. They are kept so the tests can
 check that the current code gives the same arrays, bits and bytes.
 """
 
@@ -307,6 +308,74 @@ def full_midpoint_steps(sys, tau, x, steps):
     for _ in range(steps):
         x = lu.solve(B @ x)
     return x
+
+
+def _embed(block, row_off, col_off, shape):
+    coo = sp.coo_matrix(block)
+    return sp.coo_matrix((coo.data, (coo.row + row_off, coo.col + col_off)), shape=shape)
+
+
+def shared_trace_pair(dof, M_f, K_f, M_G, K_G, M_s, K_s):
+    """Composite (M, A) of the first-order system, composed block by block
+    on the shared-trace state layout with ``sp.bmat``; the kinematic rows are
+    premultiplied by their Gram blocks to fit the M x' = A x shape."""
+    n_fi, n_i, n_s, n_u = dof.n_fi, dof.n_i, dof.n_s, dof.n_u
+    s_int = slice(0, n_s)
+    s_ifc = slice(n_s, n_s + n_i)
+
+    Ms_II = M_s[s_int, s_int]
+    Ms_GI, Ms_GG = M_s[s_ifc, s_int], M_s[s_ifc, s_ifc]
+    Ks_II, Ks_IG = K_s[s_int, s_int], K_s[s_int, s_ifc]
+    Ks_GI, Ks_GG = K_s[s_ifc, s_int], K_s[s_ifc, s_ifc]
+    S_G = (K_G + M_G).tocsr()
+
+    G_uu = (M_f + _embed(M_G + Ms_GG, n_fi, n_fi, (n_u, n_u))).tocsr()
+    G_uw1 = _embed(Ms_GI, n_fi, 0, (n_u, n_s)).tocsr()
+    G_h0h0 = (S_G + Ks_GG).tocsr()
+
+    M = sp.bmat(
+        [
+            [G_uu, None, None, G_uw1],
+            [None, G_h0h0, Ks_GI, None],
+            [None, Ks_IG, Ks_II, None],
+            [G_uw1.T, None, None, Ms_II],
+        ],
+        format="csr",
+    )
+    A = sp.bmat(
+        [
+            [-K_f, _embed(-G_h0h0, n_fi, 0, (n_u, n_i)), _embed(-Ks_GI, n_fi, 0, (n_u, n_s)), None],
+            [_embed(G_h0h0, 0, n_fi, (n_i, n_u)), None, None, Ks_GI],
+            [_embed(Ks_IG, 0, n_fi, (n_s, n_u)), None, None, Ks_II],
+            [None, -Ks_IG, -Ks_II, None],
+        ],
+        format="csr",
+    )
+    return M, A
+
+
+def extracted_split(dof, M, A):
+    """The kinematic pieces of a shared-trace pair, by fancy indexing of M and
+    A: d = (h0, w0), v = (u, w1), E the selection (E v)_k = v[e[k]] of u on
+    the interface and w1 as a sparse matrix, P = M[d, d], and the dict of
+    M_VV = M[V, V], K = -A[V, V], EtP = E^T P and Q = E^T P E, plus the
+    entry counts where the four kinematic identities fail."""
+    M, A = sp.csr_matrix(M), sp.csr_matrix(A)
+    d = np.arange(dof.n_u, dof.n_u + dof.n_i + dof.n_s)
+    v = np.setdiff1d(np.arange(M.shape[0]), d)
+    e = np.concatenate([dof.n_fi + np.arange(dof.n_i), dof.n_u + np.arange(dof.n_s)])
+    E = sp.csr_matrix((np.ones(d.size), (np.arange(d.size), e)), shape=(d.size, v.size))
+    P = M[d][:, d]
+    EtP = (E.T @ P).tocsr()
+    mismatches = {
+        "A[d, V] = P E": (A[d][:, v] != P @ E).count_nonzero(),
+        "A[V, d] = -E^T P": (A[v][:, d] != -EtP).count_nonzero(),
+        "A[d, d] = 0": A[d][:, d].count_nonzero(),
+        "M[V, d] = M[d, V]^T = 0": (abs(M[v][:, d]) + abs(M[d][:, v].T)).count_nonzero(),
+    }
+    blocks = {"M_VV": M[v][:, v].tocsr(), "K": (-A[v][:, v]).tocsr(), "EtP": EtP,
+              "Q": (EtP @ E).tocsr()}
+    return blocks, mismatches
 
 
 def solid_face_owner_loop(mesh):

@@ -85,23 +85,30 @@ def _floats(lo, hi, **kw):
 @st.composite
 def valid_configs(draw):
     """Configs that pass ``validate``: corners on grid planes at n and at every
-    refinement (a multiple of n), ordered windows, and a sweep grid with at
-    least 2 points in its top decade (fewer than 0.99 decades between points)."""
+    refinement (a multiple of n), ordered windows (for smooth data, starting
+    after t = 0 and at least 12 steps long), and a sweep grid with at least 2
+    points in its top decade (fewer than 0.99 decades between points)."""
     n = draw(st.integers(1, 8))
     olo = tuple(draw(_floats(-10, 10)) for _ in range(3))
     steps = [sorted(draw(st.sets(st.integers(1, 12), min_size=3, max_size=3))) for _ in range(3)]
     ilo, ihi, ohi = (tuple(o + s[k] / n for o, s in zip(olo, steps)) for k in range(3))
     T = draw(_floats(1e-3, 1e6))
-    ta = draw(_floats(0, T, exclude_max=True))
+    initial = draw(st.sampled_from(["smooth", "zero"]))
+    if initial == "smooth":
+        tau = draw(_floats(1e-6, min(1.0, T / 30)))
+        ta = draw(_floats(tau, T - 13 * tau))
+        tb = draw(_floats(ta + 12 * tau, T))
+    else:
+        tau = draw(_floats(1e-6, 1))
+        ta = draw(_floats(0, T, exclude_max=True))
+        tb = draw(_floats(ta, T, exclude_min=True))
     beta_min = draw(_floats(1, 1e6))
     beta_max = draw(_floats(beta_min, 1e7, exclude_min=True))
     decades = math.log10(beta_max / beta_min)
     return RunConfig(
         geometry=MeshConfig(olo, ohi, ilo, ihi, n),
         simulate=SimulateConfig(
-            T=T, tau=draw(_floats(1e-6, 1)), seed=draw(st.integers(0, 2**32)),
-            fit_window=(ta, draw(_floats(ta, T, exclude_min=True))),
-            initial=draw(st.sampled_from(["smooth", "zero"])),
+            T=T, tau=tau, seed=draw(st.integers(0, 2**32)), fit_window=(ta, tb), initial=initial,
         ),
         sweep=SweepConfig(
             beta_min=beta_min, beta_max=beta_max,
@@ -231,6 +238,8 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("simulate.seed = -1", "simulate.seed must be non-negative, got -1"),
     ("sweep.probe_seed = -2", "sweep.probe_seed must be non-negative, got -2"),
     ("geometry.n = 127", "n = 127 gives 2097152 vertices"),
+    ("simulate.fit_window = 0 2", "simulate.fit_window: window must start at positive time"),
+    ("simulate.fit_window = 1 1.05", "simulate.fit_window: window holds 6 samples; need at least 10"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")

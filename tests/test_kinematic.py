@@ -1,17 +1,19 @@
-"""The kinematic split of (M, A): its exact structural identities, the
+"""The kinematic split of (M, A): its blocks and pair against the
+shared-trace composition, its exact structural identities, the
 nested-dissection order of the velocity unknowns, and the shifted and
 midpoint solves on it against full-system scipy LUs."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mlfsi.assembly import build_system, kinematic_split
+from mlfsi.assembly import build_system, compose_first_order
 from mlfsi.evolution import make_stepper
 from mlfsi.geometry import MeshConfig, build_mesh
 from mlfsi.linalg import DISSECTION_LEAF, coordinate_bisection
 from mlfsi.resolvent import ShiftedFactor
 
-from oracles import full_midpoint_steps, full_shifted_lu
+from oracles import extracted_split, full_midpoint_steps, full_shifted_lu, shared_trace_pair
 
 # A box that is not a cube, around an off-center brick.
 BRICK_CONFIG = MeshConfig(
@@ -46,33 +48,38 @@ def test_midpoint_steps_match_full_system_lu(n8_sys):
     assert rel_diff(x, full_midpoint_steps(sys, tau, x0, 50)) <= 1e-12
 
 
-def _altered(sys, which):
-    """(M, A) with one entry of a kinematic block changed."""
-    M, A = sys.M.tolil(), sys.A.tolil()
-    h0, w0 = sys.dof.slice_h0.start, sys.dof.slice_w0.start
-    g = sys.dof.n_fi                        # u at the first interface vertex
-    if which == "A[d, V]":
-        A[h0, g] *= 1.0 + 1e-12
-    elif which == "A[V, d]":
-        A[g, h0] *= 1.0 + 1e-12
-    elif which == "A[d, d]":
-        A[h0, w0 + 1] = 1e-20
-    else:
-        M[0, h0] = M[h0, 0] = 1e-20
-    return M.tocsr(), A.tocsr()
+MESHES = pytest.mark.parametrize("config", [MeshConfig(n=4), MeshConfig(n=8), BRICK_CONFIG],
+                                 ids=["n4", "n8", "brick"])
 
 
-@pytest.mark.parametrize("which", ["A[d, V]", "A[V, d]", "A[d, d]", "M[V, d]"])
-def test_split_rejects_altered_kinematic_rows(default_sys, which):
+def assert_same_bytes(got, want):
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+@MESHES
+def test_split_matches_shared_trace_composition(config):
+    sys = build_system(build_mesh(config))
+    M, A = shared_trace_pair(sys.dof, sys.M_f, sys.K_f, sys.M_G, sys.K_G, sys.M_s, sys.K_s)
+    assert_same_bytes(sys.M, M)
+    assert_same_bytes(sys.A, A)
+    blocks, mismatches = extracted_split(sys.dof, sys.M, sys.A)
+    for name, block in blocks.items():
+        assert_same_bytes(getattr(sys.kinematic, name), block)
+    assert mismatches == dict.fromkeys(mismatches, 0)
+
+
+def test_split_without_dissipation_keeps_kinematic_identities(default_sys):
     sys = default_sys
-    kinematic_split(sys.dof, sys.M, sys.A, sys.mesh.vertices)      # the pair itself splits
-    M, A = _altered(sys, which)
-    with pytest.raises(ValueError, match="do not split"):
-        kinematic_split(sys.dof, M, A, sys.mesh.vertices)
+    split = compose_first_order(sys.dof, sys.M_f, sp.csr_matrix(sys.K_f.shape), sys.M_G,
+                                sys.H1_G, sys.M_s, sys.K_s, sys.mesh.vertices)
+    assert split.K.count_nonzero() == 0
+    _, mismatches = extracted_split(sys.dof, split.M, split.A)
+    assert mismatches == dict.fromkeys(mismatches, 0)
 
 
-@pytest.mark.parametrize("config", [MeshConfig(n=4), MeshConfig(n=8), BRICK_CONFIG],
-                         ids=["n4", "n8", "brick"])
+@MESHES
 def test_dissection_order_separates_every_bisection(config):
     sys = build_system(build_mesh(config))
     split = sys.kinematic

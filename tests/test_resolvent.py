@@ -313,13 +313,14 @@ def test_sweep_builds_dirichlet_map_once(monkeypatch):
 
 def test_singularity_detection():
     # A generator with a purely imaginary eigenvalue: shifted matrix singular.
-    M = sp.eye(2, format="csr")
-    A = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))   # eigenvalues +-i
+    # M = I and A = [[0, 1], [-1, 0]] (eigenvalues +-i) on x = (d, v).
+    one = sp.eye(1, format="csr")
 
     class FakeSys:
         pass
 
     fake = FakeSys()
-    fake.kinematic = assembly.KinematicSplit(M, A, d=[0], e=[0], order=[0])
+    fake.kinematic = assembly.KinematicSplit(one, sp.csr_matrix((1, 1)), one, d=[0], v=[1], order=[0])
+    assert np.array_equal(fake.kinematic.A.toarray(), [[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(FrequencySingularityError):
         ShiftedFactor(1.0, fake)
