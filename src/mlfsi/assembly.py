@@ -235,7 +235,7 @@ def compose_first_order(dof: DofMap, M_f, K_f, M_G, H1_G, M_s, K_s, vertices) ->
     K_f on u and zero on w1; on d = (h0, w0), P = [[H1_G + Ks_GG, Ks_GI],
     [Ks_IG, Ks_II]]; E v = v[n_fi:] is (u on the interface, w1). Each v
     unknown lives on its own mesh vertex (every vertex off the outer
-    boundary), and the order of v is nested dissection of those vertices.
+    boundary), whose coordinates the split takes for its orders.
     """
     n_fi, n_i, n_s, n_u = dof.n_fi, dof.n_i, dof.n_s, dof.n_u
     s_int = slice(0, n_s)
@@ -254,8 +254,8 @@ def compose_first_order(dof: DofMap, M_f, K_f, M_G, H1_G, M_s, K_s, vertices) ->
 
     d = np.arange(n_u, n_u + n_i + n_s)
     v = np.concatenate([np.arange(n_u), np.arange(n_u + n_i + n_s, dof.total)])
-    order = nested_dissection(vertices[np.concatenate([dof.fluid_free, dof.solid_interior])])
-    return KinematicSplit(M_VV, K, P, d, v, order)
+    coords = vertices[np.concatenate([dof.fluid_free, dof.solid_interior])]
+    return KinematicSplit(M_VV, K, P, d, v, coords)
 
 
 class KinematicSplit:
@@ -267,10 +267,14 @@ class KinematicSplit:
     [[-K, -E^T P], [P E, 0]] on (v, d), permuted to the state positions
     ``v`` and ``d``. Shifted and midpoint solves eliminate d in closed form
     and factor a matrix on v alone from M_VV, K, ``EtP`` = E^T P and
-    Q = E^T P E, in the fill-reducing symmetric order ``order`` of v.
+    Q = E^T P E; `apply_generator` and `solve_generator` apply M^{-1} A and
+    A^{-1} M around LUs of M_VV, K_ff = K[:n_fi, :n_fi] and P. ``coords``
+    holds the vertex of each v unknown (d unknown j sits on that of v
+    unknown n_fi + j); each LU takes the nested-dissection order of its
+    unknowns' vertices, ``order`` on v.
     """
 
-    def __init__(self, M_VV, K, P, d, v, order):
+    def __init__(self, M_VV, K, P, d, v, coords):
         self.M_VV, self.K, self.P = M_VV, K, P
         self.d = np.asarray(d, dtype=np.int64)
         self.v = np.asarray(v, dtype=np.int64)
@@ -278,7 +282,34 @@ class KinematicSplit:
         E = sp.eye(self.d.size, self.v.size, k=self.n_fi, format="csr")
         self.EtP = (E.T @ P).tocsr()
         self.Q = (self.EtP @ E).tocsr()
-        self.order = np.asarray(order, dtype=np.int64)
+        self.coords = np.asarray(coords, dtype=float)
+        self.order = nested_dissection(self.coords)
+
+    M_VV_factor = cached_property(lambda self: Factorization(self.M_VV, self.order))
+
+    def join(self, v, d):
+        """The state-layout vector with velocity part v and displacement part d."""
+        x = np.empty(self.v.size + self.d.size, dtype=np.result_type(v, d))
+        x[self.v], x[self.d] = v, d
+        return x
+
+    def apply_generator(self, x):
+        """M^{-1} A x: M_VV^{-1} (-K v - E^T P d) on v and E v on d."""
+        v, d = x[self.v], x[self.d]
+        return self.join(self.M_VV_factor.solve(-(self.K @ v) - self.EtP @ d), v[self.n_fi:])
+
+    def solve_generator(self, r):
+        """x with A x = M r. The d rows give E v = r_d; the v rows then give
+        v[:n_fi] from K_ff (no solve when n_fi = 0) and P d from the rest.
+        They serve one solve per seed, so unlike the M_VV LU they are not kept."""
+        n_fi, w = self.n_fi, self.M_VV @ r[self.v]
+        v = np.zeros_like(w)
+        v[n_fi:] = r[self.d]
+        if n_fi:
+            K_ff = Factorization(self.K[:n_fi, :n_fi], nested_dissection(self.coords[:n_fi]))
+            v[:n_fi] = K_ff.solve(-(w + self.K @ v)[:n_fi])
+        P = Factorization(self.P, nested_dissection(self.coords[n_fi:]))
+        return self.join(v, P.solve(-(w + self.K @ v)[n_fi:]))
 
     def _to_state(self, B):
         """A matrix on the unknowns (v, d), permuted to the state layout."""
@@ -365,12 +396,12 @@ class SystemMatrices:
 
     Only the DofMap is built up front. Each block, the H1 Gram sums
     H1_G = K_G + M_G and H1_s = K_s + M_s, the kinematic split (which holds
-    (M, A) and the nested-dissection order) and each derived piece
-    (factorizations, surface eigenbasis, Dirichlet map, solid quadrature) is
-    built on first use and then kept, so a caller that needs only the solid
-    side never assembles the fluid. Blocks are restricted to their own index
-    sets: fluid matrices to [fluid interior, interface], solid matrices to
-    [solid interior, interface], surface matrices to the interface.
+    (M, A) and the M_VV LU) and each derived piece (the M_G LU, surface
+    eigenbasis, Dirichlet map, solid quadrature) is built on first use and
+    then kept, so a caller that needs only the solid side never assembles
+    the fluid. Blocks are restricted to their own index sets: fluid
+    matrices to [fluid interior, interface], solid matrices to [solid
+    interior, interface], surface matrices to the interface.
     """
 
     def __init__(self, mesh: Mesh):
@@ -406,12 +437,8 @@ class SystemMatrices:
                                    self.M_s, self.K_s, self.mesh.vertices)
 
     @cached_property
-    def mass_factor(self) -> Factorization:
-        return Factorization(self.M)
-
-    @cached_property
     def mass_g_factor(self) -> Factorization:
-        return Factorization(self.M_G)
+        return Factorization(self.M_G, nested_dissection(self.mesh.vertices[self.dof.interface]))
 
     @cached_property
     def surface_spectral(self) -> SurfaceSpectral:
@@ -441,7 +468,7 @@ def energy_norm(x: State, sys: SystemMatrices) -> float:
 
 def graph_norm(x: State, sys: SystemMatrices) -> float:
     """Energy norm of x plus the energy norm of M^{-1} A x."""
-    ax = sys.mass_factor.solve(sys.A @ x.vec)
+    ax = sys.kinematic.apply_generator(x.vec)
     return energy_norm(x, sys) + energy_norm(State(sys.dof, ax), sys)
 
 

@@ -66,6 +66,10 @@ class RunConfig:
     solve_tol: float = 1e-10
 
     def validate(self):
+        for key, hint in SCHEMA.items():
+            value = reduce(getattr, key.split("."), self)
+            if float in (hint, *get_args(hint)) and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{key} must be finite, got {_format_value(value)}")
         self.geometry.validate()
         s = self.simulate
         if s.T <= 0 or s.tau <= 0:

@@ -101,10 +101,7 @@ class CNStepper:
         s = self.split
         v, d = xvec[s.v], xvec[s.d]
         v_new = self.factor.solve(self.B_minus @ v - self.tau * (s.EtP @ d))
-        out = np.empty(xvec.shape, dtype=v_new.dtype)
-        out[s.v] = v_new
-        out[s.d] = d + (self.tau / 2.0) * (v + v_new)[s.n_fi:]
-        return out
+        return s.join(v_new, d + (self.tau / 2.0) * (v + v_new)[s.n_fi:])
 
 
 def make_stepper(sys: SystemMatrices, tau) -> CNStepper:
@@ -160,15 +157,16 @@ def simulate(x0: State, T, tau, sys: SystemMatrices,
 def prepare_smooth_data(seed, sys: SystemMatrices) -> State:
     """Seeded unit-graph-norm data obtained by smoothing a random vector.
 
-    Solves A x0 = M r for seeded random r, then scales so that the graph
-    norm of x0 is exactly one. Raises if the generator is singular: when the
-    factorization fails, or when the solve misses A x0 = M r by a relative
-    residual above 1e-10 (a few 1e-16 on the meshes here).
+    Solves A x0 = M r for seeded random r on the kinematic split, then
+    scales so that the graph norm of x0 is exactly one. Raises if the
+    generator is singular: when a factorization fails, or when the solve
+    misses A x0 = M r by a relative residual above 1e-10 (a few 1e-16 here).
     """
     rng = np.random.default_rng(seed)
-    rhs = sys.M @ rng.standard_normal(sys.dof.total)
+    r = rng.standard_normal(sys.dof.total)
+    rhs = sys.M @ r
     try:
-        x = Factorization(sys.A.tocsc()).solve(rhs)
+        x = sys.kinematic.solve_generator(r)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"generator is singular on the discrete space: {exc}"

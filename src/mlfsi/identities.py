@@ -14,13 +14,13 @@ Orientation convention: nu points from the fluid into the solid everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assembly import DofMap, State, build_system, energy_norm, fluid_gradient_norm
 from .geometry import Mesh, MeshConfig, build_mesh
-from .linalg import Factorization, loglog_fit
+from .linalg import Factorization, loglog_fit, nested_dissection
 
 
 class DirichletMap:
@@ -43,7 +43,8 @@ class DirichletMap:
         self.K_IG = K[:n_s, n_s:]
         self.K_GI = K[n_s:, :n_s]
         self.K_GG = K[n_s:, n_s:]
-        self.factor = Factorization(K[:n_s, :n_s].tocsc()) if n_s else None
+        interior = sys.mesh.vertices[dof.solid_interior]
+        self.factor = Factorization(K[:n_s, :n_s], nested_dissection(interior)) if n_s else None
 
     def extend(self, g):
         g = np.asarray(g)
@@ -289,11 +290,7 @@ def manufactured_study(ns, beta=2.0, base_config: MeshConfig | None = None):
         base_config = MeshConfig()
     rows = []
     for n in ns:
-        config = MeshConfig(
-            base_config.outer_lo, base_config.outer_hi,
-            base_config.inner_lo, base_config.inner_hi, int(n),
-        )
-        mesh = build_mesh(config)
+        mesh = build_mesh(replace(base_config, n=int(n)))
         sys = build_system(mesh)
         zv, fv = manufactured_field(mesh, sys.dof, beta)
         rep_rad = multiplier_residual(zv, fv, beta, sys, "radial")

@@ -1,10 +1,10 @@
 """Sparse solve kernels, gram-weighted operator-norm estimation, and the
 log-log fit behind every rate.
 
-Direct SuperLU factorizations serve both the real SPD and the complex
-shifted systems at desk scale, in a nested-dissection order of the grid
-when the caller has one; a factorization is immutable after construction
-and can be shared across solves. Operator norms in a gram
+Direct SuperLU factorizations serve both the real SPD blocks and the complex
+shifted systems at desk scale, each in a nested-dissection order of the grid
+vertices its unknowns sit on; a factorization is immutable after
+construction and can be shared across solves. Operator norms in a gram
 metric are estimated by ARPACK's implicitly restarted Lanczos on the
 gram-normal operator.
 """
@@ -23,32 +23,23 @@ class SingularMatrixError(RuntimeError):
 
 
 class Factorization:
-    """Reusable LU factorization of a sparse matrix (real or complex).
+    """Reusable LU factorization of a sparse matrix (real or complex) in a given order.
 
-    With a symmetric ``order`` (a permutation of the unknowns, such as a
-    nested-dissection order from `nested_dissection`), SuperLU factors
-    B[order][:, order] as given (``permc_spec="NATURAL"``) in symmetric mode
+    ``order`` is a symmetric permutation of the unknowns, such as a
+    nested-dissection order from `nested_dissection`. SuperLU factors
+    A[order][:, order] as given (``permc_spec="NATURAL"``) in symmetric mode
     with diagonal pivot threshold `ORDERED_PIVOT_THRESHOLD`, and `solve`
-    permutes in and out. Without one, a matrix with a zero-free diagonal
-    (mass and stiffness matrices here) is ordered by minimum degree on
-    A^T + A in symmetric mode, and any other matrix keeps the default COLAMD
-    column ordering; both keep SuperLU's default threshold pivoting.
+    permutes in and out.
     """
 
-    def __init__(self, A, order=None):
+    def __init__(self, A, order):
         self.matrix = sp.csc_matrix(A)
-        self.order = None if order is None else np.asarray(order, dtype=np.int64)
-        self.symmetric_mode = self.order is not None or bool(np.all(self.matrix.diagonal() != 0))
+        self.order = np.asarray(order, dtype=np.int64)
+        self.inverse = np.argsort(self.order)
         try:
-            if self.order is not None:
-                self.lu = spla.splu(self.matrix[self.order][:, self.order], permc_spec="NATURAL",
-                                    diag_pivot_thresh=ORDERED_PIVOT_THRESHOLD,
-                                    options={"SymmetricMode": True})
-            elif self.symmetric_mode:
-                self.lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                                    options={"SymmetricMode": True})
-            else:
-                self.lu = spla.splu(self.matrix)
+            self.lu = spla.splu(self.matrix[self.order][:, self.order], permc_spec="NATURAL",
+                                diag_pivot_thresh=ORDERED_PIVOT_THRESHOLD,
+                                options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
 
@@ -59,19 +50,14 @@ class Factorization:
         return self._solve(b, trans)
 
     def _solve(self, b, trans):
-        if self.order is None:
-            return self.lu.solve(np.ascontiguousarray(b), trans=trans)
-        y = self.lu.solve(b[self.order], trans=trans)
-        x = np.empty_like(y)
-        x[self.order] = y
-        return x
+        return self.lu.solve(b[self.order], trans=trans)[self.inverse]
 
     def __reduce__(self):
         # SuperLU handles cannot cross process boundaries; re-factorize there.
         return (Factorization, (self.matrix, self.order))
 
 
-# Diagonal pivot threshold of an ordered factorization. SuperLU's default
+# Diagonal pivot threshold of every factorization. SuperLU's default
 # 1.0 takes off-diagonal pivots on some shifted matrices, which adds fill;
 # 0.01 keeps every diagonal pivot of the shifted and midpoint matrices, at
 # residuals <= 1e-12. 0 is not safe on indefinite matrices: it leaves a

@@ -124,19 +124,15 @@ class ShiftedFactor:
         """x = R M b."""
         s = self.split
         b = np.asarray(b, dtype=np.complex128)
-        x = np.empty_like(b)
-        x[s.v] = v = self.factor.solve(self._velocity_rhs(b))
-        x[s.d] = (v[s.n_fi:] + b[s.d]) / self.shift
-        return x
+        v = self.factor.solve(self._velocity_rhs(b))
+        return s.join(v, (v[s.n_fi:] + b[s.d]) / self.shift)
 
     def solve_adjoint(self, z):
         """y = R^H M z, the M-adjoint of `solve`."""
         s = self.split
         z = np.asarray(z, dtype=np.complex128)
-        y = np.empty_like(z)
-        y[s.v] = v = self.factor.solve(self._velocity_rhs(z), trans="H")
-        y[s.d] = (v[s.n_fi:] - z[s.d]) / self.shift
-        return y
+        v = self.factor.solve(self._velocity_rhs(z), trans="H")
+        return s.join(v, (v[s.n_fi:] - z[s.d]) / self.shift)
 
 
 def solve_static(beta, b: State, sys: SystemMatrices,
@@ -287,16 +283,6 @@ def fit_growth(samples, top_decade=True) -> GrowthFit:
         window=(float(betas.min()), float(betas.max())),
         points=len(pts),
     )
-
-
-def trend_slope(betas, values) -> float:
-    """Least-squares slope of log(value) versus log(beta); 0 for all-zero data."""
-    betas = np.asarray(betas, float)
-    values = np.asarray(values, float)
-    keep = values > 0
-    if keep.sum() < 2:
-        return 0.0
-    return loglog_fit(betas[keep], values[keep])[0]
 
 
 def write_sweep_csv(samples, path):

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from mlfsi.assembly import energy_norm, fluid_gradient_norm
 from mlfsi.geometry import FLUID, GAMMA_F, SOLID
 from mlfsi.identities import fluid_interface_flux
-from mlfsi.linalg import Factorization, opnorm_from_normal
+from mlfsi.linalg import loglog_fit, opnorm_from_normal
 
 # Degree-2 exact quadrature on the reference tetrahedron (4 symmetric points).
 _TA, _TB = 0.5854101966249685, 0.1381966011250105
@@ -256,11 +256,15 @@ def gram_opnorm(apply, gram, dim, tol=1e-4, seed=0):
 
     ``apply`` is a (matvec, rmatvec) pair, an object exposing both, or a
     matrix; rmatvec is the Euclidean adjoint. The normal operator is formed
-    with a factorization of the gram matrix and handed to
+    with scipy's ``splu`` of the gram matrix and handed to
     ``opnorm_from_normal``.
     """
     matvec, rmatvec = _as_matvec_pair(apply)
-    gram_solve = Factorization(gram).solve
+    lu = spla.splu(sp.csc_matrix(gram))
+
+    def gram_solve(r):
+        return lu.solve(np.ascontiguousarray(r.real)) + 1j * lu.solve(np.ascontiguousarray(r.imag))
+
     return opnorm_from_normal(
         lambda v: gram_solve(rmatvec(gram @ matvec(v))), gram, dim, tol=tol, seed=seed
     )
@@ -505,6 +509,16 @@ def dtn_norm(beta, b, x, sys):
     g = x.trace_u + b.h0
     gn = sys.surface_spectral.norm_function(g, 0.5)
     return sys.surface_spectral.dual_norm(sys.dirichlet_map.neumann(g), 0.5) / gn if gn > 0 else 0.0
+
+
+def trend_slope(betas, values) -> float:
+    """Least-squares slope of log(value) versus log(beta); 0 for all-zero data."""
+    betas = np.asarray(betas, float)
+    values = np.asarray(values, float)
+    keep = values > 0
+    if keep.sum() < 2:
+        return 0.0
+    return loglog_fit(betas[keep], values[keep])[0]
 
 
 def sweep_csv_row(s):

@@ -21,10 +21,10 @@ from mlfsi.resolvent import (
     probe_state,
     solve_static,
     sweep,
-    trend_slope,
 )
 
 from conftest import TINY_CONFIG
+from oracles import trend_slope
 
 DECAY_WINDOW = (1.0, 50.0)
 SIM_T, SIM_TAU = 60.0, 0.01

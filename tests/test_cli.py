@@ -240,6 +240,10 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("geometry.n = 127", "n = 127 gives 2097152 vertices"),
     ("simulate.fit_window = 0 2", "simulate.fit_window: window must start at positive time"),
     ("simulate.fit_window = 1 1.05", "simulate.fit_window: window holds 6 samples; need at least 10"),
+    ("simulate.T = inf\nsimulate.initial = zero", "simulate.T must be finite, got inf"),
+    ("simulate.tau = nan", "simulate.tau must be finite, got nan"),
+    ("sweep.beta_max = inf", "sweep.beta_max must be finite, got inf"),
+    ("geometry.inner_hi = 0.75 nan 0.75", "geometry.inner_hi must be finite, got 0.75 nan 0.75"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")

@@ -6,11 +6,11 @@ import scipy.sparse as sp
 from mlfsi.assembly import (
     KinematicSplit,
     State,
+    build_system,
     compose_first_order,
     energy_norm,
     graph_norm,
 )
-import mlfsi.evolution as evolution
 from mlfsi.evolution import (
     CNStepper,
     fit_decay,
@@ -41,7 +41,8 @@ def test_scalar_model_closed_form():
     M = sp.csr_matrix(np.array([[1.0]]))
     A = sp.csr_matrix(np.array([[-1.0]]))
     tau = 0.1
-    stepper = CNStepper(KinematicSplit(M, -A, sp.csr_matrix((0, 0)), d=[], v=[0], order=[0]), tau)
+    split = KinematicSplit(M, -A, sp.csr_matrix((0, 0)), d=[], v=[0], coords=[[0.0, 0.0, 0.0]])
+    stepper = CNStepper(split, tau)
     x = np.array([2.0])
     out = stepper.step(x)
     assert out[0] == pytest.approx(2.0 * (1 - tau / 2) / (1 + tau / 2), rel=1e-14)
@@ -137,13 +138,34 @@ def test_prepare_smooth_data(default_sys):
 def test_prepare_smooth_data_rejects_a_wrong_solve(monkeypatch, default_sys):
     # A factorization that returns a wrong vector without failing: the
     # residual check of A x = M r must catch it.
-    class WrongSolve(Factorization):
-        def solve(self, b, trans="N"):
-            return 1.5 * super().solve(b, trans=trans)
-
-    monkeypatch.setattr(evolution, "Factorization", WrongSolve)
+    solve = Factorization.solve
+    monkeypatch.setattr(Factorization, "solve",
+                        lambda self, b, trans="N": 1.5 * solve(self, b, trans))
     with pytest.raises(SingularMatrixError, match="relative residual"):
         prepare_smooth_data(11, default_sys)
+
+
+@pytest.mark.parametrize("name", ["default_sys", "n8_sys"])
+def test_prepare_smooth_data_matches_dense_solve(request, name):
+    # The closed-form split solve against a dense solve of A x = M r, both
+    # scaled to unit graph norm with a dense M^{-1} A.
+    sys = request.getfixturevalue(name)
+    Md, Ad = sys.M.toarray(), sys.A.toarray()
+    x = np.linalg.solve(Ad, Md @ np.random.default_rng(11).standard_normal(sys.dof.total))
+    y = np.linalg.solve(Md, Ad @ x)
+    x /= np.sqrt(x @ Md @ x) + np.sqrt(y @ Md @ y)
+    got = prepare_smooth_data(11, sys).vec
+    assert np.linalg.norm(got - x) / np.linalg.norm(x) <= 1e-10
+
+
+def test_prepare_smooth_data_rejects_a_singular_generator(n8_sys):
+    # Without the fluid stiffness the fluid-interior velocities (n_fi > 0 at
+    # n=8) span a kernel of A, and the K_ff factorization fails.
+    sys = build_system(n8_sys.mesh)
+    sys.kinematic = compose_first_order(sys.dof, sys.M_f, sp.csr_matrix(sys.K_f.shape), sys.M_G,
+                                        sys.H1_G, sys.M_s, sys.K_s, sys.mesh.vertices)
+    with pytest.raises(SingularMatrixError, match="generator is singular"):
+        prepare_smooth_data(11, sys)
 
 
 def test_fit_decay_synthetic_power_law():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mlfsi.linalg import Factorization, SingularMatrixError, loglog_fit
+import mlfsi.assembly as assembly
+from mlfsi.linalg import Factorization, SingularMatrixError, loglog_fit, nested_dissection
 
 from oracles import dense_gram_opnorm, gram_opnorm
 
@@ -14,16 +15,26 @@ def random_spd(n, rng, scale=1.0):
     return sp.csr_matrix(B @ B.T + scale * n * np.eye(n))
 
 
+def natural(A):
+    """The natural order of the unknowns of a square matrix."""
+    return np.arange(A.shape[0])
+
+
+def test_factorization_requires_an_order():
+    with pytest.raises(TypeError):
+        Factorization(sp.eye(3, format="csr"))
+
+
 def test_solve_spd_identity(rng):
     b = rng.standard_normal(7)
-    x = Factorization(sp.eye(7, format="csr")).solve(b)
+    x = Factorization(sp.eye(7, format="csr"), np.arange(7)).solve(b)
     assert np.allclose(x, b)
 
 
 def test_solve_spd_hand_2x2():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     b = np.array([1.0, 1.0])
-    x = Factorization(A).solve(b)
+    x = Factorization(A, natural(A)).solve(b)
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
@@ -31,14 +42,14 @@ def test_solve_spd_hand_2x2():
 def test_solve_spd_matches_dense_oracle(rng):
     A = random_spd(50, rng)
     b = rng.standard_normal(50)
-    x = Factorization(A).solve(b)
+    x = Factorization(A, natural(A)).solve(b)
     x_dense = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-9
 
 
 def test_solve_then_multiply_residual(rng):
     A = random_spd(40, rng)
-    fact = Factorization(A.tocsc())
+    fact = Factorization(A.tocsc(), natural(A))
     for _ in range(100):
         b = rng.standard_normal(40)
         x = fact.solve(b)
@@ -48,13 +59,13 @@ def test_solve_then_multiply_residual(rng):
 def test_solve_spd_singular_raises():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
-        Factorization(A).solve(np.array([1.0, 0.0]))
+        Factorization(A, natural(A)).solve(np.array([1.0, 0.0]))
 
 
 def test_solve_complex_i_identity():
     A = sp.csr_matrix(1j * np.eye(3))
     e1 = np.array([1.0, 0.0, 0.0])
-    x = Factorization(A).solve(e1)
+    x = Factorization(A, natural(A)).solve(e1)
     assert np.allclose(x, -1j * e1)
 
 
@@ -63,7 +74,7 @@ def test_solve_complex_diagonal(rng):
     beta = 3.0
     A = sp.diags(1j * beta - lam, format="csr")
     b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    x = Factorization(A).solve(b)
+    x = Factorization(A, natural(A)).solve(b)
     assert np.allclose(x, b / (1j * beta - lam))
 
 
@@ -71,7 +82,7 @@ def test_solve_complex_assembled_matches_dense(tiny_sys, rng):
     beta = 1.0
     A = (1j * beta) * tiny_sys.M.astype(complex) - tiny_sys.A.astype(complex)
     b = rng.standard_normal(tiny_sys.dof.total) + 0j
-    x = Factorization(sp.csr_matrix(A)).solve(b)
+    x = Factorization(sp.csr_matrix(A), natural(A)).solve(b)
     xd = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(x - xd) / np.linalg.norm(xd) < 1e-9
 
@@ -79,7 +90,7 @@ def test_solve_complex_assembled_matches_dense(tiny_sys, rng):
 def test_solve_complex_singular_raises():
     A = sp.csr_matrix(np.array([[1.0 + 0j, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
-        Factorization(A).solve(np.array([1.0 + 0j, 0.0]))
+        Factorization(A, natural(A)).solve(np.array([1.0 + 0j, 0.0]))
 
 
 def test_opnorm_identity(rng):
@@ -139,25 +150,52 @@ def reduced_matrix(split, case):
     }[case]
 
 
-@pytest.mark.parametrize("case", ["shifted-1", "shifted-200", "stepper", "mass", "generator",
-                                  "reduced-shifted-1", "reduced-shifted-200", "reduced-stepper"])
-def test_factorization_ordering_rule_and_residual(n8_sys, rng, case):
-    M, A = n8_sys.M, n8_sys.A
-    order = None
+def factored_block(sys, case):
+    """A matrix the program factors and the mesh vertices of its unknowns."""
+    split, dof = sys.kinematic, sys.dof
+    n_fi, n_s = split.n_fi, dof.n_s
+    v_vertices = np.concatenate([dof.fluid_free, dof.solid_interior])
     if case.startswith("reduced"):
-        mat, order = reduced_matrix(n8_sys.kinematic, case), n8_sys.kinematic.order
-    else:
-        mat = {
-            "shifted-1": 1j * M.astype(complex) - A.astype(complex),
-            "shifted-200": 200j * M.astype(complex) - A.astype(complex),
-            "stepper": M - 0.005 * A,
-            "mass": M,
-            "generator": A,
-        }[case]
-    fact = Factorization(mat.tocsc(), order=order)
-    # Every matrix but the generator A has a zero-free diagonal; an ordered
-    # factorization is always in symmetric mode.
-    assert fact.symmetric_mode == (case != "generator")
+        return reduced_matrix(split, case), v_vertices
+    return {
+        "M_VV": (split.M_VV, v_vertices),
+        "K_ff": (split.K[:n_fi, :n_fi], dof.fluid_interior),
+        "P": (split.P, np.concatenate([dof.interface, dof.solid_interior])),
+        "M_G": (sys.M_G, dof.interface),
+        "Ks_II": (sys.K_s[:n_s, :n_s], dof.solid_interior),
+    }[case]
+
+
+def program_order(sys, case, monkeypatch):
+    """The order in which the program factors the block of ``case``."""
+    split = sys.kinematic
+    if case in ("K_ff", "P"):
+        # solve_generator factors K_ff, then P, and keeps neither.
+        orders = []
+
+        class Recording(Factorization):
+            def __init__(self, A, order):
+                orders.append(np.asarray(order))
+                super().__init__(A, order)
+
+        monkeypatch.setattr(assembly, "Factorization", Recording)
+        split.solve_generator(np.ones(sys.dof.total))
+        return orders[case == "P"]
+    if case == "M_G":
+        return sys.mass_g_factor.order
+    if case == "Ks_II":
+        return sys.dirichlet_map.factor.order
+    return split.M_VV_factor.order if case == "M_VV" else split.order
+
+
+@pytest.mark.parametrize("case", ["M_VV", "K_ff", "P", "M_G", "Ks_II",
+                                  "reduced-shifted-1", "reduced-shifted-200", "reduced-stepper"])
+def test_factorization_ordering_rule_and_residual(n8_sys, rng, monkeypatch, case):
+    # Every LU is in the nested-dissection order of its own unknowns' vertices.
+    mat, vertices = factored_block(n8_sys, case)
+    order = nested_dissection(n8_sys.mesh.vertices[vertices])
+    assert np.array_equal(program_order(n8_sys, case, monkeypatch), order)
+    fact = Factorization(mat.tocsc(), order)
     b = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
     if not np.iscomplexobj(mat.data):
         b = b.real
