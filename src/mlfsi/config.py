@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .evolution import check_fit_window
+from .evolution import MAX_STEPS, check_fit_window
 from .geometry import MeshConfig, MeshConfigError
 from .resolvent import in_top_decade
 
@@ -74,6 +74,8 @@ class RunConfig:
         s = self.simulate
         if s.T <= 0 or s.tau <= 0:
             raise ConfigError("simulate.T and simulate.tau must be positive")
+        if s.T / s.tau > MAX_STEPS:     # ceil(T / tau) > MAX_STEPS, T / tau = inf included
+            raise ConfigError(f"simulate.T / simulate.tau = {s.T / s.tau:g} steps, above {MAX_STEPS}")
         ta, tb = s.fit_window
         if not (0 <= ta < tb <= s.T):
             raise ConfigError(f"fit window [{ta}, {tb}] must lie within [0, T]")
@@ -82,7 +84,7 @@ class RunConfig:
         if s.initial == "smooth":
             try:
                 check_fit_window(s.T, s.tau, s.fit_window)
-            except (ValueError, OverflowError) as exc:    # T / tau too large to count
+            except ValueError as exc:
                 raise ConfigError(f"simulate.fit_window: {exc}") from exc
         w = self.sweep
         for key, seed in (("simulate.seed", s.seed), ("sweep.probe_seed", w.probe_seed)):

@@ -23,6 +23,8 @@ from .linalg import Factorization, SingularMatrixError, loglog_fit
 
 # The fewest trace samples a decay fit takes.
 MIN_FIT_SAMPLES = 10
+# The most steps a run takes; its five trace arrays then hold 3.7 GiB.
+MAX_STEPS = 10**8
 
 
 class SolverFailure(RuntimeError):

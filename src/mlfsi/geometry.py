@@ -6,6 +6,14 @@ conformingly by splitting every grid hexahedron into 6 tetrahedra with the
 same corner-to-corner diagonal pattern, so shared faces match across hexes
 and across the fluid/solid interface. All tagging decisions are made in
 integer grid-index space; floating point coordinates are never compared.
+
+Two facts of this (Kuhn) split hold in closed form. The path tet of an axis
+permutation p has vertices c, c + e_p0, c + e_p0 + e_p1, c + 1, so its signed
+volume is sign(p) h^3 / 6, and the odd paths swap their last two vertices.
+A cell's high face normal to an axis holds the faces (v1, v2, v3) of the 2
+paths that step along the axis first; its low face, the faces (v0, v1, v2) of
+the 2 that step along it last. So each boundary plane is read off its grid
+squares without matching the faces of all tets.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ _MESH_VERSION = 1
 # The 6 tetrahedra of the corner-to-corner (Kuhn) split of a hex, as paths
 # of axis steps from the low corner to the high corner.
 _AXIS_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+# The odd permutations among them: their paths are negatively oriented.
+_ODD_PERMS = (1, 2, 5)
 
 # Local vertex triples of the 4 faces of a tet; face f omits vertex f.
 TET_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -122,7 +132,10 @@ class Mesh:
 
 
 def build_mesh(config: MeshConfig) -> Mesh:
-    """Mesh the cube-in-box geometry; raises MeshConfigError on misalignment."""
+    """Mesh the cube-in-box geometry; raises MeshConfigError on misalignment.
+
+    Tet orientation and boundary triangles are the closed forms of the module
+    docstring: no determinant, and no sort over the faces of all tets."""
     cells, ilo, ihi = config.grid_counts()
     h = 1.0 / config.n
     # Grid points and cells in C order: vertex id = ravel_multi_index(ijk, cells + 1).
@@ -131,24 +144,47 @@ def build_mesh(config: MeshConfig) -> Mesh:
     solid_cell = np.all((corner >= ilo) & (corner < ihi), axis=1)
 
     # Kuhn split: each tet is a monotone path of axis steps low corner -> high corner.
+    stride = np.array([(cells[1] + 1) * (cells[2] + 1), cells[2] + 1, 1])
+    base = corner @ stride
     tets = np.empty((corner.shape[0] * 6, 4), dtype=np.int64)
     regions = np.repeat(np.where(solid_cell, SOLID, FLUID), 6).astype(np.int8)
     for t, perm in enumerate(_AXIS_PERMS):
-        offs = np.zeros((4, 3), dtype=np.int64)
-        for step, axis in enumerate(perm):
-            offs[step + 1:, axis] = 1
-        for v in range(4):
-            tets[t::6, v] = np.ravel_multi_index((corner + offs[v]).T, cells + 1)
+        tets[t::6] = base[:, None] + np.cumsum(np.r_[0, stride[list(perm)]])
+    # Positive orientation: an odd path swaps its last two vertices.
+    for t in _ODD_PERMS:
+        tets[t::6, 2:] = tets[t::6, :1:-1]
 
-    # Canonical positive orientation: a negative tet swaps its last two vertices.
-    p = vertices[tets]
-    det = np.linalg.det(p[:, 1:] - p[:, :1])
-    if np.any(det == 0):
-        raise AssertionError("degenerate tetrahedron produced by hex split")
-    tets[det < 0, 2:] = tets[det < 0, :1:-1]
-
-    tris, tags, normals = _extract_boundary(cells, ilo, ihi, tets, regions)
+    # Outer-box faces, normal out of the fluid, then cube faces, normal into
+    # the solid, tagged 1 + 2*axis + side. A group's box bounds both its
+    # planes and the squares they hold.
+    tris, tags, normals = [], [], []
+    for outer, (lo, hi) in ((True, (np.zeros(3, int), cells)), (False, (ilo, ihi))):
+        for axis in range(3):
+            for side, plane in enumerate((lo[axis], hi[axis])):
+                faces = _plane_faces(tets, cells, axis, plane, lo, hi)
+                tris.append(faces)
+                tags.append(np.full(len(faces), GAMMA_F if outer else 1 + 2 * axis + side, np.int8))
+                normals.append(np.zeros((len(faces), 3)))
+                normals[-1][:, axis] = (2 * side - 1) * (1.0 if outer else -1.0)
+    tris, tags, normals = (np.concatenate(a) for a in (tris, tags, normals))
     return Mesh(vertices, tets, regions, tris, tags, normals, config=config)
+
+
+def _plane_faces(tets, cells, axis, plane, lo, hi):
+    """The 2 triangles per square lo <= index < hi of grid ``plane`` normal to
+    ``axis``, in ``face_keys`` order, each as its lowest-index owner tet stores
+    it: the cell below the plane owns it, except on the plane at index 0."""
+    span = [range(a, b) for a, b in zip(lo, hi)]
+    span[axis] = [max(plane - 1, 0)]
+    cell = np.ravel_multi_index(np.meshgrid(*span, indexing="ij"), cells).ravel()
+    faces = []
+    for t, perm in enumerate(_AXIS_PERMS):
+        if plane > 0 and perm[0] == axis:     # first step along axis: v1, v2, v3 on the plane
+            faces.append(tets[6 * cell + t, 1:])
+        elif plane == 0 and perm[2] == axis:  # last step along axis: v0, v1, v2 on the plane
+            faces.append(tets[6 * cell + t][:, [0, 1, 3 if t in _ODD_PERMS else 2]])
+    faces = np.concatenate(faces)
+    return faces[np.argsort(face_keys(faces, int(np.prod(cells + 1))), kind="stable")]
 
 
 def face_keys(faces, nv):
@@ -160,50 +196,6 @@ def face_keys(faces, nv):
     such grids (n >= 127 on the unit box) before any mesh is built.
     """
     return np.ravel_multi_index(np.sort(faces, axis=-1).reshape(-1, 3).T, (nv,) * 3)
-
-
-def _extract_boundary(cells, ilo, ihi, tets, regions):
-    """Outer-box faces and fluid/solid shared faces, tagged and oriented."""
-    faces = tets[:, TET_FACES].reshape(-1, 3)
-    owner = np.repeat(np.arange(tets.shape[0]), 4)
-    key = face_keys(faces, int(np.prod(cells + 1)))
-    order = np.argsort(key, kind="stable")
-    key, faces, owner = key[order], faces[order], owner[order]
-
-    run_start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    run_len = np.diff(np.append(run_start, key.size))
-    if run_len.max() > 2:
-        raise AssertionError("nonconforming mesh: face shared by more than two tets")
-    single = run_start[run_len == 1]
-    pair = run_start[run_len == 2]
-    iface = pair[regions[owner[pair]] != regions[owner[pair + 1]]]
-
-    # Lone faces lie on the outer box, with the normal out of the fluid;
-    # fluid/solid pairs lie on the cube, tagged 1 + 2*axis + side, with the
-    # normal into the solid. Every face must land on one of its group's planes.
-    groups = (
-        (faces[single], (np.zeros(3, int), cells), True,
-         "boundary face off the outer box: mesh is not conforming"),
-        (faces[iface], (ilo, ihi), False, "fluid/solid shared face off the cube surface"),
-    )
-    out_tris, out_tags, out_normals = [], [], []
-    for group, planes, outer, message in groups:
-        grid = np.unravel_index(group, cells + 1)
-        placed = 0
-        for axis in range(3):
-            for side in (0, 1):
-                on = np.all(grid[axis] == planes[side][axis], axis=1)
-                count = int(on.sum())
-                normals = np.zeros((count, 3))
-                normals[:, axis] = (2 * side - 1) * (1.0 if outer else -1.0)
-                out_tris.append(group[on])
-                out_tags.append(np.full(count, GAMMA_F if outer else 1 + 2 * axis + side, np.int8))
-                out_normals.append(normals)
-                placed += count
-        if placed != group.shape[0]:
-            raise AssertionError(message)
-
-    return tuple(np.concatenate(a) for a in (out_tris, out_tags, out_normals))
 
 
 def interface_area(mesh: Mesh) -> float:

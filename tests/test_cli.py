@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlfsi
 from mlfsi.cli import main
 from mlfsi.config import (
     SCHEMA,
@@ -20,6 +25,7 @@ from mlfsi.config import (
     format_config,
     parse_config,
 )
+from mlfsi.evolution import MAX_STEPS
 from mlfsi.geometry import MeshConfig, load_mesh
 
 SMALL_GEOMETRY = """
@@ -86,20 +92,22 @@ def _floats(lo, hi, **kw):
 def valid_configs(draw):
     """Configs that pass ``validate``: corners on grid planes at n and at every
     refinement (a multiple of n), ordered windows (for smooth data, starting
-    after t = 0 and at least 12 steps long), and a sweep grid with at least 2
-    points in its top decade (fewer than 0.99 decades between points)."""
+    after t = 0 and at least 12 steps long), at most MAX_STEPS / 2 time steps,
+    and a sweep grid with at least 2 points in its top decade (fewer than 0.99
+    decades between points)."""
     n = draw(st.integers(1, 8))
     olo = tuple(draw(_floats(-10, 10)) for _ in range(3))
     steps = [sorted(draw(st.sets(st.integers(1, 12), min_size=3, max_size=3))) for _ in range(3)]
     ilo, ihi, ohi = (tuple(o + s[k] / n for o, s in zip(olo, steps)) for k in range(3))
     T = draw(_floats(1e-3, 1e6))
     initial = draw(st.sampled_from(["smooth", "zero"]))
+    tau_min = max(1e-6, 2 * T / MAX_STEPS)
     if initial == "smooth":
-        tau = draw(_floats(1e-6, min(1.0, T / 30)))
+        tau = draw(_floats(tau_min, min(1.0, T / 30)))
         ta = draw(_floats(tau, T - 13 * tau))
         tb = draw(_floats(ta + 12 * tau, T))
     else:
-        tau = draw(_floats(1e-6, 1))
+        tau = draw(_floats(tau_min, 1))
         ta = draw(_floats(0, T, exclude_max=True))
         tb = draw(_floats(ta, T, exclude_min=True))
     beta_min = draw(_floats(1, 1e6))
@@ -128,6 +136,16 @@ def valid_configs(draw):
         ),
         solve_tol=draw(_floats(0, 1, exclude_min=True)),
     )
+
+
+def test_validate_bounds_the_step_count():
+    def run(T, tau):
+        return replace(RunConfig(), simulate=SimulateConfig(T=T, tau=tau, initial="zero"))
+
+    run(MAX_STEPS * 0.5, 0.5).validate()
+    for T, tau, steps in ((MAX_STEPS * 0.5 + 1, 0.5, r"1e\+08"), (1e12, 0.01, r"1e\+14")):
+        with pytest.raises(ConfigError, match=rf"simulate.T / simulate.tau = {steps} steps, above"):
+            run(T, tau).validate()
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,6 +185,22 @@ def test_cmd_mesh_bad_alignment_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "axis 0" in err
+
+
+@pytest.mark.parametrize("module", ["mlfsi", "mlfsi.cli"])
+def test_python_m_entry_runs_commands(tmp_path, module):
+    env = {**os.environ, "PYTHONPATH": str(Path(mlfsi.__file__).parents[1])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("mesh", "--outdir", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert load_mesh(tmp_path / "out" / "mesh.txt").vertices.shape[0] == 125
+    done = run("sweep", "--config", str(tmp_path / "missing.cfg"), "--outdir", str(tmp_path / "o2"))
+    assert done.returncode == 2
+    assert "cannot read config file" in done.stderr
 
 
 def test_cmd_mesh_roundtrip_bytes(tmp_path):
@@ -244,6 +278,9 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("simulate.tau = nan", "simulate.tau must be finite, got nan"),
     ("sweep.beta_max = inf", "sweep.beta_max must be finite, got inf"),
     ("geometry.inner_hi = 0.75 nan 0.75", "geometry.inner_hi must be finite, got 0.75 nan 0.75"),
+    ("simulate.T = 1e308\nsimulate.initial = zero",
+     "simulate.T / simulate.tau = inf steps, above 100000000"),
+    ("simulate.T = 1e308", "simulate.T / simulate.tau = inf steps, above 100000000"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")

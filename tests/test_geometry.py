@@ -173,17 +173,48 @@ NON_CUBIC_CONFIG = MeshConfig(
 )
 
 
-@pytest.mark.parametrize("config", [TINY_CONFIG, RICH_CONFIG, MeshConfig(n=8), NON_CUBIC_CONFIG],
-                         ids=["tiny", "rich", "n8", "non-cubic"])
-def test_boundary_and_dump_match_references(tmp_path, config):
-    mesh = build_mesh(config)
+def _assert_boundary_matches_oracle(mesh):
+    """The closed-form boundary equals the full face sort, which also asserts
+    that no face has more than two tets, every lone face lies on the outer
+    box and every fluid/solid face on the cube."""
+    config = mesh.config
     tris, tags, normals = extract_boundary_lexsort(*config.grid_counts(), mesh.tets, mesh.tet_regions)
     assert np.array_equal(mesh.tris, tris)
     assert np.array_equal(mesh.tri_tags, tags) and mesh.tri_tags.dtype == tags.dtype
     assert np.array_equal(_bits(mesh.tri_normals), _bits(normals))
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, RICH_CONFIG, MeshConfig(n=8), NON_CUBIC_CONFIG,
+                                    MeshConfig(n=16)],
+                         ids=["tiny", "rich", "n8", "non-cubic", "n16"])
+def test_boundary_and_dump_match_references(tmp_path, config):
+    mesh = build_mesh(config)
+    _assert_boundary_matches_oracle(mesh)
     path = tmp_path / "mesh.txt"
     save_mesh(mesh, path)
     assert path.read_bytes() == mesh_text_rows(mesh).encode()
+
+
+@st.composite
+def aligned_configs(draw):
+    """Boxes of 3 to 9 cells per axis at n = 1..8, off the origin, with the
+    cube at a random grid offset strictly inside."""
+    n = draw(st.integers(1, 8))
+    olo = np.array([draw(st.floats(-2, 2).filter(bool)) for _ in range(3)])
+    cells = np.array([draw(st.integers(3, 9)) for _ in range(3)])
+    lo = np.array([draw(st.integers(1, c - 2)) for c in cells])
+    hi = np.array([draw(st.integers(a + 1, c - 1)) for a, c in zip(lo, cells)])
+    return MeshConfig(*(tuple(olo + k / n) for k in (0, cells, lo, hi)), n=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(aligned_configs())
+def test_closed_form_mesh_matches_face_sort_and_orientation(config):
+    mesh = build_mesh(config)
+    _assert_boundary_matches_oracle(mesh)
+    # Every tet is a positively oriented path tet of volume h^3 / 6.
+    h3 = (1.0 / config.n) ** 3
+    assert np.allclose(6 * mesh.tet_volumes(), h3, rtol=1e-12, atol=0)
 
 
 def test_face_keys_order_and_overflow():
