@@ -1,17 +1,17 @@
 """P1 finite element assembly of the coupled heat / surface-wave / interior-wave system.
 
-State layout (one flat vector):
+State layout (one flat vector), velocities v = (u, w1) before displacements d = (h0, w0):
 
-    x = [ u (fluid interior + interface) | h0 (interface) | w0 (solid interior) | w1 (solid interior) ]
+    x = [ u (fluid interior + interface) | w1 (solid interior) | h0 (interface) | w0 (solid interior) ]
 
 The interface block of u doubles as the surface velocity and as the trace of
 the interior-wave velocity; the interface block of the interior-wave
-displacement is h0 itself. `compose_first_order` builds the system from the
-blocks as its kinematic split into velocities v = (u, w1) and displacements
-d = (h0, w0), and M and A are that split permuted to this layout. So the
-kinematic constraints hold by construction and M equals the Gram matrix of
-the energy inner product: the semi-discrete system M x' = A x satisfies the
-exact algebraic dissipation identity Re(x^H A x) = -u^H K_f u.
+displacement is h0 itself. Each velocity thus pairs with its kinematic
+displacement: u on the interface with h0, w1 with w0. `compose_first_order`
+builds M and A from the blocks as that kinematic split, so the kinematic
+constraints hold by construction and M equals the Gram matrix of the energy
+inner product: the semi-discrete system M x' = A x satisfies the exact
+algebraic dissipation identity Re(x^H A x) = -u^H K_f u.
 """
 
 from __future__ import annotations
@@ -130,8 +130,12 @@ class DofMap:
         return self.n_fi + self.n_i
 
     @property
+    def n_v(self):
+        return self.n_u + self.n_s
+
+    @property
     def total(self):
-        return self.n_u + self.n_i + 2 * self.n_s
+        return self.n_v + self.n_i + self.n_s
 
     @property
     def fluid_free(self):
@@ -146,16 +150,16 @@ class DofMap:
         return slice(0, self.n_u)
 
     @property
+    def slice_w1(self):
+        return slice(self.n_u, self.n_v)
+
+    @property
     def slice_h0(self):
-        return slice(self.n_u, self.n_u + self.n_i)
+        return slice(self.n_v, self.n_v + self.n_i)
 
     @property
     def slice_w0(self):
-        return slice(self.n_u + self.n_i, self.n_u + self.n_i + self.n_s)
-
-    @property
-    def slice_w1(self):
-        return slice(self.n_u + self.n_i + self.n_s, self.total)
+        return slice(self.n_v + self.n_i, self.total)
 
 
 def build_dofmap(mesh: Mesh) -> DofMap:
@@ -194,16 +198,16 @@ class State:
         return self.vec[self.dof.slice_u]
 
     @property
+    def w1_int(self):
+        return self.vec[self.dof.slice_w1]
+
+    @property
     def h0(self):
         return self.vec[self.dof.slice_h0]
 
     @property
     def w0_int(self):
         return self.vec[self.dof.slice_w0]
-
-    @property
-    def w1_int(self):
-        return self.vec[self.dof.slice_w1]
 
     @property
     def trace_u(self):
@@ -216,9 +220,6 @@ class State:
     @property
     def w1_full(self):
         return np.concatenate([self.w1_int, self.trace_u])
-
-    def copy(self):
-        return State(self.dof, self.vec.copy())
 
 
 def _embed(block, row_off, col_off, shape):
@@ -252,34 +253,31 @@ def compose_first_order(dof: DofMap, M_f, K_f, M_G, H1_G, M_s, K_s, vertices) ->
     K = sp.block_diag((K_f, sp.csr_matrix((n_s, n_s))), format="csr")
     P = sp.bmat([[(H1_G + Ks_GG).tocsr(), Ks_GI], [Ks_IG, Ks_II]], format="csr")
 
-    d = np.arange(n_u, n_u + n_i + n_s)
-    v = np.concatenate([np.arange(n_u), np.arange(n_u + n_i + n_s, dof.total)])
     coords = vertices[np.concatenate([dof.fluid_free, dof.solid_interior])]
-    return KinematicSplit(M_VV, K, P, d, v, coords)
+    return KinematicSplit(M_VV, K, P, coords)
 
 
 class KinematicSplit:
-    """M x' = A x on velocity unknowns v and kinematic displacement unknowns d.
+    """M x' = A x on velocity unknowns v = x[:n_v] and kinematic displacement
+    unknowns d = x[n_v:].
 
     The displacement rows read P d' = P E v, with P the SPD potential-energy
-    Gram block and E v = v[n_fi:] (n_fi = |v| - |d|); the velocity rows read
+    Gram block and E v = v[n_fi:] (n_fi = n_v - |d|); the velocity rows read
     M_VV v' = -K v - E^T P d. `M` and `A` are diag(M_VV, P) and
-    [[-K, -E^T P], [P E, 0]] on (v, d), permuted to the state positions
-    ``v`` and ``d``. Shifted and midpoint solves eliminate d in closed form
-    and factor a matrix on v alone from M_VV, K, ``EtP`` = E^T P and
-    Q = E^T P E; `apply_generator` and `solve_generator` apply M^{-1} A and
-    A^{-1} M around LUs of M_VV, K_ff = K[:n_fi, :n_fi] and P. ``coords``
-    holds the vertex of each v unknown (d unknown j sits on that of v
-    unknown n_fi + j); each LU takes the nested-dissection order of its
+    [[-K, -E^T P], [P E, 0]]. Shifted and midpoint solves eliminate d in
+    closed form and factor a matrix on v alone from M_VV, K, ``EtP`` = E^T P
+    and Q = E^T P E; `apply_generator` and `solve_generator` apply M^{-1} A
+    and A^{-1} M around LUs of M_VV, K_ff = K[:n_fi, :n_fi] and P.
+    ``coords`` holds the vertex of each v unknown (d unknown j sits on that
+    of v unknown n_fi + j); each LU takes the nested-dissection order of its
     unknowns' vertices, ``order`` on v.
     """
 
-    def __init__(self, M_VV, K, P, d, v, coords):
+    def __init__(self, M_VV, K, P, coords):
         self.M_VV, self.K, self.P = M_VV, K, P
-        self.d = np.asarray(d, dtype=np.int64)
-        self.v = np.asarray(v, dtype=np.int64)
-        self.n_fi = self.v.size - self.d.size
-        E = sp.eye(self.d.size, self.v.size, k=self.n_fi, format="csr")
+        self.n_v = M_VV.shape[0]
+        self.n_fi = self.n_v - P.shape[0]
+        E = sp.eye(P.shape[0], self.n_v, k=self.n_fi, format="csr")
         self.EtP = (E.T @ P).tocsr()
         self.Q = (self.EtP @ E).tocsr()
         self.coords = np.asarray(coords, dtype=float)
@@ -287,48 +285,36 @@ class KinematicSplit:
 
     M_VV_factor = cached_property(lambda self: Factorization(self.M_VV, self.order))
 
-    def join(self, v, d):
-        """The state-layout vector with velocity part v and displacement part d."""
-        x = np.empty(self.v.size + self.d.size, dtype=np.result_type(v, d))
-        x[self.v], x[self.d] = v, d
-        return x
-
     def apply_generator(self, x):
         """M^{-1} A x: M_VV^{-1} (-K v - E^T P d) on v and E v on d."""
-        v, d = x[self.v], x[self.d]
-        return self.join(self.M_VV_factor.solve(-(self.K @ v) - self.EtP @ d), v[self.n_fi:])
+        v, d = x[:self.n_v], x[self.n_v:]
+        return np.concatenate([self.M_VV_factor.solve(-(self.K @ v) - self.EtP @ d), v[self.n_fi:]])
 
     def solve_generator(self, r):
         """x with A x = M r. The d rows give E v = r_d; the v rows then give
         v[:n_fi] from K_ff (no solve when n_fi = 0) and P d from the rest.
         They serve one solve per seed, so unlike the M_VV LU they are not kept."""
-        n_fi, w = self.n_fi, self.M_VV @ r[self.v]
+        n_fi, w = self.n_fi, self.M_VV @ r[:self.n_v]
         v = np.zeros_like(w)
-        v[n_fi:] = r[self.d]
+        v[n_fi:] = r[self.n_v:]
         if n_fi:
             K_ff = Factorization(self.K[:n_fi, :n_fi], nested_dissection(self.coords[:n_fi]))
             v[:n_fi] = K_ff.solve(-(w + self.K @ v)[:n_fi])
         P = Factorization(self.P, nested_dissection(self.coords[n_fi:]))
-        return self.join(v, P.solve(-(w + self.K @ v)[n_fi:]))
-
-    def _to_state(self, B):
-        """A matrix on the unknowns (v, d), permuted to the state layout."""
-        pos = np.concatenate([self.v, self.d])
-        B = B.tocoo()
-        return sp.csr_matrix((B.data, (pos[B.row], pos[B.col])), shape=B.shape)
+        return np.concatenate([v, P.solve(-(w + self.K @ v)[n_fi:])])
 
     @cached_property
     def M(self):
-        return self._to_state(sp.bmat([[self.M_VV, None], [None, self.P]]))
+        return sp.bmat([[self.M_VV, None], [None, self.P]], format="csr")
 
     @cached_property
     def A(self):
         # P E and E^T P as placed blocks keep P's explicit zeros, which the
         # products behind EtP and Q drop.
-        n_v, n_d = self.v.size, self.d.size
-        PE = _embed(self.P, 0, self.n_fi, (n_d, n_v))
-        EtP = _embed(self.P, self.n_fi, 0, (n_v, n_d))
-        return self._to_state(sp.bmat([[-self.K, -EtP], [PE, None]]))
+        n_d = self.P.shape[0]
+        PE = _embed(self.P, 0, self.n_fi, (n_d, self.n_v))
+        EtP = _embed(self.P, self.n_fi, 0, (self.n_v, n_d))
+        return sp.bmat([[-self.K, -EtP], [PE, None]], format="csr")
 
 
 def _hat_triple_integrals():

@@ -36,7 +36,10 @@ EXIT_FREQ_SINGULAR = 4
 
 def _outdir(cfg: RunConfig) -> Path:
     path = Path(cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(path)!r}: {exc.strerror}") from exc
     return path
 
 

@@ -2,7 +2,7 @@
 
 Format: one ``section.key = value`` per line; ``#`` starts a comment; blank
 lines ignored. Tuple values are whitespace separated; booleans are
-true/1/yes or false/0/no. Unknown keys are errors.
+true/1/yes or false/0/no. Unknown and repeated keys are errors.
 
 The frozen dataclasses below (with ``geometry.MeshConfig``) are the schema:
 each field is one key, its type annotation says how the value parses, and its
@@ -152,7 +152,7 @@ def _format_value(value):
 
 
 def parse_config(text: str) -> RunConfig:
-    sections = {}
+    sections, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,6 +162,9 @@ def parse_config(text: str) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             parsed = _parse_value(SCHEMA[key], value)
         except ValueError as exc:

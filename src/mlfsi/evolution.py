@@ -101,9 +101,9 @@ class CNStepper:
 
     def step(self, xvec):
         s = self.split
-        v, d = xvec[s.v], xvec[s.d]
+        v, d = xvec[:s.n_v], xvec[s.n_v:]
         v_new = self.factor.solve(self.B_minus @ v - self.tau * (s.EtP @ d))
-        return s.join(v_new, d + (self.tau / 2.0) * (v + v_new)[s.n_fi:])
+        return np.concatenate([v_new, d + (self.tau / 2.0) * (v + v_new)[s.n_fi:]])
 
 
 def make_stepper(sys: SystemMatrices, tau) -> CNStepper:

@@ -118,21 +118,21 @@ class ShiftedFactor:
 
     def _velocity_rhs(self, b):
         s = self.split
-        return s.M_VV @ b[s.v] - (s.EtP @ b[s.d]) / self.shift
+        return s.M_VV @ b[:s.n_v] - (s.EtP @ b[s.n_v:]) / self.shift
 
     def solve(self, b):
         """x = R M b."""
         s = self.split
         b = np.asarray(b, dtype=np.complex128)
         v = self.factor.solve(self._velocity_rhs(b))
-        return s.join(v, (v[s.n_fi:] + b[s.d]) / self.shift)
+        return np.concatenate([v, (v[s.n_fi:] + b[s.n_v:]) / self.shift])
 
     def solve_adjoint(self, z):
         """y = R^H M z, the M-adjoint of `solve`."""
         s = self.split
         z = np.asarray(z, dtype=np.complex128)
         v = self.factor.solve(self._velocity_rhs(z), trans="H")
-        return s.join(v, (v[s.n_fi:] - z[s.d]) / self.shift)
+        return np.concatenate([v, (v[s.n_fi:] - z[s.n_v:]) / self.shift])
 
 
 def solve_static(beta, b: State, sys: SystemMatrices,

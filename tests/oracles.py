@@ -142,11 +142,11 @@ class DenseWeakForm:
         nfi, ni, ns = dof.n_fi, dof.n_i, dof.n_s
         u[dof.fluid_interior] = x[:nfi]
         u[dof.interface] = x[nfi:nfi + ni]
-        h[dof.interface] = x[nfi + ni:nfi + 2 * ni]
-        w0[dof.solid_interior] = x[nfi + 2 * ni:nfi + 2 * ni + ns]
-        w0[dof.interface] = h[dof.interface]
-        w1[dof.solid_interior] = x[nfi + 2 * ni + ns:]
+        w1[dof.solid_interior] = x[nfi + ni:nfi + ni + ns]
         w1[dof.interface] = u[dof.interface]
+        h[dof.interface] = x[nfi + ni + ns:nfi + 2 * ni + ns]
+        w0[dof.solid_interior] = x[nfi + 2 * ni + ns:]
+        w0[dof.interface] = h[dof.interface]
         return u, h, w0, w1
 
     def energy_product(self, x, y):
@@ -188,7 +188,7 @@ class DenseWeakForm:
         out[:nfi] = force[dof.fluid_interior]
         out[nfi:nfi + ni] = force[dof.interface]
         solid_force = -(self.Ks @ w0)
-        out[nfi + 2 * ni + ns:] = solid_force[dof.solid_interior]
+        out[nfi + ni:nfi + ni + ns] = solid_force[dof.solid_interior]
 
         # Kinematics through the energy pairing: the h0 row carries the
         # surface-energy block of (h0dot = trace u), the w0 row the interior
@@ -197,9 +197,9 @@ class DenseWeakForm:
         hdot[dof.interface] = u[dof.interface]
         w0dot = w1.copy()
         row_h = (self.Kg + self.Mg) @ hdot + self.Ks @ w0dot
-        out[nfi + ni:nfi + 2 * ni] = row_h[dof.interface]
+        out[nfi + ni + ns:nfi + 2 * ni + ns] = row_h[dof.interface]
         row_w = self.Ks @ w0dot
-        out[nfi + 2 * ni:nfi + 2 * ni + ns] = row_w[dof.solid_interior]
+        out[nfi + 2 * ni + ns:] = row_w[dof.solid_interior]
         return out
 
     def generator(self):
@@ -339,19 +339,19 @@ def shared_trace_pair(dof, M_f, K_f, M_G, K_G, M_s, K_s):
 
     M = sp.bmat(
         [
-            [G_uu, None, None, G_uw1],
-            [None, G_h0h0, Ks_GI, None],
-            [None, Ks_IG, Ks_II, None],
-            [G_uw1.T, None, None, Ms_II],
+            [G_uu, G_uw1, None, None],
+            [G_uw1.T, Ms_II, None, None],
+            [None, None, G_h0h0, Ks_GI],
+            [None, None, Ks_IG, Ks_II],
         ],
         format="csr",
     )
     A = sp.bmat(
         [
-            [-K_f, _embed(-G_h0h0, n_fi, 0, (n_u, n_i)), _embed(-Ks_GI, n_fi, 0, (n_u, n_s)), None],
-            [_embed(G_h0h0, 0, n_fi, (n_i, n_u)), None, None, Ks_GI],
-            [_embed(Ks_IG, 0, n_fi, (n_s, n_u)), None, None, Ks_II],
-            [None, -Ks_IG, -Ks_II, None],
+            [-K_f, None, _embed(-G_h0h0, n_fi, 0, (n_u, n_i)), _embed(-Ks_GI, n_fi, 0, (n_u, n_s))],
+            [None, None, -Ks_IG, -Ks_II],
+            [_embed(G_h0h0, 0, n_fi, (n_i, n_u)), Ks_GI, None, None],
+            [_embed(Ks_IG, 0, n_fi, (n_s, n_u)), Ks_II, None, None],
         ],
         format="csr",
     )
@@ -365,9 +365,9 @@ def extracted_split(dof, M, A):
     M_VV = M[V, V], K = -A[V, V], EtP = E^T P and Q = E^T P E, plus the
     entry counts where the four kinematic identities fail."""
     M, A = sp.csr_matrix(M), sp.csr_matrix(A)
-    d = np.arange(dof.n_u, dof.n_u + dof.n_i + dof.n_s)
-    v = np.setdiff1d(np.arange(M.shape[0]), d)
-    e = np.concatenate([dof.n_fi + np.arange(dof.n_i), dof.n_u + np.arange(dof.n_s)])
+    v = np.arange(dof.n_v)
+    d = np.arange(dof.n_v, dof.total)
+    e = dof.n_fi + np.arange(dof.n_i + dof.n_s)
     E = sp.csr_matrix((np.ones(d.size), (np.arange(d.size), e)), shape=(d.size, v.size))
     P = M[d][:, d]
     EtP = (E.T @ P).tocsr()

@@ -127,6 +127,13 @@ def test_composite_matches_dense_weak_form_oracle(tiny_mesh, tiny_sys):
     assert np.max(np.abs(tiny_sys.A.toarray() - A)) <= 1e-12 * scale_a
 
 
+def test_generator_matches_dense_weak_form_oracle_on_rich_mesh(rich_mesh, rich_sys):
+    # The tiny mesh has no fluid-interior and no solid-interior unknown.
+    assert rich_sys.dof.n_fi > 0 and rich_sys.dof.n_s > 0
+    A = DenseWeakForm(rich_mesh, rich_sys.dof).generator()
+    assert np.max(np.abs(rich_sys.A.toarray() - A)) <= 1e-12 * np.max(np.abs(A))
+
+
 def test_composite_matches_oracle_on_rich_mesh(rich_mesh, rich_sys, rng):
     oracle = DenseWeakForm(rich_mesh, rich_sys.dof)
     for _ in range(10):
@@ -223,6 +230,9 @@ def test_rigid_state_image(default_sys):
 def test_state_views(default_sys, rng):
     sys = default_sys
     x = State(sys.dof, rng.standard_normal(sys.dof.total))
+    # The views tile the vector in split order: velocities, then displacements.
+    assert np.array_equal(np.concatenate([x.u, x.w1_int, x.h0, x.w0_int]), x.vec)
+    assert sys.kinematic.n_v == sys.dof.n_v == x.u.size + x.w1_int.size
     assert np.array_equal(x.w0_full[: sys.dof.n_s], x.w0_int)
     assert np.array_equal(x.w0_full[sys.dof.n_s:], x.h0)
     assert np.array_equal(x.w1_full[sys.dof.n_s:], x.trace_u)

@@ -281,6 +281,7 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("simulate.T = 1e308\nsimulate.initial = zero",
      "simulate.T / simulate.tau = inf steps, above 100000000"),
     ("simulate.T = 1e308", "simulate.T / simulate.tau = inf steps, above 100000000"),
+    ("geometry.n = 4\ngeometry.n = 8", "line 2: key 'geometry.n' repeats line 1"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")
@@ -300,6 +301,16 @@ def test_cmd_all_rejects_bad_flag_before_any_artifact(tmp_path, capsys, flags, m
     assert main(["all", "--outdir", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("outdir", ["file", "file/sub"])
+def test_outdir_that_cannot_be_created_exit_2(tmp_path, capsys, outdir):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / outdir
+    assert main(["mesh", "--config", write_config(tmp_path, SMALL_GEOMETRY),
+                 "--outdir", str(out)]) == 2
+    assert f"cannot create output directory {str(out)!r}" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_cmd_probe_residuals_decrease(tmp_path):

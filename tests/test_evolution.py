@@ -41,7 +41,7 @@ def test_scalar_model_closed_form():
     M = sp.csr_matrix(np.array([[1.0]]))
     A = sp.csr_matrix(np.array([[-1.0]]))
     tau = 0.1
-    split = KinematicSplit(M, -A, sp.csr_matrix((0, 0)), d=[], v=[0], coords=[[0.0, 0.0, 0.0]])
+    split = KinematicSplit(M, -A, sp.csr_matrix((0, 0)), coords=[[0.0, 0.0, 0.0]])
     stepper = CNStepper(split, tau)
     x = np.array([2.0])
     out = stepper.step(x)

@@ -83,7 +83,7 @@ def test_split_without_dissipation_keeps_kinematic_identities(default_sys):
 def test_dissection_order_separates_every_bisection(config):
     sys = build_system(build_mesh(config))
     split = sys.kinematic
-    n_v = split.v.size
+    n_v = split.n_v
     assert n_v == sys.dof.n_u + sys.dof.n_s
     assert np.array_equal(np.sort(split.order), np.arange(n_v))
     assert not np.array_equal(split.order, np.arange(n_v))

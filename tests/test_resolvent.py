@@ -311,15 +311,15 @@ def test_sweep_builds_dirichlet_map_once(monkeypatch):
 
 def test_singularity_detection():
     # A generator with a purely imaginary eigenvalue: shifted matrix singular.
-    # M = I and A = [[0, 1], [-1, 0]] (eigenvalues +-i) on x = (d, v).
+    # M = I and A = [[0, -1], [1, 0]] (eigenvalues +-i) on x = (v, d).
     one = sp.eye(1, format="csr")
 
     class FakeSys:
         pass
 
     fake = FakeSys()
-    fake.kinematic = assembly.KinematicSplit(one, sp.csr_matrix((1, 1)), one, d=[0], v=[1],
+    fake.kinematic = assembly.KinematicSplit(one, sp.csr_matrix((1, 1)), one,
                                              coords=[[0.0, 0.0, 0.0]])
-    assert np.array_equal(fake.kinematic.A.toarray(), [[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(fake.kinematic.A.toarray(), [[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(FrequencySingularityError):
         ShiftedFactor(1.0, fake)
