@@ -7,11 +7,14 @@ State layout (one flat vector), velocities v = (u, w1) before displacements d = 
 The interface block of u doubles as the surface velocity and as the trace of
 the interior-wave velocity; the interface block of the interior-wave
 displacement is h0 itself. Each velocity thus pairs with its kinematic
-displacement: u on the interface with h0, w1 with w0. `compose_first_order`
-builds M and A from the blocks as that kinematic split, so the kinematic
-constraints hold by construction and M equals the Gram matrix of the energy
-inner product: the semi-discrete system M x' = A x satisfies the exact
-algebraic dissipation identity Re(x^H A x) = -u^H K_f u.
+displacement: u on the interface with h0, w1 with w0. Solid blocks are
+indexed [interface, solid interior], so the interior-wave displacement is
+d = x[n_v:] and its velocity x[n_fi:n_v], both in the order of M_s and K_s.
+`compose_first_order` builds M and A from the blocks as that kinematic
+split, so the kinematic constraints hold by construction and M equals the
+Gram matrix of the energy inner product: the semi-discrete system
+M x' = A x satisfies the exact algebraic dissipation identity
+Re(x^H A x) = -u^H K_f u.
 """
 
 from __future__ import annotations
@@ -106,7 +109,9 @@ class DofMap:
     """Vertex index partitions and the flat state layout built on them.
 
     Interface vertices are exactly the vertices of the interface triangles.
-    Outer-boundary vertices carry no unknown.
+    Outer-boundary vertices carry no unknown. Fluid blocks are indexed
+    [fluid interior, interface] and solid blocks [interface, solid interior],
+    the orders in which u and the solid displacement d sit in the state.
     """
 
     fluid_interior: np.ndarray
@@ -143,7 +148,7 @@ class DofMap:
 
     @property
     def solid_all(self):
-        return np.concatenate([self.solid_interior, self.interface])
+        return np.concatenate([self.interface, self.solid_interior])
 
     @property
     def slice_u(self):
@@ -186,8 +191,8 @@ class State:
     vec: np.ndarray
 
     @classmethod
-    def zeros(cls, dof, dtype=float):
-        return cls(dof, np.zeros(dof.total, dtype=dtype))
+    def zeros(cls, dof):
+        return cls(dof, np.zeros(dof.total))
 
     @classmethod
     def random(cls, dof, seed):
@@ -215,43 +220,35 @@ class State:
 
     @property
     def w0_full(self):
-        return np.concatenate([self.w0_int, self.h0])
+        return self.vec[self.dof.n_v:]
 
     @property
     def w1_full(self):
-        return np.concatenate([self.w1_int, self.trace_u])
+        return self.vec[self.dof.n_fi:self.dof.n_v]
 
 
-def _embed(block, row_off, col_off, shape):
-    coo = sp.coo_matrix(block)
-    return sp.coo_matrix(
-        (coo.data, (coo.row + row_off, coo.col + col_off)), shape=shape
-    )
+def _placed(block, offset, n):
+    """``block`` on the diagonal of an (n, n) zero matrix, from row and column ``offset``."""
+    return sp.block_diag((sp.csr_matrix((offset, offset)), block,
+                          sp.csr_matrix((n - offset - block.shape[0],) * 2)), format="csr")
 
 
 def compose_first_order(dof: DofMap, M_f, K_f, M_G, H1_G, M_s, K_s, vertices) -> KinematicSplit:
     """The first-order system of the restricted blocks, as its kinematic split.
 
-    ``H1_G`` is the surface H1 Gram matrix K_G + M_G. On v = (u, w1), K is
-    K_f on u and zero on w1; on d = (h0, w0), P = [[H1_G + Ks_GG, Ks_GI],
-    [Ks_IG, Ks_II]]; E v = v[n_fi:] is (u on the interface, w1). Each v
-    unknown lives on its own mesh vertex (every vertex off the outer
-    boundary), whose coordinates the split takes for its orders.
+    ``H1_G`` is the surface H1 Gram matrix K_G + M_G. The solid blocks are
+    indexed [interface, solid interior], the order of d = (h0, w0) and of
+    E v = v[n_fi:] = (u on the interface, w1). On v = (u, w1), M_VV is M_f on
+    u plus M_s + M_G on E v, and K is K_f on u and zero on w1; on d,
+    P = K_s + H1_G, with H1_G on the leading interface block. Each v unknown
+    lives on its own mesh vertex (every vertex off the outer boundary), whose
+    coordinates the split takes for its orders.
     """
-    n_fi, n_i, n_s, n_u = dof.n_fi, dof.n_i, dof.n_s, dof.n_u
-    s_int = slice(0, n_s)
-    s_ifc = slice(n_s, n_s + n_i)
-
-    Ms_II = M_s[s_int, s_int]
-    Ms_GI, Ms_GG = M_s[s_ifc, s_int], M_s[s_ifc, s_ifc]
-    Ks_II, Ks_IG = K_s[s_int, s_int], K_s[s_int, s_ifc]
-    Ks_GI, Ks_GG = K_s[s_ifc, s_int], K_s[s_ifc, s_ifc]
-
-    G_uu = (M_f + _embed(M_G + Ms_GG, n_fi, n_fi, (n_u, n_u))).tocsr()
-    G_uw1 = _embed(Ms_GI, n_fi, 0, (n_u, n_s)).tocsr()
-    M_VV = sp.bmat([[G_uu, G_uw1], [G_uw1.T, Ms_II]], format="csr")
-    K = sp.block_diag((K_f, sp.csr_matrix((n_s, n_s))), format="csr")
-    P = sp.bmat([[(H1_G + Ks_GG).tocsr(), Ks_GI], [Ks_IG, Ks_II]], format="csr")
+    n_v, n_d = dof.n_v, dof.n_i + dof.n_s
+    M_VV = _placed(M_f, 0, n_v) + _placed(M_s + _placed(M_G, 0, n_d), dof.n_fi, n_v)
+    K = _placed(K_f, 0, n_v)
+    # Sorted like the other blocks: K_s keeps each row in mesh-vertex order.
+    P = (K_s + _placed(H1_G, 0, n_d)).sorted_indices()
 
     coords = vertices[np.concatenate([dof.fluid_free, dof.solid_interior])]
     return KinematicSplit(M_VV, K, P, coords)
@@ -262,12 +259,14 @@ class KinematicSplit:
     unknowns d = x[n_v:].
 
     The displacement rows read P d' = P E v, with P the SPD potential-energy
-    Gram block and E v = v[n_fi:] (n_fi = n_v - |d|); the velocity rows read
+    Gram block and E v = v[n_fi:] (n_fi = n_v - |d|), both d and E v in the
+    solid order [interface, solid interior]; the velocity rows read
     M_VV v' = -K v - E^T P d. `M` and `A` are diag(M_VV, P) and
-    [[-K, -E^T P], [P E, 0]]. Shifted and midpoint solves eliminate d in
-    closed form and factor a matrix on v alone from M_VV, K, ``EtP`` = E^T P
-    and Q = E^T P E; `apply_generator` and `solve_generator` apply M^{-1} A
-    and A^{-1} M around LUs of M_VV, K_ff = K[:n_fi, :n_fi] and P.
+    [[-K, -E^T P], [P E, 0]], with P E = (E^T P)^T. Shifted and midpoint
+    solves eliminate d in closed form and factor a matrix on v alone from
+    M_VV, K, ``EtP`` = E^T P and Q = E^T P E; `apply_generator` and
+    `solve_generator` apply M^{-1} A and A^{-1} M around LUs of M_VV,
+    K_ff = K[:n_fi, :n_fi] and P.
     ``coords`` holds the vertex of each v unknown (d unknown j sits on that
     of v unknown n_fi + j); each LU takes the nested-dissection order of its
     unknowns' vertices, ``order`` on v.
@@ -309,12 +308,7 @@ class KinematicSplit:
 
     @cached_property
     def A(self):
-        # P E and E^T P as placed blocks keep P's explicit zeros, which the
-        # products behind EtP and Q drop.
-        n_d = self.P.shape[0]
-        PE = _embed(self.P, 0, self.n_fi, (n_d, self.n_v))
-        EtP = _embed(self.P, self.n_fi, 0, (self.n_v, n_d))
-        return sp.bmat([[-self.K, -EtP], [PE, None]], format="csr")
+        return sp.bmat([[-self.K, -self.EtP], [self.EtP.T, None]], format="csr")
 
 
 def _hat_triple_integrals():
@@ -331,9 +325,9 @@ def _hat_triple_integrals():
 class _SolidQuadrature:
     """Exact element integrals on the solid region for the multiplier identities.
 
-    Solid tets carry local indices into the solid ordering [interior,
-    interface]; interface triangles carry indices into the interface block
-    and the index of the solid tet they bound.
+    Solid tets carry local indices into the solid ordering [interface,
+    interior]; interface triangles carry indices into its leading interface
+    block and the index of the solid tet they bound.
     """
 
     tri_cubic = _hat_triple_integrals()
@@ -349,7 +343,7 @@ class _SolidQuadrature:
 
         keep = mesh.tri_tags != GAMMA_F
         tris = mesh.tris[keep]
-        self.tri_local = to_local[tris] - dof.n_s
+        self.tri_local = to_local[tris]
         self.tri_coords = mesh.vertices[tris]
         self.tri_normals = mesh.tri_normals[keep]
         self.tri_area, self.tri_mass, _ = _tri_kernel(self.tri_coords)
@@ -386,8 +380,8 @@ class SystemMatrices:
     eigenbasis, Dirichlet map, solid quadrature) is built on first use and
     then kept, so a caller that needs only the solid side never assembles
     the fluid. Blocks are restricted to their own index sets: fluid
-    matrices to [fluid interior, interface], solid matrices to [solid
-    interior, interface], surface matrices to the interface.
+    matrices to [fluid interior, interface], solid matrices to [interface,
+    solid interior], surface matrices to the interface.
     """
 
     def __init__(self, mesh: Mesh):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .evolution import MAX_STEPS, check_fit_window
 from .geometry import MeshConfig, MeshConfigError
-from .resolvent import in_top_decade
+from .resolvent import MAX_POINTS, in_top_decade
 
 
 class ConfigError(ValueError):
@@ -97,6 +97,8 @@ class RunConfig:
         if w.points < 2:
             raise ConfigError(f"insufficient points: a growth fit needs at least 2 frequencies, "
                               f"got sweep.points = {w.points}")
+        if w.points > MAX_POINTS:
+            raise ConfigError(f"sweep.points = {w.points}, above {MAX_POINTS}")
         betas = w.grid()
         if np.count_nonzero(in_top_decade(betas)) < 2:
             raise ConfigError(f"insufficient points: the growth-fit window [{betas.max() / 10:g}, "

@@ -37,21 +37,19 @@ class DirichletMap:
 
     def __init__(self, sys):
         dof = sys.dof
-        n_s = dof.n_s
+        n_i = dof.n_i
         K = sys.K_s.tocsr()
-        self.n_s, self.n_i = n_s, dof.n_i
-        self.K_IG = K[:n_s, n_s:]
-        self.K_GI = K[n_s:, :n_s]
-        self.K_GG = K[n_s:, n_s:]
+        self.n_s, self.n_i = dof.n_s, n_i
+        self.K_GG, self.K_GI = K[:n_i, :n_i], K[:n_i, n_i:]
+        self.K_IG = K[n_i:, :n_i]
         interior = sys.mesh.vertices[dof.solid_interior]
-        self.factor = Factorization(K[:n_s, :n_s], nested_dissection(interior)) if n_s else None
+        self.factor = Factorization(K[n_i:, n_i:], nested_dissection(interior)) if self.n_s else None
 
     def extend(self, g):
         g = np.asarray(g)
         if self.n_s == 0:
             return g.copy()
-        interior = -self.factor.solve(self.K_IG @ g)
-        return np.concatenate([interior, g])
+        return np.concatenate([g, -self.factor.solve(self.K_IG @ g)])
 
     def neumann(self, g, ext=None):
         """Flux functional of g; ``ext`` is ``extend(g)`` when already solved."""
@@ -59,7 +57,7 @@ class DirichletMap:
             return self.K_GG @ g
         if ext is None:
             ext = self.extend(g)
-        return self.K_GI @ ext[: self.n_s] + self.K_GG @ g
+        return self.K_GI @ ext[self.n_i:] + self.K_GG @ g
 
     def h1_ratio(self, g, sys) -> float:
         """Monitored boundedness constant |E g|_{H1} / |g|_{1/2,h}."""
@@ -70,27 +68,24 @@ class DirichletMap:
 
 
 def build_z(x: State, b: State, beta, sys, ext=None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal (z, load) on the solid ordering [interior, interface].
+    """Nodal (z, load) on the solid ordering [interface, interior].
 
     z = w0 + (i/beta) E(trace u + trace of the data displacement) solves
     -beta^2 z - Delta z = load, with load = -i beta E(...) + w1 + i beta w0
     of the data; both come from one Dirichlet extension of
     g = trace u + h0 of the data, passed as ``ext`` when the caller has
     already solved it. The static solve sets h0 = (trace u + h0 of the data)
-    / (i beta), which (i/beta)(trace u + h0 of the data) cancels exactly in
-    floating point, so the boundary trace must vanish to solver precision;
-    this is asserted at 1e-12 relative to the field's max magnitude.
+    / (i beta), which (i/beta) E g cancels exactly in floating point (E g is
+    g itself on the interface), so the boundary trace must vanish to solver
+    precision; this is asserted at 1e-12 relative to the field's max magnitude.
     """
     if abs(beta) < 1.0:
         raise ValueError(f"z construction requires |beta| >= 1, got {beta}")
-    n_s = sys.dof.n_s
     if ext is None:
         ext = sys.dirichlet_map.extend(x.trace_u + b.h0)
-    z = x.w0_full.astype(complex)
-    z[:n_s] += (1j / beta) * ext[:n_s]
-    z[n_s:] += (1j / beta) * (x.trace_u + b.h0)
+    z = x.w0_full + (1j / beta) * ext
     scale = float(np.max(np.abs(z)))
-    bres = float(np.max(np.abs(z[n_s:])))
+    bres = float(np.max(np.abs(z[:sys.dof.n_i])))
     if scale > 0 and bres > 1e-12 * scale:
         raise ValueError(
             f"boundary trace of z failed to vanish: {bres:.3g} vs scale {scale:.3g}"
@@ -107,7 +102,7 @@ def interface_flux(v_full, load_full, beta, sys) -> np.ndarray:
     v = np.asarray(v_full)
     load = np.asarray(load_full)
     r = sys.K_s @ v - sys.M_s @ (beta**2 * v + load)
-    return -r[sys.dof.n_s:]
+    return -r[:sys.dof.n_i]
 
 
 def fluid_interface_flux(x: State, b: State, beta, sys) -> np.ndarray:
@@ -257,7 +252,7 @@ def flux_chain_monitor(x: State, b: State, beta, sys) -> dict[str, float]:
         "r_s3": (zh1 + zb + flux_l2) / denom,
         "r_I1": thin / denom_thin,
         "dtn_norm": dtn_norm,
-        "z_boundary": float(np.max(np.abs(z[sys.dof.n_s:]))) / zmax if zmax > 0 else 0.0,
+        "z_boundary": float(np.max(np.abs(z[:sys.dof.n_i]))) / zmax if zmax > 0 else 0.0,
     }
 
 
@@ -267,7 +262,8 @@ def manufactured_field(mesh: Mesh, dof: DofMap, beta) -> tuple[np.ndarray, np.nd
     Uses the fundamental sine mode per axis: a full period would interpolate
     to the zero field on the coarsest study mesh (every interior node sits on
     a sine zero), which degenerates the refinement study. Returns nodal
-    (z, f) on the solid ordering for -beta^2 z - Delta z = f.
+    (z, f) on the solid ordering [interface, interior] for
+    -beta^2 z - Delta z = f.
     """
     if mesh.config is None:
         raise ValueError("manufactured field needs the mesh configuration for the cube bounds")

@@ -29,6 +29,8 @@ from .identities import flux_chain_monitor
 from .linalg import Factorization, SingularMatrixError, loglog_fit, opnorm_from_normal
 
 GROWTH_REFERENCE_EXPONENT = 11.0 / 2.0
+# The most frequencies a sweep takes; each factors its own shifted LU.
+MAX_POINTS = 10**6
 
 
 class FrequencySingularityError(RuntimeError):

@@ -324,8 +324,10 @@ def shared_trace_pair(dof, M_f, K_f, M_G, K_G, M_s, K_s):
     on the shared-trace state layout with ``sp.bmat``; the kinematic rows are
     premultiplied by their Gram blocks to fit the M x' = A x shape."""
     n_fi, n_i, n_s, n_u = dof.n_fi, dof.n_i, dof.n_s, dof.n_u
-    s_int = slice(0, n_s)
-    s_ifc = slice(n_s, n_s + n_i)
+    s_int = slice(n_i, n_i + n_s)
+    s_ifc = slice(0, n_i)
+    K_s = K_s.copy()
+    K_s.eliminate_zeros()
 
     Ms_II = M_s[s_int, s_int]
     Ms_GI, Ms_GG = M_s[s_ifc, s_int], M_s[s_ifc, s_ifc]

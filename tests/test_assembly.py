@@ -233,8 +233,8 @@ def test_state_views(default_sys, rng):
     # The views tile the vector in split order: velocities, then displacements.
     assert np.array_equal(np.concatenate([x.u, x.w1_int, x.h0, x.w0_int]), x.vec)
     assert sys.kinematic.n_v == sys.dof.n_v == x.u.size + x.w1_int.size
-    assert np.array_equal(x.w0_full[: sys.dof.n_s], x.w0_int)
-    assert np.array_equal(x.w0_full[sys.dof.n_s:], x.h0)
-    assert np.array_equal(x.w1_full[sys.dof.n_s:], x.trace_u)
+    assert np.array_equal(x.w0_full[sys.dof.n_i:], x.w0_int)
+    assert np.array_equal(x.w0_full[: sys.dof.n_i], x.h0)
+    assert np.array_equal(x.w1_full[: sys.dof.n_i], x.trace_u)
     assert x.u.size == sys.dof.n_u
 

@@ -282,6 +282,7 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
      "simulate.T / simulate.tau = inf steps, above 100000000"),
     ("simulate.T = 1e308", "simulate.T / simulate.tau = inf steps, above 100000000"),
     ("geometry.n = 4\ngeometry.n = 8", "line 2: key 'geometry.n' repeats line 1"),
+    ("sweep.points = 10000000000000", "sweep.points = 10000000000000, above 1000000"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")

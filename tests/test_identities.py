@@ -66,7 +66,7 @@ def test_extend_reproduces_linear_fields(default_sys):
     coords = sys.mesh.vertices[sys.dof.solid_all]
     for axis in range(3):
         lin = coords[:, axis].copy()
-        g = lin[sys.dof.n_s:]
+        g = lin[: sys.dof.n_i]
         e = dmap.extend(g)
         assert np.allclose(e, lin, atol=1e-12)
 
@@ -97,9 +97,9 @@ def test_neumann_symmetry(default_sys, rng):
 def test_neumann_matches_dense_schur(default_sys):
     sys = default_sys
     dmap = DirichletMap(sys)
-    n_s, n_i = sys.dof.n_s, sys.dof.n_i
+    n_i = sys.dof.n_i
     K = sys.K_s.toarray()
-    schur = K[n_s:, n_s:] - K[n_s:, :n_s] @ np.linalg.solve(K[:n_s, :n_s], K[:n_s, n_s:])
+    schur = K[:n_i, :n_i] - K[:n_i, n_i:] @ np.linalg.solve(K[n_i:, n_i:], K[n_i:, :n_i])
     got = np.column_stack([dmap.neumann(col) for col in np.eye(n_i)])
     assert np.max(np.abs(got - schur)) <= 1e-12 * np.max(np.abs(schur))
 
@@ -139,7 +139,7 @@ def test_build_z_boundary_vanishes(default_sys):
     x = solve_static(3.0, b, sys)
     z, _ = build_z(x, b, 3.0, sys)
     assert flux_chain_monitor(x, b, 3.0, sys)["z_boundary"] == 0.0
-    assert np.max(np.abs(z[sys.dof.n_s:])) == 0.0
+    assert np.max(np.abs(z[: sys.dof.n_i])) == 0.0
 
 
 def test_build_z_requires_beta_at_least_one(default_sys):
@@ -157,12 +157,12 @@ def test_build_z_interior_matches_dense_composition(tiny_sys, rich_sys):
         b = probe_state(sys, 8)
         x = solve_static(beta, b, sys)
         z, _ = build_z(x, b, beta, sys)
-        n_s = sys.dof.n_s
+        n_i = sys.dof.n_i
         K = sys.K_s.toarray()
         g = x.trace_u + b.h0
-        ext_int = -np.linalg.solve(K[:n_s, :n_s], K[:n_s, n_s:] @ g)
-        ref = x.w0_full[:n_s] + (1j / beta) * ext_int
-        assert np.max(np.abs(z[:n_s] - ref)) <= 1e-11 * max(np.max(np.abs(ref)), 1e-30)
+        ext_int = -np.linalg.solve(K[n_i:, n_i:], K[n_i:, :n_i] @ g)
+        ref = x.w0_full[n_i:] + (1j / beta) * ext_int
+        assert np.max(np.abs(z[n_i:] - ref)) <= 1e-11 * max(np.max(np.abs(ref)), 1e-30)
 
 
 def test_multiplier_zero_field(default_sys):
@@ -233,7 +233,7 @@ def test_manufactured_field_vanishes_on_boundary():
     mesh = build_mesh(MeshConfig(n=4))
     sys = build_system(mesh)
     z, f = manufactured_field(mesh, sys.dof, 2.0)
-    assert np.max(np.abs(z[sys.dof.n_s:])) < 1e-14
+    assert np.max(np.abs(z[: sys.dof.n_i])) < 1e-14
     assert f.shape == z.shape
 
 
@@ -259,16 +259,16 @@ def test_flux_chain_matches_dense_recomputation(rich_sys):
     rec = flux_chain_monitor(x, b, beta, sys)
 
     # Dense recomputation of r_crux and r_s3 from scratch.
-    n_s = sys.dof.n_s
+    n_i = sys.dof.n_i
     Ks, Ms = sys.K_s.toarray(), sys.M_s.toarray()
     Mg = sys.M_G.toarray()
     g = x.trace_u + b.h0
-    ext = np.concatenate([-np.linalg.solve(Ks[:n_s, :n_s], Ks[:n_s, n_s:] @ g), g])
+    ext = np.concatenate([g, -np.linalg.solve(Ks[n_i:, n_i:], Ks[n_i:, :n_i] @ g)])
     z = x.w0_full + (1j / beta) * ext
-    z[n_s:] = x.h0 + (1j / beta) * g
+    z[:n_i] = x.h0 + (1j / beta) * g
     fz = -1j * beta * ext + b.w1_full + 1j * beta * b.w0_full
     r = Ks @ z - Ms @ (beta**2 * z + fz)
-    lam = np.linalg.solve(Mg, -r[n_s:])
+    lam = np.linalg.solve(Mg, -r[:n_i])
     flux_l2 = np.sqrt(np.vdot(lam, Mg @ lam).real)
     grad_u = np.sqrt(np.vdot(x.u, sys.K_f @ x.u).real)
     bnorm = np.sqrt(np.vdot(b.vec, sys.M @ b.vec).real)
@@ -292,7 +292,7 @@ def test_interface_flux_functional_of_linear_field(default_sys):
     w = coords[:, 0].astype(complex)
     f = interface_flux(w, np.zeros_like(w), 0.0, sys).real
     hat_integrals = np.asarray(sys.M_G @ np.ones(sys.dof.n_i))
-    iface_coords = coords[sys.dof.n_s:]
+    iface_coords = coords[: sys.dof.n_i]
     lo, hi = 0.25, 0.75
     on_lo = np.abs(iface_coords[:, 0] - lo) < 1e-12
     on_hi = np.abs(iface_coords[:, 0] - hi) < 1e-12

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mlfsi.assembly import build_system, compose_first_order
+from mlfsi.assembly import State, build_system, compose_first_order
 from mlfsi.evolution import make_stepper
 from mlfsi.geometry import MeshConfig, build_mesh
 from mlfsi.linalg import DISSECTION_LEAF, coordinate_bisection
@@ -68,6 +68,25 @@ def test_split_matches_shared_trace_composition(config):
     for name, block in blocks.items():
         assert_same_bytes(getattr(sys.kinematic, name), block)
     assert mismatches == dict.fromkeys(mismatches, 0)
+
+
+@pytest.mark.parametrize("name", ["rich_sys", "n8_sys"])
+def test_solid_blocks_share_the_state_order(name, request):
+    # The solid blocks run [interface, solid interior] like d: P is K_s plus
+    # H1_G on its leading block with no stored zero, A places P as it is,
+    # and the full solid fields are views of the state.
+    sys = request.getfixturevalue(name)
+    split, n_i, n_fi, n_v = sys.kinematic, sys.dof.n_i, sys.dof.n_fi, sys.dof.n_v
+    P, K_s = split.P, sys.K_s
+    assert P.nnz and np.all(P.data != 0)
+    assert (P[:n_i, :n_i] != K_s[:n_i, :n_i] + sys.H1_G).count_nonzero() == 0
+    assert (P[:n_i, n_i:] != K_s[:n_i, n_i:]).count_nonzero() == 0
+    assert (P[n_i:] != K_s[n_i:]).count_nonzero() == 0
+    lower = sys.A[n_v:, :n_v]
+    assert lower[:, :n_fi].nnz == 0
+    assert_same_bytes(lower[:, n_fi:], P)
+    x = State.random(sys.dof, 0)
+    assert np.shares_memory(x.w0_full, x.vec) and np.shares_memory(x.w1_full, x.vec)
 
 
 def test_split_without_dissipation_keeps_kinematic_identities(default_sys):

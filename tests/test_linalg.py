@@ -153,16 +153,16 @@ def reduced_matrix(split, case):
 def factored_block(sys, case):
     """A matrix the program factors and the mesh vertices of its unknowns."""
     split, dof = sys.kinematic, sys.dof
-    n_fi, n_s = split.n_fi, dof.n_s
+    n_fi, n_i = split.n_fi, dof.n_i
     v_vertices = np.concatenate([dof.fluid_free, dof.solid_interior])
     if case.startswith("reduced"):
         return reduced_matrix(split, case), v_vertices
     return {
         "M_VV": (split.M_VV, v_vertices),
         "K_ff": (split.K[:n_fi, :n_fi], dof.fluid_interior),
-        "P": (split.P, np.concatenate([dof.interface, dof.solid_interior])),
+        "P": (split.P, dof.solid_all),
         "M_G": (sys.M_G, dof.interface),
-        "Ks_II": (sys.K_s[:n_s, :n_s], dof.solid_interior),
+        "Ks_II": (sys.K_s[n_i:, n_i:], dof.solid_interior),
     }[case]
 
 
