@@ -15,8 +15,6 @@ from .assembly import (
     State,
     SurfaceSpectral,
     SystemMatrices,
-    assemble_surface,
-    assemble_volume,
     build_dofmap,
     build_system,
     compose_first_order,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
 
 import numpy as np
 import scipy.linalg
@@ -50,7 +49,8 @@ def _tet_kernel(p):
 
 
 def _tri_kernel(pts):
-    """Areas, exact P1 mass and stiffness of flat triangles embedded in 3D."""
+    """Areas, in-plane barycentric gradients and exact P1 mass of flat
+    triangles embedded in 3D, with vertex coordinates pts, (m, 3, 3)."""
     e1 = pts[:, 1] - pts[:, 0]
     e2 = pts[:, 2] - pts[:, 0]
     nrm = np.cross(e1, e2)
@@ -60,48 +60,40 @@ def _tri_kernel(pts):
     opp = np.stack([pts[:, 2] - pts[:, 1], pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 0]], axis=1)
     grads = np.cross(nhat[:, None, :], opp) / area2[:, None, None]
     area = 0.5 * area2
-    ke = np.einsum("tid,tjd,t->tij", grads, grads, area)
-    return area, area[:, None, None] * _TRI_MASS, ke
+    return area, grads, area[:, None, None] * _TRI_MASS
 
 
-def _scatter(elems, nv, *element_matrices):
-    """Global (nv, nv) CSR matrices from per-element matrices on ``elems``."""
-    k = elems.shape[1]
-    rows = np.repeat(elems, k, axis=1).ravel()
-    cols = np.tile(elems, (1, k)).ravel()
-    return tuple(
-        sp.coo_matrix((e.ravel(), (rows, cols)), shape=(nv, nv)).tocsr() for e in element_matrices
-    )
+class ElementTable:
+    """The simplices of one region, mapped once to the indices of a block.
 
-
-def assemble_volume(mesh: Mesh, region) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """P1 mass and stiffness over the tagged region, indexed by mesh vertex.
-
-    Element integrals are exact: the mass matrix uses the closed form
-    (V/20)(1 + delta_ij), the stiffness uses the constant barycentric
-    gradients of the affine element.
+    ``block`` lists the mesh vertices of the block in block order; ``local``
+    holds each simplex's block indices, -1 at a vertex outside the block (the
+    outer boundary). The element kernel runs once: ``measure``, ``grads`` and
+    ``mass`` are its per-element volumes or areas, constant barycentric
+    gradients and exact P1 mass, and ``M`` and ``K`` the mass and stiffness
+    scattered straight into block order as canonical CSR, every entry that
+    touches a -1 dropped.
     """
-    keep = mesh.tet_regions == region
-    if not np.any(keep):
-        raise ValueError(f"region {region} has no tetrahedra")
-    tets = mesh.tets[keep]
-    vol, grads, me = _tet_kernel(mesh.vertices[tets])
-    ke = np.einsum("tid,tjd,t->tij", grads, grads, vol)
-    return _scatter(tets, mesh.vertices.shape[0], me, ke)
 
+    def __init__(self, vertices, simplices, block):
+        if simplices.shape[0] == 0:
+            raise ValueError("region has no elements")
+        # int32 is scipy's index type at these sizes: the scatter copies no index array.
+        to_block = np.full(vertices.shape[0], -1, dtype=np.int32)
+        to_block[block] = np.arange(block.size)
+        self.local = to_block[simplices]
+        self.coords = vertices[simplices]
+        kernel = _tet_kernel if simplices.shape[1] == 4 else _tri_kernel
+        self.measure, self.grads, self.mass = kernel(self.coords)
+        stiff = np.einsum("tid,tjd,t->tij", self.grads, self.grads, self.measure)
 
-def assemble_surface(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """P1 mass and surface-Laplacian stiffness over the interface triangulation.
-
-    All six cube faces assemble into shared vertex unknowns, which is what
-    enforces displacement continuity and weak flux matching along face edges.
-    Indexed by mesh vertex; rows away from the interface are zero.
-    """
-    tris = mesh.interface_tris()
-    if tris.shape[0] == 0:
-        raise ValueError("mesh has no interface triangles")
-    _, me, ke = _tri_kernel(mesh.vertices[tris])
-    return _scatter(tris, mesh.vertices.shape[0], me, ke)
+        k, n = simplices.shape[1], block.size
+        rows = np.repeat(self.local, k, axis=1).ravel()
+        cols = np.tile(self.local, (1, k)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[keep], cols[keep]
+        self.M, self.K = (sp.coo_matrix((e.ravel()[keep], (rows, cols)), shape=(n, n)).tocsr()
+                          for e in (self.mass, stiff))
 
 
 @dataclass(frozen=True)
@@ -167,20 +159,27 @@ class DofMap:
         return slice(self.n_v + self.n_i, self.total)
 
 
+def _marked(nv, vertices):
+    mask = np.zeros(nv, dtype=bool)
+    mask[vertices] = True
+    return mask
+
+
 def build_dofmap(mesh: Mesh) -> DofMap:
     iface_tris = mesh.interface_tris()
     if iface_tris.shape[0] == 0:
         raise ValueError("mesh has no fluid/solid interface")
-    outer = np.unique(mesh.tris[mesh.tri_tags == GAMMA_F])
-    interface = np.unique(iface_tris)
-    if np.intersect1d(outer, interface).size:
+    nv = mesh.vertices.shape[0]
+    outer = _marked(nv, mesh.tris[mesh.tri_tags == GAMMA_F])
+    interface = _marked(nv, iface_tris)
+    if np.any(outer & interface):
         raise ValueError("outer boundary touches the interface; geometry invalid")
 
-    fluid_verts = np.unique(mesh.tets[mesh.tet_regions == FLUID])
-    solid_verts = np.unique(mesh.tets[mesh.tet_regions != FLUID])
-    fluid_interior = np.setdiff1d(fluid_verts, np.union1d(outer, interface))
-    solid_interior = np.setdiff1d(solid_verts, interface)
-    return DofMap(fluid_interior, interface, solid_interior)
+    fluid = mesh.tet_regions == FLUID
+    fluid_interior = _marked(nv, mesh.tets[fluid]) & ~outer & ~interface
+    solid_interior = _marked(nv, mesh.tets[~fluid]) & ~interface
+    return DofMap(np.flatnonzero(fluid_interior), np.flatnonzero(interface),
+                  np.flatnonzero(solid_interior))
 
 
 @dataclass
@@ -234,8 +233,9 @@ def _placed(block, offset, n):
 
 
 def compose_first_order(dof: DofMap, M_f, K_f, M_G, H1_G, M_s, K_s, vertices) -> KinematicSplit:
-    """The first-order system of the restricted blocks, as its kinematic split.
+    """The first-order system of the blocks, as its kinematic split.
 
+    The blocks are canonical CSR in block order, so every sum below is too.
     ``H1_G`` is the surface H1 Gram matrix K_G + M_G. The solid blocks are
     indexed [interface, solid interior], the order of d = (h0, w0) and of
     E v = v[n_fi:] = (u on the interface, w1). On v = (u, w1), M_VV is M_f on
@@ -247,8 +247,7 @@ def compose_first_order(dof: DofMap, M_f, K_f, M_G, H1_G, M_s, K_s, vertices) ->
     n_v, n_d = dof.n_v, dof.n_i + dof.n_s
     M_VV = _placed(M_f, 0, n_v) + _placed(M_s + _placed(M_G, 0, n_d), dof.n_fi, n_v)
     K = _placed(K_f, 0, n_v)
-    # Sorted like the other blocks: K_s keeps each row in mesh-vertex order.
-    P = (K_s + _placed(H1_G, 0, n_d)).sorted_indices()
+    P = K_s + _placed(H1_G, 0, n_d)
 
     coords = vertices[np.concatenate([dof.fluid_free, dof.solid_interior])]
     return KinematicSplit(M_VV, K, P, coords)
@@ -311,47 +310,9 @@ class KinematicSplit:
         return sp.bmat([[-self.K, -self.EtP], [self.EtP.T, None]], format="csr")
 
 
-def _hat_triple_integrals():
-    """int lam_i lam_j lam_k over a triangle per unit area, 2 a! b! c! / (a+b+c+2)!,
-    where a, b, c count how often each vertex appears among (i, j, k)."""
-    T = np.zeros((3, 3, 3))
-    for i, j, k in np.ndindex(3, 3, 3):
-        expo = np.bincount([i, j, k], minlength=3)
-        num = np.prod([factorial(int(e)) for e in expo])
-        T[i, j, k] = 2.0 * num / factorial(5)
-    return T
-
-
-class _SolidQuadrature:
-    """Exact element integrals on the solid region for the multiplier identities.
-
-    Solid tets carry local indices into the solid ordering [interface,
-    interior]; interface triangles carry indices into its leading interface
-    block and the index of the solid tet they bound.
-    """
-
-    tri_cubic = _hat_triple_integrals()
-
-    def __init__(self, mesh: Mesh, dof: DofMap):
-        to_local = np.full(mesh.vertices.shape[0], -1, dtype=np.int64)
-        to_local[dof.solid_all] = np.arange(dof.solid_all.size)
-
-        tets = mesh.tets[mesh.tet_regions == SOLID]
-        self.tet_local = to_local[tets]
-        self.tet_coords = mesh.vertices[tets]
-        _, self.tet_grads, self.tet_mass = _tet_kernel(self.tet_coords)
-
-        keep = mesh.tri_tags != GAMMA_F
-        tris = mesh.tris[keep]
-        self.tri_local = to_local[tris]
-        self.tri_coords = mesh.vertices[tris]
-        self.tri_normals = mesh.tri_normals[keep]
-        self.tri_area, self.tri_mass, _ = _tri_kernel(self.tri_coords)
-        self.tri_tet = _face_owner(tets, tris, mesh.vertices.shape[0])
-
-
 def _face_owner(tets, tris, nv):
-    """Row of ``tets`` having each row of ``tris`` as a face.
+    """Row of ``tets`` having each row of ``tris`` as a face, both indexing
+    the same nv points.
 
     Faces and triangles are keyed by ``face_keys``; a sorted search over the
     keys of all 4 faces of every tet finds each owner.
@@ -366,22 +327,20 @@ def _face_owner(tets, tris, nv):
     return owner // 4
 
 
-def _restricted(pair, idx):
-    return tuple(mat[idx][:, idx].tocsr() for mat in pair)
-
-
 class SystemMatrices:
     """The discretization of one mesh: blocks, the composite pair (M, A), and
     every frequency-independent piece derived from them.
 
-    Only the DofMap is built up front. Each block, the H1 Gram sums
-    H1_G = K_G + M_G and H1_s = K_s + M_s, the kinematic split (which holds
-    (M, A) and the M_VV LU) and each derived piece (the M_G LU, surface
-    eigenbasis, Dirichlet map, solid quadrature) is built on first use and
-    then kept, so a caller that needs only the solid side never assembles
-    the fluid. Blocks are restricted to their own index sets: fluid
-    matrices to [fluid interior, interface], solid matrices to [interface,
-    solid interior], surface matrices to the interface.
+    Only the DofMap is built up front. Each region's `ElementTable`, the
+    blocks it scatters, the H1 Gram sums H1_G = K_G + M_G and
+    H1_s = K_s + M_s, the kinematic split (which holds (M, A) and the M_VV
+    LU) and each derived piece (the M_G LU, surface eigenbasis, Dirichlet
+    map, interface owners) is built on first use, so a caller that needs
+    only the solid side never assembles the fluid. Fluid matrices are indexed
+    [fluid interior, interface], solid matrices [interface, solid interior],
+    surface matrices by the interface. The solid and surface tables are kept
+    for the multiplier quadrature; the fluid table is dropped once its two
+    blocks are scattered.
     """
 
     def __init__(self, mesh: Mesh):
@@ -390,22 +349,34 @@ class SystemMatrices:
 
     @cached_property
     def _fluid(self):
-        return _restricted(assemble_volume(self.mesh, FLUID), self.dof.fluid_free)
+        table = ElementTable(self.mesh.vertices, self.mesh.tets[self.mesh.tet_regions == FLUID],
+                             self.dof.fluid_free)
+        return table.M, table.K
 
     @cached_property
-    def _solid(self):
-        return _restricted(assemble_volume(self.mesh, SOLID), self.dof.solid_all)
+    def solid_table(self) -> ElementTable:
+        return ElementTable(self.mesh.vertices, self.mesh.tets[self.mesh.tet_regions == SOLID],
+                            self.dof.solid_all)
 
     @cached_property
-    def _surface(self):
-        return _restricted(assemble_surface(self.mesh), self.dof.interface)
+    def surface_table(self) -> ElementTable:
+        """All six cube faces share their edge and corner unknowns, which
+        enforces displacement continuity and weak flux matching along edges."""
+        return ElementTable(self.mesh.vertices, self.mesh.interface_tris(), self.dof.interface)
+
+    @cached_property
+    def interface_owner(self) -> np.ndarray:
+        """Row of `solid_table` bounded by each row of `surface_table`; the
+        interface block leads the solid order, so both share local indices."""
+        return _face_owner(self.solid_table.local, self.surface_table.local,
+                           self.dof.n_i + self.dof.n_s)
 
     M_f = cached_property(lambda self: self._fluid[0])
     K_f = cached_property(lambda self: self._fluid[1])
-    M_s = cached_property(lambda self: self._solid[0])
-    K_s = cached_property(lambda self: self._solid[1])
-    M_G = cached_property(lambda self: self._surface[0])
-    K_G = cached_property(lambda self: self._surface[1])
+    M_s = cached_property(lambda self: self.solid_table.M)
+    K_s = cached_property(lambda self: self.solid_table.K)
+    M_G = cached_property(lambda self: self.surface_table.M)
+    K_G = cached_property(lambda self: self.surface_table.K)
     H1_G = cached_property(lambda self: (self.K_G + self.M_G).tocsr())
     H1_s = cached_property(lambda self: self.K_s + self.M_s)
     M = cached_property(lambda self: self.kinematic.M)
@@ -429,10 +400,6 @@ class SystemMatrices:
         from .identities import DirichletMap     # identities builds on this module
 
         return DirichletMap(self)
-
-    @cached_property
-    def solid_quadrature(self) -> _SolidQuadrature:
-        return _SolidQuadrature(self.mesh, self.dof)
 
 
 def build_system(mesh: Mesh) -> SystemMatrices:

@@ -107,7 +107,10 @@ class RunConfig:
             raise ConfigError("tolerances must be positive")
         if len(self.probe.refinements) < 1:
             raise ConfigError("probe.refinements must name at least one resolution")
-        for n in self.probe.refinements:
+        for i, n in enumerate(self.probe.refinements):
+            if n in self.probe.refinements[:i]:
+                raise ConfigError(f"probe.refinements repeats n = {n}: "
+                                  "the order fit needs distinct h")
             try:
                 replace(self.geometry, n=n).validate()
             except MeshConfigError as exc:

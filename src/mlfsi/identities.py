@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import DofMap, State, build_system, energy_norm, fluid_gradient_norm
-from .geometry import Mesh, MeshConfig, build_mesh
+from .geometry import GAMMA_F, Mesh, MeshConfig, build_mesh
 from .linalg import Factorization, loglog_fit, nested_dissection
 
 
@@ -138,9 +138,23 @@ class MultiplierReport:
         }
 
 
+def _hat_triple_integrals():
+    """int lam_i lam_j lam_k over a triangle per unit area, 2 a! b! c! / (a+b+c+2)!,
+    where a, b, c count how often each vertex appears among (i, j, k)."""
+    T = np.zeros((3, 3, 3))
+    for i, j, k in np.ndindex(3, 3, 3):
+        expo = np.bincount([i, j, k], minlength=3)
+        num = np.prod([math.factorial(int(e)) for e in expo])
+        T[i, j, k] = 2.0 * num / math.factorial(5)
+    return T
+
+
+_TRI_CUBIC = _hat_triple_integrals()
+
+
 def _mesh_h(sys) -> float:
-    q = sys.solid_quadrature
-    edges = q.tet_coords[:, [0, 0, 0, 1, 1, 2]] - q.tet_coords[:, [1, 2, 3, 2, 3, 3]]
+    c = sys.solid_table.coords
+    edges = c[:, [0, 0, 0, 1, 1, 2]] - c[:, [1, 2, 3, 2, 3, 3]]
     return float(np.max(np.linalg.norm(edges, axis=2)))
 
 
@@ -152,7 +166,7 @@ def multiplier_residual(z, f, beta, sys, which) -> MultiplierReport:
     div m = 1 (m = x/3, so the grad-div correction drops). ``f`` is the
     nodal right-hand side of -beta^2 z - Delta z = f.
     """
-    q = sys.solid_quadrature
+    tet, tri = sys.solid_table, sys.surface_table
     zv = np.asarray(z, dtype=complex)
     fv = np.asarray(f, dtype=complex)
     beta = float(beta)
@@ -169,26 +183,25 @@ def multiplier_residual(z, f, beta, sys, which) -> MultiplierReport:
 
     # m(x) = x: LHS is the gradient energy; RHS collects the boundary flux
     # terms (with nu into the solid), the div-m volume term, and the load term.
-    zt = zv[q.tet_local]
-    grad_z = np.einsum("tv,tvd->td", zt, q.tet_grads)
+    grad_z = np.einsum("tv,tvd->td", zv[tet.local], tet.grads)
 
     flux = interface_flux(zv, fv, beta, sys)
     lam = recover_flux_nodal(flux, sys)
-    lam_tri = lam[q.tri_local]
+    lam_tri = lam[tri.local]
 
-    g_adj = grad_z[q.tri_tet]                          # gradient on adjacent tet
-    c_tri = np.einsum("tvd,td->tv", q.tri_coords, g_adj.conj())
-    term_a = -np.einsum("tv,tvw,tw->", lam_tri, q.tri_mass, c_tri).real
+    g_adj = grad_z[sys.interface_owner]                # gradient on adjacent tet
+    c_tri = np.einsum("tvd,td->tv", tri.coords, g_adj.conj())
+    term_a = -np.einsum("tv,tvw,tw->", lam_tri, tri.mass, c_tri).real
 
-    s_tri = np.einsum("tvd,td->tv", q.tri_coords, q.tri_normals)
-    lam_sq = np.einsum("tv,vij,ti,tj->t", s_tri, q.tri_cubic, lam_tri.conj(), lam_tri)
-    term_b = 0.5 * float((lam_sq.real * q.tri_area).sum())
+    normals = sys.mesh.tri_normals[sys.mesh.tri_tags != GAMMA_F]
+    s_tri = np.einsum("tvd,td->tv", tri.coords, normals)
+    lam_sq = np.einsum("tv,vij,ti,tj->t", s_tri, _TRI_CUBIC, lam_tri.conj(), lam_tri)
+    term_b = 0.5 * float((lam_sq.real * tri.measure).sum())
 
     term_c = 1.5 * (grad_sq - beta**2 * mass_sq)
 
-    f_tet = fv[q.tet_local]
-    c_tet = np.einsum("tvd,td->tv", q.tet_coords, grad_z.conj())
-    term_d = np.einsum("tv,tvw,tw->", f_tet, q.tet_mass, c_tet).real
+    c_tet = np.einsum("tvd,td->tv", tet.coords, grad_z.conj())
+    term_d = np.einsum("tv,tvw,tw->", fv[tet.local], tet.mass, c_tet).real
 
     lhs = grad_sq
     rhs = float(term_a + term_b + term_c + term_d)

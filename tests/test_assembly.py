@@ -3,9 +3,8 @@ import pytest
 import scipy.linalg
 
 from mlfsi.assembly import (
+    ElementTable,
     State,
-    assemble_surface,
-    assemble_volume,
     build_dofmap,
     energy_norm,
     graph_norm,
@@ -24,9 +23,19 @@ def one_tet_mesh():
     )
 
 
+def vertex_indexed(mesh, simplices):
+    """Mass and stiffness of ``simplices`` indexed by mesh vertex: a table on every vertex."""
+    table = ElementTable(mesh.vertices, simplices, np.arange(mesh.vertices.shape[0]))
+    return table.M, table.K
+
+
+def region_tets(mesh, region):
+    return mesh.tets[mesh.tet_regions == region]
+
+
 def test_mass_partition_of_unity(default_mesh):
     for region, vol in ((FLUID, 0.875), (SOLID, 0.125)):
-        M, K = assemble_volume(default_mesh, region)
+        M, K = vertex_indexed(default_mesh, region_tets(default_mesh, region))
         ones = np.ones(default_mesh.vertices.shape[0])
         assert ones @ (M @ ones) == pytest.approx(vol, rel=1e-12)
         assert np.max(np.abs(K @ ones)) < 1e-13
@@ -34,7 +43,7 @@ def test_mass_partition_of_unity(default_mesh):
 
 def test_reference_tet_mass_pattern():
     mesh = one_tet_mesh()
-    M, K = assemble_volume(mesh, SOLID)
+    M, K = vertex_indexed(mesh, region_tets(mesh, SOLID))
     Md = M.toarray()
     vol = 1.0 / 6.0
     expected = (vol / 20.0) * (np.ones((4, 4)) + np.eye(4))
@@ -47,11 +56,11 @@ def test_reference_tet_mass_pattern():
 def test_empty_region_errors():
     mesh = one_tet_mesh()
     with pytest.raises(ValueError):
-        assemble_volume(mesh, FLUID)
+        vertex_indexed(mesh, region_tets(mesh, FLUID))
 
 
 def test_surface_mass_total_area(default_mesh):
-    Mg, Kg = assemble_surface(default_mesh)
+    Mg, Kg = vertex_indexed(default_mesh, default_mesh.interface_tris())
     ones = np.ones(default_mesh.vertices.shape[0])
     assert ones @ (Mg @ ones) == pytest.approx(1.5, rel=1e-12)
     assert np.max(np.abs(Kg @ ones)) < 1e-13
@@ -62,7 +71,7 @@ def test_surface_spectrum_stabilizes_under_refinement():
     for n in (8, 16):
         mesh = build_mesh(MeshConfig(n=n))
         dof = build_dofmap(mesh)
-        Mg, Kg = assemble_surface(mesh)
+        Mg, Kg = vertex_indexed(mesh, mesh.interface_tris())
         sel = dof.interface
         K = Kg[sel][:, sel].toarray()
         M = Mg[sel][:, sel].toarray()
@@ -101,6 +110,16 @@ def test_dofmap_needs_interface(default_mesh):
     )
     with pytest.raises(ValueError):
         build_dofmap(stripped)
+
+
+@pytest.mark.parametrize("name", ["default_sys", "n8_sys"])
+def test_blocks_are_canonical_csr(name, request):
+    # Each block is scattered straight into block order: sorted indices, no
+    # duplicate, so every csr sum over the blocks stays canonical too.
+    sys = request.getfixturevalue(name)
+    blocks = {"M_f": sys.M_f, "K_f": sys.K_f, "M_s": sys.M_s, "K_s": sys.K_s,
+              "M_G": sys.M_G, "K_G": sys.K_G, "M_VV": sys.kinematic.M_VV, "P": sys.kinematic.P}
+    assert [k for k, mat in blocks.items() if not mat.has_canonical_format] == []
 
 
 def test_generator_dissipation_identity(default_sys, rng):

@@ -126,7 +126,8 @@ def valid_configs(draw):
         ),
         probe=ProbeConfig(
             manufactured=draw(st.booleans()),
-            refinements=tuple(n * k for k in draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))),
+            refinements=tuple(n * k for k in draw(
+                st.lists(st.integers(1, 8), min_size=1, max_size=5, unique=True))),
             beta=draw(_floats(-1e6, 1e6)),
         ),
         output_dir=draw(
@@ -269,6 +270,7 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("sweep.points = 3", "growth-fit window [20, 200] holds fewer than 2 of 3 frequencies"),
     ("probe.refinements = 4 6", "probe.refinements: n = 6: axis 0: inner_lo does not align"),
     ("probe.refinements = 4 0", "probe.refinements: n = 0: n must be a positive integer"),
+    ("probe.refinements = 4 4", "probe.refinements repeats n = 4"),
     ("simulate.seed = -1", "simulate.seed must be non-negative, got -1"),
     ("sweep.probe_seed = -2", "sweep.probe_seed must be non-negative, got -2"),
     ("geometry.n = 127", "n = 127 gives 2097152 vertices"),

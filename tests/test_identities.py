@@ -190,23 +190,28 @@ def test_manufactured_residuals_converge():
 
 
 def test_manufactured_study_never_assembles_fluid(monkeypatch):
-    # One solid assembly per refinement level and no fluid assembly at all.
-    assemble_volume = assembly.assemble_volume
-    regions = []
+    # Each element kernel runs once per refinement level: the tet kernel on
+    # the solid tets only, the triangle kernel on the interface triangles.
+    calls = []
+    for name in ("_tet_kernel", "_tri_kernel"):
+        def recording(p, name=name, kernel=getattr(assembly, name)):
+            calls.append((name, p.shape[0]))
+            return kernel(p)
 
-    def recording(mesh, region):
-        regions.append(region)
-        return assemble_volume(mesh, region)
-
-    monkeypatch.setattr(assembly, "assemble_volume", recording)
+        monkeypatch.setattr(assembly, name, recording)
     manufactured_study((4, 8), beta=2.0)
-    assert regions == [SOLID, SOLID]
+    expected = []
+    for n in (4, 8):
+        mesh = build_mesh(MeshConfig(n=n))
+        expected += [("_tet_kernel", int(np.sum(mesh.tet_regions == SOLID))),
+                     ("_tri_kernel", mesh.interface_tris().shape[0])]
+    assert calls == expected
 
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_interface_tet_adjacency_matches_dict_loop(n):
     mesh = build_mesh(MeshConfig(n=n))
-    got = build_system(mesh).solid_quadrature.tri_tet
+    got = build_system(mesh).interface_owner
     assert np.array_equal(got, solid_face_owner_loop(mesh))
 
 
