@@ -3,9 +3,10 @@
 A heat field on a box-minus-cube fluid region drives, through shared
 interface velocities, a membrane-like wave equation on the cube surface and
 a wave equation inside the cube. The package assembles the coupled P1 system
-in a shared-trace layout, evolves it with an energy-exact midpoint
-integrator, solves the shifted static systems along the imaginary frequency
-axis, and monitors the dissipation, trace, and flux identities that control
+on the kinematic split of its state, velocities before displacements
+[u | w1 | h0 | w0], evolves it with an energy-exact midpoint integrator,
+solves the shifted static systems along the imaginary frequency axis, and
+monitors the dissipation, trace, and flux identities that control
 the decay and resolvent-growth rates.
 """
 

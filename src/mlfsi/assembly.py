@@ -38,14 +38,22 @@ _TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 def _tet_kernel(p):
     """Volumes, constant barycentric gradients and exact P1 mass of affine
-    tets with vertex coordinates p, (m, 4, 3)."""
+    tets with vertex coordinates p, (m, 4, 3).
+
+    LAPACK's det and inv run once per distinct edge matrix, keyed on its raw
+    bytes, and every tet gathers the results of its own: on a structured
+    grid a few hundred shapes serve all tets, bit for bit as one call per tet.
+    """
     d = p[:, 1:] - p[:, :1]                      # (m, 3, 3) edge matrix
+    _, first, shape = np.unique(d.reshape(len(d), -1).view(np.dtype((np.void, 72))).ravel(),
+                                return_index=True, return_inverse=True)
+    d = d[first]
     vol = np.linalg.det(d) / 6.0
     dinv = np.linalg.inv(d)                      # rows of dinv^T are grad(lambda_1..3)
-    grads = np.empty((p.shape[0], 4, 3))
+    grads = np.empty((d.shape[0], 4, 3))
     grads[:, 1:, :] = np.transpose(dinv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return vol, grads, vol[:, None, None] * _TET_MASS
+    return vol[shape], grads[shape], (vol[:, None, None] * _TET_MASS)[shape]
 
 
 def _tri_kernel(pts):
@@ -339,8 +347,9 @@ class SystemMatrices:
     only the solid side never assembles the fluid. Fluid matrices are indexed
     [fluid interior, interface], solid matrices [interface, solid interior],
     surface matrices by the interface. The solid and surface tables are kept
-    for the multiplier quadrature; the fluid table is dropped once its two
-    blocks are scattered.
+    for the multiplier quadrature, which alone reads them; the fluid table,
+    and the solid one when the quadrature has not built it, is dropped once
+    its two blocks are scattered.
     """
 
     def __init__(self, mesh: Mesh):
@@ -354,9 +363,24 @@ class SystemMatrices:
         return table.M, table.K
 
     @cached_property
-    def solid_table(self) -> ElementTable:
+    def _solid(self):
+        """M_s and K_s: the blocks of `solid_table` when it is built already,
+        else of a table dropped once they are scattered."""
+        table = self.__dict__.get("solid_table") or self._solid_elements()
+        return table.M, table.K
+
+    def _solid_elements(self) -> ElementTable:
         return ElementTable(self.mesh.vertices, self.mesh.tets[self.mesh.tet_regions == SOLID],
                             self.dof.solid_all)
+
+    solid_table = cached_property(_solid_elements)
+
+    @cached_property
+    def mesh_h(self) -> float:
+        """Longest edge of the solid tets, the h of the multiplier identities."""
+        c = self.solid_table.coords
+        edges = c[:, [0, 0, 0, 1, 1, 2]] - c[:, [1, 2, 3, 2, 3, 3]]
+        return float(np.max(np.linalg.norm(edges, axis=2)))
 
     @cached_property
     def surface_table(self) -> ElementTable:
@@ -373,8 +397,8 @@ class SystemMatrices:
 
     M_f = cached_property(lambda self: self._fluid[0])
     K_f = cached_property(lambda self: self._fluid[1])
-    M_s = cached_property(lambda self: self.solid_table.M)
-    K_s = cached_property(lambda self: self.solid_table.K)
+    M_s = cached_property(lambda self: self._solid[0])
+    K_s = cached_property(lambda self: self._solid[1])
     M_G = cached_property(lambda self: self.surface_table.M)
     K_G = cached_property(lambda self: self.surface_table.K)
     H1_G = cached_property(lambda self: (self.K_G + self.M_G).tocsr())

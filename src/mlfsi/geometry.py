@@ -206,24 +206,67 @@ def interface_area(mesh: Mesh) -> float:
     return float(areas.sum())
 
 
-def _block(tag, row, table):
-    """Block ``tag``: its count line, then one ``row`` template per table row."""
-    return f"{tag} {len(table)}\n" + (row * len(table)) % tuple(table.ravel().tolist())
+# Rows per write: bounds the writer's transient buffers, whatever the mesh size.
+_CHUNK_ROWS = 1 << 16
+
+
+def _text_table(a):
+    """(table, index): ``table[index]`` is the text of each entry of ``a``,
+    as NUL-padded bytes. Integers index one ``arange`` table over their span,
+    whose text is ``%d``'s. Floats are formatted ``%.17g`` once per distinct
+    bit pattern, not value, so that -0.0 and 0.0 keep their own text."""
+    if a.dtype.kind == "f":
+        bits, index = np.unique(np.ascontiguousarray(a, np.float64).view(np.uint64),
+                                return_inverse=True)
+        text = [b"%.17g" % x for x in bits.view(np.float64).tolist()]
+        return np.array(text), index.reshape(a.shape)
+    lo, hi = int(a.min()), int(a.max())
+    width = max(len(str(lo)), len(str(hi)))          # the widest text in [lo, hi]
+    return np.arange(lo, hi + 1).astype(f"S{width}"), a - lo
+
+
+def _block(fh, tag, *parts):
+    """Block ``tag``: its count line, then one line per row of the 2-D
+    ``parts`` side by side, fields separated by single spaces.
+
+    Each part formats through one `_text_table`. A record of NUL-padded
+    fields and separators gathers ``_CHUNK_ROWS`` rows at a time from the
+    tables; its bytes, NULs dropped, are the lines.
+    """
+    rows = len(parts[0])
+    fh.write(b"%s %d\n" % (tag.encode(), rows))
+    if not rows:
+        return
+    cells = [(table, index[:, k]) for table, index in map(_text_table, parts)
+             for k in range(index.shape[1])]
+    record = np.dtype([(f"{kind}{k}", f"S{size}") for k, (table, _) in enumerate(cells)
+                       for kind, size in (("v", table.itemsize), ("s", 1))])
+    buf = np.empty(min(rows, _CHUNK_ROWS), record)
+    for k in range(len(cells)):
+        buf[f"s{k}"] = b" " if k < len(cells) - 1 else b"\n"
+    for start in range(0, rows, buf.size):
+        chunk = buf[:rows - start]
+        for k, (table, index) in enumerate(cells):
+            chunk[f"v{k}"] = table[index[start:start + chunk.size]]
+        raw = chunk.view(np.uint8)
+        fh.write(raw[raw != 0])
 
 
 def save_mesh(mesh: Mesh, path):
-    """Versioned text dump; float columns round-trip bit-exactly."""
-    text = [f"{_MESH_FORMAT} {_MESH_VERSION}\n"]
-    if mesh.config is not None:
-        c = mesh.config
-        text.append(("config" + " %.17g" * 12 + " %s\n")
-                    % (*c.outer_lo, *c.outer_hi, *c.inner_lo, *c.inner_hi, c.n))
-    text.append(_block("vertices", "%.17g %.17g %.17g\n", mesh.vertices))
-    text.append(_block("tets", "%d %d %d %d %d\n", np.column_stack([mesh.tets, mesh.tet_regions])))
-    tris = np.column_stack([a.astype(object) for a in (mesh.tris, mesh.tri_tags, mesh.tri_normals)])
-    text.append(_block("tris", "%d %d %d %d %.17g %.17g %.17g\n", tris))
-    with open(path, "w") as fh:
-        fh.write("".join(text))
+    """Versioned text dump; float columns round-trip bit-exactly.
+
+    Every block formats each distinct number once into a text table and
+    writes its rows as gathers from it, in fixed-size chunks (`_block`).
+    """
+    with open(path, "wb") as fh:
+        fh.write(f"{_MESH_FORMAT} {_MESH_VERSION}\n".encode())
+        if mesh.config is not None:
+            c = mesh.config
+            fh.write((("config" + " %.17g" * 12 + " %s\n")
+                      % (*c.outer_lo, *c.outer_hi, *c.inner_lo, *c.inner_hi, c.n)).encode())
+        _block(fh, "vertices", mesh.vertices)
+        _block(fh, "tets", mesh.tets, mesh.tet_regions[:, None])
+        _block(fh, "tris", mesh.tris, mesh.tri_tags[:, None], mesh.tri_normals)
 
 
 def load_mesh(path) -> Mesh:

@@ -152,12 +152,6 @@ def _hat_triple_integrals():
 _TRI_CUBIC = _hat_triple_integrals()
 
 
-def _mesh_h(sys) -> float:
-    c = sys.solid_table.coords
-    edges = c[:, [0, 0, 0, 1, 1, 2]] - c[:, [1, 2, 3, 2, 3, 3]]
-    return float(np.max(np.linalg.norm(edges, axis=2)))
-
-
 def multiplier_residual(z, f, beta, sys, which) -> MultiplierReport:
     """Evaluate both sides of a wave multiplier identity for the nodal field z.
 
@@ -177,7 +171,7 @@ def multiplier_residual(z, f, beta, sys, which) -> MultiplierReport:
     if which == "unit-div":
         lhs = grad_sq - beta**2 * mass_sq
         rhs = float(np.vdot(zv, sys.M_s @ fv).real)
-        return MultiplierReport(which, lhs, rhs, abs(lhs - rhs), _mesh_h(sys))
+        return MultiplierReport(which, lhs, rhs, abs(lhs - rhs), sys.mesh_h)
     if which != "radial":
         raise ValueError(f"unknown identity {which!r}")
 
@@ -205,7 +199,7 @@ def multiplier_residual(z, f, beta, sys, which) -> MultiplierReport:
 
     lhs = grad_sq
     rhs = float(term_a + term_b + term_c + term_d)
-    return MultiplierReport(which, lhs, rhs, abs(lhs - rhs), _mesh_h(sys))
+    return MultiplierReport(which, lhs, rhs, abs(lhs - rhs), sys.mesh_h)
 
 
 # The keys of `flux_chain_monitor`, in `resolvent.ResolventSample` field order.

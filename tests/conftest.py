@@ -16,6 +16,11 @@ RICH_CONFIG = MeshConfig(
     outer_lo=(0.0, 0.0, 0.0), outer_hi=(1.5, 1.5, 1.5),
     inner_lo=(0.5, 0.5, 0.5), inner_hi=(1.0, 1.0, 1.0), n=4,
 )
+# Off the origin, unequal sides per axis, the cube off-centre.
+NON_CUBIC_CONFIG = MeshConfig(
+    outer_lo=(0.0, -0.5, 0.25), outer_hi=(2.0, 1.0, 1.5),
+    inner_lo=(0.5, 0.0, 0.5), inner_hi=(1.25, 0.75, 1.0), n=4,
+)
 
 
 @pytest.fixture(scope="session")

@@ -384,6 +384,17 @@ def extracted_split(dof, M, A):
     return blocks, mismatches
 
 
+def tet_kernel_per_tet(p):
+    """`assembly._tet_kernel` one tet at a time: a LAPACK det and inv per tet."""
+    vol, grads = np.empty(len(p)), np.empty((len(p), 4, 3))
+    for t, q in enumerate(p):
+        d = q[1:] - q[:1]
+        vol[t] = np.linalg.det(d) / 6.0
+        grads[t, 1:] = np.linalg.inv(d).T
+        grads[t, 0] = -grads[t, 1:].sum(axis=0)
+    return vol, grads, vol[:, None, None] * ((np.ones((4, 4)) + np.eye(4)) / 20.0)
+
+
 def solid_face_owner_loop(mesh):
     """Index among the solid tets of the solid tet bounded by each interface
     triangle, by a dict over every face of every solid tet."""

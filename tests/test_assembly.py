@@ -5,13 +5,21 @@ import scipy.linalg
 from mlfsi.assembly import (
     ElementTable,
     State,
+    _tet_kernel,
     build_dofmap,
+    build_system,
     energy_norm,
     graph_norm,
 )
 from mlfsi.geometry import FLUID, GAMMA_F, GAMMA_TAGS, SOLID, Mesh, MeshConfig, build_mesh
 
-from oracles import DenseWeakForm, dense_gram_extreme_eigs, tet_element_quadrature
+from conftest import NON_CUBIC_CONFIG
+from oracles import (
+    DenseWeakForm,
+    dense_gram_extreme_eigs,
+    tet_element_quadrature,
+    tet_kernel_per_tet,
+)
 
 
 def one_tet_mesh():
@@ -51,6 +59,35 @@ def test_reference_tet_mass_pattern():
     me, ke = tet_element_quadrature(mesh.vertices)
     assert np.allclose(Md, me, atol=1e-15)
     assert np.allclose(K.toarray(), ke, atol=1e-14)
+
+
+def _mesh_coords(config, region=None):
+    mesh = build_mesh(config)
+    tets = mesh.tets if region is None else region_tets(mesh, region)
+    return mesh.vertices[tets]
+
+
+def _signed_zero_pair():
+    """Two tets whose edge matrices differ only in the sign of one zero."""
+    p = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 2, 0], [0.0, 0, 4]])
+    q = p.copy()
+    q[1, 1] = -0.0
+    return np.stack([p, q])
+
+
+@pytest.mark.parametrize("coords, shapes", [
+    (lambda: _mesh_coords(MeshConfig(n=24), SOLID), 162),
+    (lambda: _mesh_coords(NON_CUBIC_CONFIG), 6),
+    (lambda: np.random.default_rng(7).standard_normal((40, 4, 3)), 40),
+    (_signed_zero_pair, 2),
+], ids=["n24-solid", "non-cubic", "random", "signed-zero"])
+def test_tet_kernel_matches_per_tet_lapack_bit_for_bit(coords, shapes):
+    # The kernel factors once per distinct edge matrix, keyed on its bits.
+    p = coords()
+    edges = (p[:, 1:] - p[:, :1]).reshape(len(p), -1).view(np.uint64)
+    assert len(np.unique(edges, axis=0)) == shapes
+    for got, want in zip(_tet_kernel(p), tet_kernel_per_tet(p)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_empty_region_errors():
@@ -120,6 +157,19 @@ def test_blocks_are_canonical_csr(name, request):
     blocks = {"M_f": sys.M_f, "K_f": sys.K_f, "M_s": sys.M_s, "K_s": sys.K_s,
               "M_G": sys.M_G, "K_G": sys.K_G, "M_VV": sys.kinematic.M_VV, "P": sys.kinematic.P}
     assert [k for k, mat in blocks.items() if not mat.has_canonical_format] == []
+
+
+def test_solid_table_is_kept_only_when_read(default_mesh):
+    # The system pair needs only the solid blocks: their table is dropped.
+    sys = build_system(default_mesh)
+    sys.kinematic
+    assert "solid_table" not in vars(sys)
+    # Built first, the table is kept and lends its blocks: one table per mesh.
+    sys = build_system(default_mesh)
+    table = sys.solid_table
+    assert sys.M_s is table.M and sys.K_s is table.K
+    # The longest edge of a Kuhn tet is its cell's diagonal.
+    assert sys.mesh_h == pytest.approx(np.sqrt(3) / 4, rel=1e-15)
 
 
 def test_generator_dissipation_identity(default_sys, rng):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlfsi import geometry
 from mlfsi.geometry import (
     FLUID,
     GAMMA_F,
@@ -22,7 +25,7 @@ from mlfsi.geometry import (
     save_mesh,
 )
 
-from conftest import RICH_CONFIG, TINY_CONFIG
+from conftest import NON_CUBIC_CONFIG, RICH_CONFIG, TINY_CONFIG
 from oracles import extract_boundary_lexsort, mesh_text_rows
 
 
@@ -167,12 +170,6 @@ def test_tiny_config_valid():
     assert mesh.region_volume(SOLID) == pytest.approx(0.125, rel=1e-12)
 
 
-NON_CUBIC_CONFIG = MeshConfig(
-    outer_lo=(0.0, -0.5, 0.25), outer_hi=(2.0, 1.0, 1.5),
-    inner_lo=(0.5, 0.0, 0.5), inner_hi=(1.25, 0.75, 1.0), n=4,
-)
-
-
 def _assert_boundary_matches_oracle(mesh):
     """The closed-form boundary equals the full face sort, which also asserts
     that no face has more than two tets, every lone face lies on the outer
@@ -287,6 +284,51 @@ def test_roundtrip_bit_exact_property(mesh):
             assert c.n == d.n
             fields = ("outer_lo", "outer_hi", "inner_lo", "inner_hi")
             assert all(np.array_equal(_bits(getattr(c, f)), _bits(getattr(d, f))) for f in fields)
+
+
+def _signed_zero_mesh(with_elements):
+    """Vertex and normal columns holding -0.0 beside 0.0, and the smallest
+    subnormal; with ``with_elements`` false, empty tets and tris blocks."""
+    vertices = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, 5e-324], [-5e-324, 0.0, -0.0]])
+    tets = np.array([[0, 1, 2, 0], [2, 1, 0, 1]])[:2 * with_elements]
+    tris = np.array([[0, 1, 2], [2, 0, 1]])[:2 * with_elements]
+    normals = np.array([[0.0, -0.0, 1.0], [-0.0, 5e-324, -1.0]])[:2 * with_elements]
+    return Mesh(vertices, tets, np.array([FLUID, SOLID], np.int8)[:len(tets)], tris,
+                np.array([GAMMA_F, 3], np.int8)[:len(tris)], normals)
+
+
+@pytest.mark.parametrize("with_elements", [True, False], ids=["elements", "empty"])
+def test_dump_keeps_signed_zeros_and_subnormals(tmp_path, with_elements):
+    # Formatting once per distinct value would merge -0.0 into 0.0: the
+    # writer keys on bit patterns.
+    mesh = _signed_zero_mesh(with_elements)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    text = path.read_text()
+    assert text == mesh_text_rows(mesh)
+    assert "\n-0 0 1\n0 -0 4.9406564584124654e-324\n" in text
+    back = load_mesh(path)
+    assert np.array_equal(_bits(back.vertices), _bits(mesh.vertices))
+    assert np.array_equal(_bits(back.tri_normals), _bits(mesh.tri_normals))
+
+
+# sha256 of mesh.txt at three configs, pinned so its bytes rest on more than `mesh_text_rows`.
+GOLDEN_MESH_SHA256 = json.loads((Path(__file__).parent / "golden" / "mesh_sha256.json").read_text())
+GOLDEN_MESH_CONFIGS = {"n4": MeshConfig(n=4), "n8": MeshConfig(n=8), "non-cubic": NON_CUBIC_CONFIG}
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunks", "7-row-chunks"])
+@pytest.mark.parametrize("name", GOLDEN_MESH_CONFIGS)
+def test_dump_matches_golden_bytes(tmp_path, monkeypatch, name, chunk_rows):
+    # 7-row chunks put seams inside every block of these meshes.
+    if chunk_rows is not None:
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk_rows)
+    mesh = build_mesh(GOLDEN_MESH_CONFIGS[name])
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_MESH_SHA256[name]
+    assert data == mesh_text_rows(mesh).encode()
 
 
 def _set_field(lines, header, row, col, value):
