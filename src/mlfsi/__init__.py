@@ -25,7 +25,6 @@ from .assembly import (
 )
 from .config import RunConfig, default_config, format_config, load_config, parse_config
 from .evolution import (
-    CNStepper,
     DecayFit,
     EnergyTrace,
     fit_decay,

@@ -269,9 +269,10 @@ class KinematicSplit:
     Gram block and E v = v[n_fi:] (n_fi = n_v - |d|), both d and E v in the
     solid order [interface, solid interior]; the velocity rows read
     M_VV v' = -K v - E^T P d. `M` and `A` are diag(M_VV, P) and
-    [[-K, -E^T P], [P E, 0]], with P E = (E^T P)^T. Shifted and midpoint
-    solves eliminate d in closed form and factor a matrix on v alone from
-    M_VV, K, ``EtP`` = E^T P and Q = E^T P E; `apply_generator` and
+    [[-K, -E^T P], [P E, 0]], with P E = (E^T P)^T. Its one shifted solve
+    (`resolvent.ShiftedFactor`, the midpoint step among its uses) eliminates
+    d in closed form and factors a matrix on v alone from M_VV, K,
+    ``EtP`` = E^T P and Q = E^T P E; `apply_generator` and
     `solve_generator` apply M^{-1} A and A^{-1} M around LUs of M_VV,
     K_ff = K[:n_fi, :n_fi] and P.
     ``coords`` holds the vertex of each v unknown (d unknown j sits on that

@@ -7,7 +7,10 @@ E = (1/2) x^T M x, one step satisfies exactly
     E(x+) - E(x) = -tau * u_m^T K_f u_m,   m = (x + x+) / 2,
 
 so every joule lost is attributable to the fluid gradient term. The per-step
-residual of this balance is recorded along the trace.
+residual of this balance is recorded along the trace. A step is the Cayley
+map (s M - A)^{-1} (s M + A) at the real shift s = 2 / tau, which
+`resolvent.ShiftedFactor` applies with the same closed-form elimination and
+velocity LU as the frequency-domain solves (`make_stepper`).
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import KinematicSplit, State, SystemMatrices, graph_norm
-from .linalg import Factorization, SingularMatrixError, loglog_fit
+from .assembly import State, SystemMatrices, graph_norm
+from .linalg import SingularMatrixError, loglog_fit
+from .resolvent import ShiftedFactor
 
 
 # The fewest trace samples a decay fit takes.
@@ -77,37 +81,12 @@ class DecayFit:
     n_samples: int
 
 
-class CNStepper:
-    """The midpoint step on a kinematic split of (M, A), with one LU.
-
-    The displacement rows of (M - tau/2 A) x+ = (M + tau/2 A) x give
-    d+ = d + tau/2 E (v + v+) in closed form, which leaves
-
-        (M_VV + tau/2 K + tau^2/4 Q) v+ = (M_VV - tau/2 K - tau^2/4 Q) v - tau E^T P d
-
-    for the velocity unknowns (`assembly.KinematicSplit`). That matrix is
-    symmetric positive definite; it is factored once, in the split's
-    nested-dissection order, and reused for every step.
-    """
-
-    def __init__(self, split: KinematicSplit, tau):
-        if tau <= 0:
-            raise ValueError("time step must be positive")
-        self.tau = tau
-        self.split = split
-        coupling = (tau / 2.0) * split.K + (tau * tau / 4.0) * split.Q
-        self.B_minus = (split.M_VV - coupling).tocsr()
-        self.factor = Factorization(split.M_VV + coupling, order=split.order)
-
-    def step(self, xvec):
-        s = self.split
-        v, d = xvec[:s.n_v], xvec[s.n_v:]
-        v_new = self.factor.solve(self.B_minus @ v - self.tau * (s.EtP @ d))
-        return np.concatenate([v_new, d + (self.tau / 2.0) * (v + v_new)[s.n_fi:]])
-
-
-def make_stepper(sys: SystemMatrices, tau) -> CNStepper:
-    return CNStepper(sys.kinematic, tau)
+def make_stepper(sys: SystemMatrices, tau) -> ShiftedFactor:
+    """The midpoint step of length tau: `ShiftedFactor.cayley` at s = 2 / tau,
+    (M - tau/2 A)^{-1} (M + tau/2 A) = (s M - A)^{-1} (s M + A)."""
+    if tau <= 0:
+        raise ValueError("time step must be positive")
+    return ShiftedFactor(2.0 / tau, sys.kinematic)
 
 
 def _sample_times(first, last, tau):
@@ -119,15 +98,13 @@ def _dissipation(uvec, K_f):
     return float(np.vdot(uvec, K_f @ uvec).real)
 
 
-def simulate(x0: State, T, tau, sys: SystemMatrices,
-             stepper: CNStepper | None = None) -> EnergyTrace:
+def simulate(x0: State, T, tau, sys: SystemMatrices) -> EnergyTrace:
     """Evolve x0 over [0, T]; ceil(T/tau) + 1 samples with balance audit."""
     if T <= 0 or tau <= 0:
         raise ValueError("T and tau must be positive")
     if not np.all(np.isfinite(x0.vec)):
         raise ValueError("initial state is not finite")
-    if stepper is None:
-        stepper = make_stepper(sys, tau)
+    stepper = make_stepper(sys, tau)
 
     nsteps = math.ceil(T / tau)
     n_fi, n_u = sys.dof.n_fi, sys.dof.n_u
@@ -143,12 +120,12 @@ def simulate(x0: State, T, tau, sys: SystemMatrices,
     D[0] = _dissipation(x[:n_u], sys.K_f)
     norm[0] = math.sqrt(max(2.0 * E[0], 0.0))
     for k in range(nsteps):
-        x_new = stepper.step(x)
+        x_new = stepper.cayley(x)
         if not np.all(np.isfinite(x_new)):
             raise SolverFailure("non-finite state produced", step=k + 1)
         m_u = 0.5 * (x[:n_u] + x_new[:n_u])
         e_new = 0.5 * float(x_new @ (sys.M @ x_new))
-        bal[k] = abs(e_new - E[k] + stepper.tau * _dissipation(m_u, sys.K_f))
+        bal[k] = abs(e_new - E[k] + tau * _dissipation(m_u, sys.K_f))
         x = x_new
         E[k + 1] = e_new
         D[k + 1] = _dissipation(x[:n_u], sys.K_f)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from .assembly import State, SystemMatrices, energy_norm
+from .assembly import KinematicSplit, State, SystemMatrices, energy_norm
 from .identities import flux_chain_monitor
 from .linalg import Factorization, SingularMatrixError, loglog_fit, opnorm_from_normal
 
@@ -95,46 +95,56 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 class ShiftedFactor:
-    """The map T: b -> x with (i beta M - A) x = M b, and its M-adjoint.
+    """The map T: b -> x with (s M - A) x = M b at a nonzero shift s, its
+    M-adjoint, and the Cayley map of the pencil.
 
     The kinematic rows give the displacement unknowns in closed form,
-    d = (E v + b_d) / (i beta), so only the velocity unknowns v are factored
+    d = (E v + b_d) / s, so only the velocity unknowns v are factored
     (`assembly.KinematicSplit`):
 
-        (i beta M_VV + K + Q / (i beta)) v = M_VV b_V - E^T P b_d / (i beta).
+        (s M_VV + K + Q / s) v = M_VV b_V - E^T P b_d / s.
 
-    The LU is taken in the split's nested-dissection order. The M-adjoint
-    T* = R^H M (R = (i beta M - A)^{-1}) solves with the conjugate transpose
-    of the same LU, then d = (E y - z_d) / (i beta).
+    The LU is taken once, in the split's nested-dissection order; at a real
+    s it and every vector stay real. At s = i beta, T = R M is the resolvent
+    map of frequency beta, R = (i beta M - A)^{-1}. At s = 2 / tau, `cayley`
+    is one implicit midpoint step (`evolution.make_stepper`). The M-adjoint
+    T* = R_s^H M, R_s = (s M - A)^{-1}, solves with the conjugate transpose
+    of the same LU, then d = (z_d - E y) / conj(s).
     """
 
-    def __init__(self, beta, sys: SystemMatrices):
-        self.beta = float(beta)
-        self.split = split = sys.kinematic
-        self.shift = 1j * self.beta
-        reduced = self.shift * split.M_VV + split.K + split.Q * (1.0 / self.shift)
+    def __init__(self, s, split: KinematicSplit):
+        self.shift = s
+        self.split = split
+        reduced = s * split.M_VV + split.K + split.Q * (1.0 / s)
         try:
             self.factor = Factorization(reduced, order=split.order)
         except SingularMatrixError as exc:
-            raise FrequencySingularityError(beta, str(exc)) from exc
+            if s.real == 0:
+                raise FrequencySingularityError(s.imag, str(exc)) from exc
+            raise
 
-    def _velocity_rhs(self, b):
-        s = self.split
-        return s.M_VV @ b[:s.n_v] - (s.EtP @ b[s.n_v:]) / self.shift
+    def _velocity_rhs(self, b, s):
+        split = self.split
+        return split.M_VV @ b[:split.n_v] - (split.EtP @ b[split.n_v:]) / s
 
     def solve(self, b):
-        """x = R M b."""
-        s = self.split
-        b = np.asarray(b, dtype=np.complex128)
-        v = self.factor.solve(self._velocity_rhs(b))
-        return np.concatenate([v, (v[s.n_fi:] + b[s.n_v:]) / self.shift])
+        """x = R_s M b."""
+        split, s = self.split, self.shift
+        b = np.asarray(b, dtype=np.result_type(b, s))
+        v = self.factor.solve(self._velocity_rhs(b, s))
+        return np.concatenate([v, (v[split.n_fi:] + b[split.n_v:]) / s])
 
     def solve_adjoint(self, z):
-        """y = R^H M z, the M-adjoint of `solve`."""
-        s = self.split
-        z = np.asarray(z, dtype=np.complex128)
-        v = self.factor.solve(self._velocity_rhs(z), trans="H")
-        return np.concatenate([v, (v[s.n_fi:] - z[s.n_v:]) / self.shift])
+        """y = R_s^H M z, the M-adjoint of `solve`."""
+        # At the shift -conj(s), the right-hand side of `solve` is the adjoint's.
+        split, s = self.split, -self.shift.conjugate()
+        z = np.asarray(z, dtype=np.result_type(z, s))
+        v = self.factor.solve(self._velocity_rhs(z, s), trans="H")
+        return np.concatenate([v, (v[split.n_fi:] - z[split.n_v:]) / s])
+
+    def cayley(self, x):
+        """(s M - A)^{-1} (s M + A) x = 2 s T x - x."""
+        return (2 * self.shift) * self.solve(x) - x
 
 
 def solve_static(beta, b: State, sys: SystemMatrices,
@@ -148,7 +158,7 @@ def solve_static(beta, b: State, sys: SystemMatrices,
     i beta M x - A x - M b is verified on the solution.
     """
     if shifted is None:
-        shifted = ShiftedFactor(beta, sys)
+        shifted = ShiftedFactor(1j * beta, sys.kinematic)
     xvec = shifted.solve(b.vec)
     x = State(sys.dof, xvec)
     rhs = sys.M @ b.vec.astype(np.complex128)
@@ -177,7 +187,7 @@ def resolvent_opnorm(beta, sys: SystemMatrices, tol=1e-4,
     solve. ``applications`` counts how often it was applied.
     """
     if shifted is None:
-        shifted = ShiftedFactor(beta, sys)
+        shifted = ShiftedFactor(1j * beta, sys.kinematic)
 
     def normal(v):
         return shifted.solve_adjoint(shifted.solve(v))
@@ -199,7 +209,7 @@ def probe_state(sys: SystemMatrices, seed) -> State:
 def sample_point(beta, sys: SystemMatrices, b: State, *,
                  compute_opnorm=True, opnorm_tol=1e-4, solve_tol=1e-10) -> ResolventSample:
     """All per-frequency diagnostics for one beta and one probe vector."""
-    shifted = ShiftedFactor(beta, sys)
+    shifted = ShiftedFactor(1j * beta, sys.kinematic)
     x = solve_static(beta, b, sys, shifted=shifted, tol=solve_tol)
     diss = dissipation_residual(beta, b, x, sys)
     monitors = flux_chain_monitor(x, b, beta, sys)

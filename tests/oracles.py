@@ -295,12 +295,13 @@ def arpack_resolvent_opnorm(beta, sys):
     return float(np.sqrt(top.max()))
 
 
-def full_shifted_lu(beta, sys):
-    """scipy's LU of the full shifted matrix i beta M - A, displacement rows
+def full_shifted_lu(s, sys):
+    """scipy's LU of the full shifted matrix s M - A, displacement rows
     included: minimum degree on A^T + A in symmetric mode at SuperLU's
     default pivot threshold, the factorization before the kinematic
-    elimination. Solve (i beta M - A) x = M b with ``lu.solve(M @ b)``."""
-    C = 1j * beta * sys.M.astype(np.complex128) - sys.A.astype(np.complex128)
+    elimination, real at a real s. Solve (s M - A) x = M b with
+    ``lu.solve(M @ b)``."""
+    C = s * sys.M - sys.A
     return spla.splu(sp.csc_matrix(C), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 

@@ -112,7 +112,7 @@ def test_criterion_3_oracle_equivalence():
         xk = x0.copy()
         stepper = make_stepper(sys, tau)
         for _ in range(round(T / tau)):
-            xk = stepper.step(xk)
+            xk = stepper.cayley(xk)
         errs.append(np.linalg.norm(xk - ref))
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
     ok = rel <= 1e-9 and all(abs(o - 2.0) <= 0.1 for o in orders)

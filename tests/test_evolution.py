@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,6 @@ from mlfsi.assembly import (
     graph_norm,
 )
 from mlfsi.evolution import (
-    CNStepper,
     fit_decay,
     make_stepper,
     prepare_smooth_data,
@@ -20,6 +21,7 @@ from mlfsi.evolution import (
     EnergyTrace,
 )
 from mlfsi.linalg import Factorization, SingularMatrixError
+from mlfsi.resolvent import FrequencySingularityError, ShiftedFactor
 
 from oracles import log_slope_loop
 
@@ -32,7 +34,7 @@ def dense_flow(sys, t):
 
 def test_step_zero_state(default_sys):
     x = State.zeros(default_sys.dof)
-    out = make_stepper(default_sys, 0.01).step(x.vec)
+    out = make_stepper(default_sys, 0.01).cayley(x.vec)
     assert np.all(out == 0)
 
 
@@ -42,10 +44,22 @@ def test_scalar_model_closed_form():
     A = sp.csr_matrix(np.array([[-1.0]]))
     tau = 0.1
     split = KinematicSplit(M, -A, sp.csr_matrix((0, 0)), coords=[[0.0, 0.0, 0.0]])
-    stepper = CNStepper(split, tau)
+    stepper = ShiftedFactor(2.0 / tau, split)
     x = np.array([2.0])
-    out = stepper.step(x)
+    out = stepper.cayley(x)
     assert out[0] == pytest.approx(2.0 * (1 - tau / 2) / (1 + tau / 2), rel=1e-14)
+
+
+def test_singular_midpoint_matrix_raises_the_time_solver_error():
+    # M = 1, K = -1: the generator has the eigenvalue +1, so s M - A vanishes
+    # at s = 2 / tau = 1. That is a time-domain failure (exit 3), not a
+    # frequency singularity (exit 4).
+    one = sp.csr_matrix(np.array([[1.0]]))
+    split = KinematicSplit(one, -one, sp.csr_matrix((0, 0)), coords=[[0.0, 0.0, 0.0]])
+    with pytest.raises(SingularMatrixError) as info:
+        make_stepper(SimpleNamespace(kinematic=split), 2.0)
+    assert not isinstance(info.value, FrequencySingularityError)
+    make_stepper(SimpleNamespace(kinematic=split), 1.0)
 
 
 def test_one_step_local_order_three(tiny_sys):
@@ -54,7 +68,7 @@ def test_one_step_local_order_three(tiny_sys):
     for tau in (0.02, 0.01):
         flow = dense_flow(tiny_sys, tau)
         ref = flow @ x0
-        got = make_stepper(tiny_sys, tau).step(x0)
+        got = make_stepper(tiny_sys, tau).cayley(x0)
         errs.append(np.linalg.norm(got - ref))
     ratio = errs[0] / errs[1]
     assert 6.0 < ratio < 10.0
@@ -83,7 +97,7 @@ def test_simulate_global_order_two(tiny_sys):
         tr_x = x0.copy()
         stepper = make_stepper(tiny_sys, tau)
         for _ in range(round(T / tau)):
-            tr_x = stepper.step(tr_x)
+            tr_x = stepper.cayley(tr_x)
         errs.append(np.linalg.norm(tr_x - ref))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     for order in orders:
@@ -103,12 +117,12 @@ def test_reversible_when_dissipation_removed(default_sys):
     K0 = sp.csr_matrix(sys.K_f.shape)
     split = compose_first_order(sys.dof, sys.M_f, K0, sys.M_G, sys.H1_G, sys.M_s, sys.K_s,
                                 sys.mesh.vertices)
-    stepper = CNStepper(split, 0.01)
+    stepper = ShiftedFactor(2.0 / 0.01, split)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(sys.dof.total)
     e0 = 0.5 * x @ (sys.M @ x)
     for _ in range(1000):
-        x = stepper.step(x)
+        x = stepper.cayley(x)
     e1 = 0.5 * x @ (sys.M @ x)
     assert abs(e1 - e0) <= 1e-10 * e0
 
@@ -197,26 +211,23 @@ def test_fit_decay_window_errors():
         fit_decay(tr, (1.0, 1.05))    # too few samples
 
 
-def test_simulate_aborts_on_nonfinite_state(default_sys, rng):
+def test_simulate_aborts_on_nonfinite_state(default_sys, rng, monkeypatch):
     from mlfsi.evolution import SolverFailure
 
-    class BrokenStepper:
-        tau = 0.01
+    calls = []
 
-        def __init__(self):
-            self.calls = 0
+    def broken_step(self, x):
+        calls.append(1)
+        if len(calls) == 3:
+            bad = x.copy()
+            bad[0] = np.nan
+            return bad
+        return x
 
-        def step(self, x):
-            self.calls += 1
-            if self.calls == 3:
-                bad = x.copy()
-                bad[0] = np.nan
-                return bad
-            return x
-
+    monkeypatch.setattr(ShiftedFactor, "cayley", broken_step)
     x0 = State(default_sys.dof, rng.standard_normal(default_sys.dof.total))
     with pytest.raises(SolverFailure, match="step 3"):
-        simulate(x0, 0.1, 0.01, default_sys, stepper=BrokenStepper())
+        simulate(x0, 0.1, 0.01, default_sys)
 
 
 def test_log_slope_matches_the_loop_bit_for_bit(default_sys):

@@ -1,16 +1,18 @@
 """The kinematic split of (M, A): its blocks and pair against the
 shared-trace composition, its exact structural identities, the
-nested-dissection order of the velocity unknowns, and the shifted and
-midpoint solves on it against full-system scipy LUs."""
+nested-dissection order of the velocity unknowns, and the shifted solves
+on it, the midpoint step among them, against full-system scipy LUs and
+dense eigenpairs."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from mlfsi.assembly import State, build_system, compose_first_order
 from mlfsi.evolution import make_stepper
 from mlfsi.geometry import MeshConfig, build_mesh
-from mlfsi.linalg import DISSECTION_LEAF, coordinate_bisection
+from mlfsi.linalg import DISSECTION_LEAF, Factorization, coordinate_bisection
 from mlfsi.resolvent import ShiftedFactor
 
 from oracles import extracted_split, full_midpoint_steps, full_shifted_lu, shared_trace_pair
@@ -26,15 +28,40 @@ def rel_diff(x, y):
     return np.linalg.norm(x - y) / np.linalg.norm(y)
 
 
-@pytest.mark.parametrize("beta", [1.0, 13.5, 200.0])
-def test_shifted_solves_match_full_system_lu(n8_sys, beta):
+# Imaginary shifts s = i beta are named by their frequency beta; 200.0 is
+# 2 / tau at tau = 0.01, the midpoint shift.
+@pytest.mark.parametrize("s", [1j, 13.5j, 200j, 3 - 5j, 200.0],
+                         ids=["1.0", "13.5", "200.0", "3-5j", "real-200.0"])
+def test_shifted_solves_match_full_system_lu(n8_sys, s):
     sys = n8_sys
-    rng = np.random.default_rng(int(beta))
+    rng = np.random.default_rng(int(abs(s)))
     b, z = rng.standard_normal((2, sys.dof.total)) + 1j * rng.standard_normal((2, sys.dof.total))
-    shifted = ShiftedFactor(beta, sys)
-    lu = full_shifted_lu(beta, sys)
+    if np.isrealobj(s):
+        b, z = b.real, z.real
+    shifted = ShiftedFactor(s, sys.kinematic)
+    lu = full_shifted_lu(s, sys)
     assert rel_diff(shifted.solve(b), lu.solve(sys.M @ b)) <= 1e-12
     assert rel_diff(shifted.solve_adjoint(z), lu.solve(sys.M @ z, trans="H")) <= 1e-12
+
+
+def test_real_shift_keeps_real_arithmetic(n8_sys, monkeypatch):
+    # At s = 2 / tau every solve, and so every midpoint step, is one real
+    # triangular solve on float64 vectors.
+    shifted = make_stepper(n8_sys, 0.01)
+    assert shifted.factor.lu.L.dtype == np.float64
+    calls = []
+
+    def recording(b, trans="N"):
+        calls.append(np.asarray(b).dtype)
+        return Factorization.solve(shifted.factor, b, trans)
+
+    monkeypatch.setattr(shifted.factor, "solve", recording)
+    x = np.random.default_rng(6).standard_normal(n8_sys.dof.total)
+    for apply in (shifted.solve, shifted.solve_adjoint, shifted.cayley):
+        calls.clear()
+        out = apply(x)
+        assert out.dtype == np.float64
+        assert calls == [np.float64]
 
 
 def test_midpoint_steps_match_full_system_lu(n8_sys):
@@ -44,8 +71,36 @@ def test_midpoint_steps_match_full_system_lu(n8_sys):
     stepper = make_stepper(sys, tau)
     x = x0
     for _ in range(50):
-        x = stepper.step(x)
+        x = stepper.cayley(x)
     assert rel_diff(x, full_midpoint_steps(sys, tau, x0, 50)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def default_eigenpairs(default_sys):
+    """Every eigenpair (lambda, v) of A v = lambda M v at n=4 (N = 54), dense."""
+    lam, V = scipy.linalg.eig(default_sys.A.toarray(), default_sys.M.toarray())
+    assert lam.size == 54 and np.all(np.isfinite(lam))
+    return lam, V
+
+
+def assert_cayley_eigenpairs(cayley, s, eigenpairs):
+    """cayley(v) = ((s + lambda) / (s - lambda)) v for every eigenpair."""
+    lam, V = eigenpairs
+    for k in range(lam.size):
+        want = (s + lam[k]) / (s - lam[k]) * V[:, k]
+        assert rel_diff(cayley(V[:, k]), want) <= 1e-10, (s, lam[k])
+
+
+def test_midpoint_step_is_the_cayley_map_on_eigenpairs(default_sys, default_eigenpairs):
+    # The midpoint rule maps each mode by its Cayley factor: a stepper with
+    # the wrong shift, sign or factor misses it on some eigenpair.
+    for tau in (0.01, 0.1):
+        assert_cayley_eigenpairs(make_stepper(default_sys, tau).cayley, 2.0 / tau, default_eigenpairs)
+
+
+@pytest.mark.parametrize("s", [13.5j, 3 - 5j], ids=["13.5j", "3-5j"])
+def test_shifted_cayley_on_eigenpairs(default_sys, default_eigenpairs, s):
+    assert_cayley_eigenpairs(ShiftedFactor(s, default_sys.kinematic).cayley, s, default_eigenpairs)
 
 
 MESHES = pytest.mark.parametrize("config", [MeshConfig(n=4), MeshConfig(n=8), BRICK_CONFIG],
@@ -125,7 +180,7 @@ def test_dissection_order_separates_every_bisection(config):
 def test_reduced_shifted_fill_below_full_system_fill(n8_sys):
     # Deterministic guard on the elimination and the order: SuperLU's fill
     # does not depend on timing.
-    reduced = ShiftedFactor(200.0, n8_sys).factor.lu.nnz
-    full = full_shifted_lu(200.0, n8_sys).nnz
+    reduced = ShiftedFactor(200j, n8_sys.kinematic).factor.lu.nnz
+    full = full_shifted_lu(200j, n8_sys).nnz
     assert reduced <= 0.7 * full
 

@@ -146,7 +146,7 @@ def reduced_matrix(split, case):
     return {
         "reduced-shifted-1": 1j * split.M_VV + split.K - 1j * split.Q,
         "reduced-shifted-200": 200j * split.M_VV + split.K - (1j / 200) * split.Q,
-        "reduced-stepper": split.M_VV + 0.005 * split.K + 0.005**2 * split.Q,
+        "reduced-stepper": 200.0 * split.M_VV + split.K + (1 / 200.0) * split.Q,
     }[case]
 
 

@@ -85,7 +85,7 @@ def test_kinematic_relation_per_face(default_sys):
 def test_dissipation_identity_random_batch(default_sys, rng):
     sys = default_sys
     for beta in (1.0, 10.0, 100.0):
-        shifted = ShiftedFactor(beta, sys)
+        shifted = ShiftedFactor(1j * beta, sys.kinematic)
         for k in range(34):
             b = probe_state(sys, 100 + k)
             x = solve_static(beta, b, sys, shifted=shifted)
@@ -313,13 +313,8 @@ def test_singularity_detection():
     # A generator with a purely imaginary eigenvalue: shifted matrix singular.
     # M = I and A = [[0, -1], [1, 0]] (eigenvalues +-i) on x = (v, d).
     one = sp.eye(1, format="csr")
-
-    class FakeSys:
-        pass
-
-    fake = FakeSys()
-    fake.kinematic = assembly.KinematicSplit(one, sp.csr_matrix((1, 1)), one,
-                                             coords=[[0.0, 0.0, 0.0]])
-    assert np.array_equal(fake.kinematic.A.toarray(), [[0.0, -1.0], [1.0, 0.0]])
-    with pytest.raises(FrequencySingularityError):
-        ShiftedFactor(1.0, fake)
+    split = assembly.KinematicSplit(one, sp.csr_matrix((1, 1)), one, coords=[[0.0, 0.0, 0.0]])
+    assert np.array_equal(split.A.toarray(), [[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(FrequencySingularityError) as info:
+        ShiftedFactor(1j, split)
+    assert info.value.beta == 1.0
