@@ -274,7 +274,7 @@ class KinematicSplit:
     d in closed form and factors a matrix on v alone from M_VV, K,
     ``EtP`` = E^T P and Q = E^T P E; `apply_generator` and
     `solve_generator` apply M^{-1} A and A^{-1} M around LUs of M_VV,
-    K_ff = K[:n_fi, :n_fi] and P.
+    K_ff = K[:n_fi, :n_fi] and P, each built per call and not kept.
     ``coords`` holds the vertex of each v unknown (d unknown j sits on that
     of v unknown n_fi + j); each LU takes the nested-dissection order of its
     unknowns' vertices, ``order`` on v.
@@ -290,17 +290,17 @@ class KinematicSplit:
         self.coords = np.asarray(coords, dtype=float)
         self.order = nested_dissection(self.coords)
 
-    M_VV_factor = cached_property(lambda self: Factorization(self.M_VV, self.order))
-
     def apply_generator(self, x):
-        """M^{-1} A x: M_VV^{-1} (-K v - E^T P d) on v and E v on d."""
+        """M^{-1} A x: M_VV^{-1} (-K v - E^T P d) on v and E v on d. The M_VV
+        LU serves one graph norm per run, so it is not kept."""
         v, d = x[:self.n_v], x[self.n_v:]
-        return np.concatenate([self.M_VV_factor.solve(-(self.K @ v) - self.EtP @ d), v[self.n_fi:]])
+        M_VV = Factorization(self.M_VV, self.order)
+        return np.concatenate([M_VV.solve(-(self.K @ v) - self.EtP @ d), v[self.n_fi:]])
 
     def solve_generator(self, r):
         """x with A x = M r. The d rows give E v = r_d; the v rows then give
         v[:n_fi] from K_ff (no solve when n_fi = 0) and P d from the rest.
-        They serve one solve per seed, so unlike the M_VV LU they are not kept."""
+        They serve one solve per seed, so the LUs are not kept either."""
         n_fi, w = self.n_fi, self.M_VV @ r[:self.n_v]
         v = np.zeros_like(w)
         v[n_fi:] = r[self.n_v:]
@@ -342,10 +342,10 @@ class SystemMatrices:
 
     Only the DofMap is built up front. Each region's `ElementTable`, the
     blocks it scatters, the H1 Gram sums H1_G = K_G + M_G and
-    H1_s = K_s + M_s, the kinematic split (which holds (M, A) and the M_VV
-    LU) and each derived piece (the M_G LU, surface eigenbasis, Dirichlet
-    map, interface owners) is built on first use, so a caller that needs
-    only the solid side never assembles the fluid. Fluid matrices are indexed
+    H1_s = K_s + M_s, the kinematic split (which holds (M, A)) and each
+    derived piece (the M_G LU, surface eigenbasis, Dirichlet map, interface
+    owners) is built on first use, so a caller that needs only the solid
+    side never assembles the fluid. Fluid matrices are indexed
     [fluid interior, interface], solid matrices [interface, solid interior],
     surface matrices by the interface. The solid and surface tables are kept
     for the multiplier quadrature, which alone reads them; the fluid table,

@@ -107,7 +107,8 @@ class ShiftedFactor:
     The LU is taken once, in the split's nested-dissection order; at a real
     s it and every vector stay real. At s = i beta, T = R M is the resolvent
     map of frequency beta, R = (i beta M - A)^{-1}. At s = 2 / tau, `cayley`
-    is one implicit midpoint step (`evolution.make_stepper`). The M-adjoint
+    is one implicit midpoint step (`evolution.make_stepper`), one LU solve
+    given the M x that `evolution.simulate` carries between steps. The M-adjoint
     T* = R_s^H M, R_s = (s M - A)^{-1}, solves with the conjugate transpose
     of the same LU, then d = (z_d - E y) / conj(s).
     """
@@ -123,15 +124,18 @@ class ShiftedFactor:
                 raise FrequencySingularityError(s.imag, str(exc)) from exc
             raise
 
-    def _velocity_rhs(self, b, s):
+    def _velocity_rhs(self, Mb, s):
+        # M b = [M_VV b_V | P b_d], and E^T P b_d is P b_d on the rows n_fi and up.
         split = self.split
-        return split.M_VV @ b[:split.n_v] - (split.EtP @ b[split.n_v:]) / s
+        rhs = np.array(Mb[:split.n_v], dtype=np.result_type(Mb, s))
+        rhs[split.n_fi:] -= Mb[split.n_v:] / s
+        return rhs
 
-    def solve(self, b):
-        """x = R_s M b."""
+    def solve(self, b, Mb=None):
+        """x = R_s M b; ``Mb`` is M b when the caller already has it."""
         split, s = self.split, self.shift
         b = np.asarray(b, dtype=np.result_type(b, s))
-        v = self.factor.solve(self._velocity_rhs(b, s))
+        v = self.factor.solve(self._velocity_rhs(split.M @ b if Mb is None else Mb, s))
         return np.concatenate([v, (v[split.n_fi:] + b[split.n_v:]) / s])
 
     def solve_adjoint(self, z):
@@ -139,12 +143,12 @@ class ShiftedFactor:
         # At the shift -conj(s), the right-hand side of `solve` is the adjoint's.
         split, s = self.split, -self.shift.conjugate()
         z = np.asarray(z, dtype=np.result_type(z, s))
-        v = self.factor.solve(self._velocity_rhs(z, s), trans="H")
+        v = self.factor.solve(self._velocity_rhs(split.M @ z, s), trans="H")
         return np.concatenate([v, (v[split.n_fi:] - z[split.n_v:]) / s])
 
-    def cayley(self, x):
-        """(s M - A)^{-1} (s M + A) x = 2 s T x - x."""
-        return (2 * self.shift) * self.solve(x) - x
+    def cayley(self, x, Mx=None):
+        """(s M - A)^{-1} (s M + A) x = 2 s T x - x; ``Mx`` as in `solve`."""
+        return (2 * self.shift) * self.solve(x, Mx) - x
 
 
 def solve_static(beta, b: State, sys: SystemMatrices,
@@ -240,10 +244,11 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
     """Diagnostics along a frequency grid; results ordered by the grid.
 
     The beta-independent state (the Dirichlet map and the surface
-    eigenbasis) is cached on the system, so it is built once per process.
-    With jobs > 1 the system reaches each worker once, through the pool
-    initializer; tasks carry only beta, and results are reassembled in grid
-    order, so output does not depend on jobs.
+    eigenbasis) is cached on the system and built once, in the calling
+    process. With jobs > 1 it is built before the pool starts, and the
+    system reaches each forked worker once, through the pool initializer;
+    tasks carry only beta, and results are reassembled in grid order, so
+    output does not depend on jobs.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size < 1:
@@ -256,6 +261,7 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
     options = dict(compute_opnorm=compute_opnorm, opnorm_tol=opnorm_tol, solve_tol=solve_tol)
     grid = [float(bb) for bb in betas]
     if jobs > 1:
+        sys.surface_spectral, sys.dirichlet_map     # forked workers inherit them
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(grid)), initializer=_init_sweep_worker,
             initargs=(sys, b, options),

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,23 +212,98 @@ def test_fit_decay_window_errors():
         fit_decay(tr, (1.0, 1.05))    # too few samples
 
 
-def test_simulate_aborts_on_nonfinite_state(default_sys, rng, monkeypatch):
+def assert_aborts_at_step_3(sys, rng, monkeypatch, index):
+    """A step that returns NaN at ``index`` of the state on its third call
+    stops `simulate` with the step number."""
     from mlfsi.evolution import SolverFailure
 
     calls = []
 
-    def broken_step(self, x):
+    def broken_step(self, x, Mx=None):
         calls.append(1)
         if len(calls) == 3:
             bad = x.copy()
-            bad[0] = np.nan
+            bad[index] = np.nan
             return bad
         return x
 
     monkeypatch.setattr(ShiftedFactor, "cayley", broken_step)
-    x0 = State(default_sys.dof, rng.standard_normal(default_sys.dof.total))
+    x0 = State(sys.dof, rng.standard_normal(sys.dof.total))
     with pytest.raises(SolverFailure, match="step 3"):
-        simulate(x0, 0.1, 0.01, default_sys)
+        simulate(x0, 0.1, 0.01, sys)
+
+
+def test_simulate_aborts_on_nonfinite_state(default_sys, rng, monkeypatch):
+    assert_aborts_at_step_3(default_sys, rng, monkeypatch, 0)
+
+
+def test_simulate_aborts_on_nonfinite_displacement(default_sys, rng, monkeypatch):
+    # The NaN sits in the d block only, which the carried M x reads as P d.
+    assert_aborts_at_step_3(default_sys, rng, monkeypatch, default_sys.dof.n_v)
+
+
+def reference_trace(x0, T, tau, sys):
+    """E, dissipation, norm_H and balance residual of `simulate`'s trace, from
+    a loop that steps with `cayley(x)` and forms every product in full."""
+    stepper, n_u = make_stepper(sys, tau), sys.dof.n_u
+
+    def dissipation(u):
+        return float(np.vdot(u, sys.K_f @ u).real)
+
+    x = x0.copy()
+    E, D, bal = [0.5 * float(x @ (sys.M @ x))], [dissipation(x[:n_u])], []
+    for _ in range(math.ceil(T / tau)):
+        x_new = stepper.cayley(x)
+        e_new = 0.5 * float(x_new @ (sys.M @ x_new))
+        bal.append(abs(e_new - E[-1] + tau * dissipation(0.5 * (x[:n_u] + x_new[:n_u]))))
+        x = x_new
+        E.append(e_new)
+        D.append(dissipation(x[:n_u]))
+    E = np.array(E)
+    return E, np.array(D), np.sqrt(np.maximum(2.0 * E, 0.0)), np.array(bal)
+
+
+@pytest.mark.parametrize("name", ["default_sys", "n8_sys"])
+def test_simulate_matches_the_full_product_loop_bit_for_bit(request, name):
+    # The carried M x and K_f u are the bits of the full products, so the
+    # trace is; only the balance residual, which sums K_f u_m as the mean of
+    # two products, may move, within the golden bound of 1e-14 times the energy.
+    sys = request.getfixturevalue(name)
+    x0 = prepare_smooth_data(1, sys)
+    tr = simulate(x0, 1.0, 0.01, sys)
+    E, D, norm, bal = reference_trace(x0.vec, 1.0, 0.01, sys)
+    for got, want in ((tr.E, E), (tr.dissipation, D), (tr.norm_H, norm)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.max(np.abs(tr.balance_residual - bal)) <= 1e-14 * E[0]
+
+
+def test_simulate_step_is_one_solve_and_one_product(default_sys, monkeypatch):
+    # One stepper LU per run; per step one solve on it and one sparse
+    # product, plus the product of x0.
+    x0 = prepare_smooth_data(3, default_sys)
+    stepper_factors, solves, products = [], [], []
+    init, solve, matmul = ShiftedFactor.__init__, Factorization.solve, sp.csr_matrix.__matmul__
+
+    def counted_init(self, *args):
+        init(self, *args)
+        stepper_factors.append(self.factor)
+
+    def counted_solve(self, b, trans="N"):
+        solves.append(self)
+        return solve(self, b, trans)
+
+    def counted_matmul(self, other):
+        products.append(self.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(ShiftedFactor, "__init__", counted_init)
+    monkeypatch.setattr(Factorization, "solve", counted_solve)
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted_matmul)
+    tr = simulate(x0, 0.875, 0.125, default_sys)
+    assert len(tr.t) - 1 == 7
+    assert len(stepper_factors) == 1
+    assert len(solves) == 7 and all(f is stepper_factors[0] for f in solves)
+    assert len(products) == 8
 
 
 def test_log_slope_matches_the_loop_bit_for_bit(default_sys):

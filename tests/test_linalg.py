@@ -169,8 +169,8 @@ def factored_block(sys, case):
 def program_order(sys, case, monkeypatch):
     """The order in which the program factors the block of ``case``."""
     split = sys.kinematic
-    if case in ("K_ff", "P"):
-        # solve_generator factors K_ff, then P, and keeps neither.
+    if case in ("M_VV", "K_ff", "P"):
+        # apply_generator factors M_VV, solve_generator K_ff, then P; none is kept.
         orders = []
 
         class Recording(Factorization):
@@ -179,13 +179,14 @@ def program_order(sys, case, monkeypatch):
                 super().__init__(A, order)
 
         monkeypatch.setattr(assembly, "Factorization", Recording)
-        split.solve_generator(np.ones(sys.dof.total))
+        generator = split.apply_generator if case == "M_VV" else split.solve_generator
+        generator(np.ones(sys.dof.total))
         return orders[case == "P"]
     if case == "M_G":
         return sys.mass_g_factor.order
     if case == "Ks_II":
         return sys.dirichlet_map.factor.order
-    return split.M_VV_factor.order if case == "M_VV" else split.order
+    return split.order
 
 
 @pytest.mark.parametrize("case", ["M_VV", "K_ff", "P", "M_G", "Ks_II",

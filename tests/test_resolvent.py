@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -307,6 +309,27 @@ def test_sweep_builds_dirichlet_map_once(monkeypatch):
     assert sys.dirichlet_map.factor is not None
     monitor_passes = 2 * len(betas) + 1
     assert 0 < len(extensions) <= monitor_passes
+
+
+def test_jobs_sweep_builds_eigenbasis_and_dirichlet_map_once(tmp_path, monkeypatch):
+    # Each build appends its name and process id to one file, so builds in
+    # the forked workers are counted too. The parent builds both pieces
+    # before the pool starts, and the workers inherit them.
+    sys = build_system(build_mesh(MeshConfig()))
+    log = tmp_path / "builds.txt"
+    for cls, name in ((identities.DirichletMap, "dirichlet-map"),
+                      (assembly.SurfaceSpectral, "surface-eigenbasis")):
+        def logged(self, *args, init=cls.__init__, name=name, **kwargs):
+            init(self, *args, **kwargs)
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+
+        monkeypatch.setattr(cls, "__init__", logged)
+
+    samples = sweep(np.logspace(0, 1, 4), sys, probe_seed=2, compute_opnorm=False, jobs=2)
+    assert len(samples) == 4
+    assert sorted(log.read_text().splitlines()) == [f"dirichlet-map {os.getpid()}",
+                                                    f"surface-eigenbasis {os.getpid()}"]
 
 
 def test_singularity_detection():
