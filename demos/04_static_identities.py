@@ -22,7 +22,7 @@ print(f"{'beta':>8}  {'diss. residual':>14}  {'kinematic':>10}  {'z boundary':>1
       f"{'poincare':>9}  {'r_I1':>8}")
 for beta in (1.0, 4.0, 16.0, 64.0, 200.0):
     x = solve_static(beta, b, system)
-    diss = dissipation_residual(beta, b, x, system)
+    diss = dissipation_residual(b, x, system)
     kin = float(np.max(np.abs(1j * beta * x.h0 - x.trace_u - b.h0)))
     monitors = flux_chain_monitor(x, b, beta, system)
     print(f"{beta:8.1f}  {diss:14.3e}  {kin:10.3e}  {monitors['z_boundary']:10.3e}  "

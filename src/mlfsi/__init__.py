@@ -21,7 +21,6 @@ from .assembly import (
     compose_first_order,
     energy_norm,
     fluid_gradient_norm,
-    graph_norm,
 )
 from .config import RunConfig, default_config, format_config, load_config, parse_config
 from .evolution import (

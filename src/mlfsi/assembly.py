@@ -272,9 +272,8 @@ class KinematicSplit:
     [[-K, -E^T P], [P E, 0]], with P E = (E^T P)^T. Its one shifted solve
     (`resolvent.ShiftedFactor`, the midpoint step among its uses) eliminates
     d in closed form and factors a matrix on v alone from M_VV, K,
-    ``EtP`` = E^T P and Q = E^T P E; `apply_generator` and
-    `solve_generator` apply M^{-1} A and A^{-1} M around LUs of M_VV,
-    K_ff = K[:n_fi, :n_fi] and P, each built per call and not kept.
+    ``EtP`` = E^T P and Q = E^T P E; `solve_generator` applies A^{-1} M
+    around LUs of K_ff = K[:n_fi, :n_fi] and P, each built per call and not kept.
     ``coords`` holds the vertex of each v unknown (d unknown j sits on that
     of v unknown n_fi + j); each LU takes the nested-dissection order of its
     unknowns' vertices, ``order`` on v.
@@ -290,17 +289,10 @@ class KinematicSplit:
         self.coords = np.asarray(coords, dtype=float)
         self.order = nested_dissection(self.coords)
 
-    def apply_generator(self, x):
-        """M^{-1} A x: M_VV^{-1} (-K v - E^T P d) on v and E v on d. The M_VV
-        LU serves one graph norm per run, so it is not kept."""
-        v, d = x[:self.n_v], x[self.n_v:]
-        M_VV = Factorization(self.M_VV, self.order)
-        return np.concatenate([M_VV.solve(-(self.K @ v) - self.EtP @ d), v[self.n_fi:]])
-
     def solve_generator(self, r):
         """x with A x = M r. The d rows give E v = r_d; the v rows then give
         v[:n_fi] from K_ff (no solve when n_fi = 0) and P d from the rest.
-        They serve one solve per seed, so the LUs are not kept either."""
+        They serve one solve per seed, so the LUs are not kept."""
         n_fi, w = self.n_fi, self.M_VV @ r[:self.n_v]
         v = np.zeros_like(w)
         v[n_fi:] = r[self.n_v:]
@@ -438,12 +430,6 @@ def energy_norm(x: State, sys: SystemMatrices) -> float:
     return float(np.sqrt(max(q, 0.0)))
 
 
-def graph_norm(x: State, sys: SystemMatrices) -> float:
-    """Energy norm of x plus the energy norm of M^{-1} A x."""
-    ax = sys.kinematic.apply_generator(x.vec)
-    return energy_norm(x, sys) + energy_norm(State(sys.dof, ax), sys)
-
-
 def fluid_gradient_norm(x: State, sys: SystemMatrices) -> float:
     """The dissipation seminorm |grad u| over the fluid region."""
     q = np.vdot(x.u, sys.K_f @ x.u).real
@@ -451,25 +437,25 @@ def fluid_gradient_norm(x: State, sys: SystemMatrices) -> float:
 
 
 class SurfaceSpectral:
-    """Fractional surface norms from the pencil (H1_G, M_G), H1_G = K_G + M_G.
+    """The surface H^{1/2} norm and its dual from the pencil (H1_G, M_G), H1_G = K_G + M_G.
 
     With generalized eigenpairs H1_G v_k = omega_k M_G v_k and the
     v_k M_G-orthonormal, a nodal surface function g has
-    |g|_s^2 = sum_k omega_k^s |(V^T M_G g)_k|^2, and a load vector f
-    (f_i = <F, phi_i>) has dual norm |F|_{-s}^2 = sum_k omega_k^{-s} |(V^T f)_k|^2.
+    |g|_{1/2}^2 = sum_k omega_k^{1/2} |(V^T M_G g)_k|^2, and a load vector f
+    (f_i = <F, phi_i>) has dual norm |F|_{-1/2}^2 = sum_k omega_k^{-1/2} |(V^T f)_k|^2.
     """
 
     def __init__(self, H1_G, M_G):
         omega, V = scipy.linalg.eigh(H1_G.toarray(), M_G.toarray())
-        self.omega = np.maximum(omega, 1e-14)
+        omega = np.maximum(omega, 1e-14)
+        self.weight, self.dual_weight = omega ** 0.5, omega ** -0.5
         self.V = V
         self.M_G = M_G
 
-    def norm_function(self, g, s) -> float:
+    def norm_function(self, g) -> float:
         c = self.V.T @ (self.M_G @ g)
-        return float(np.sqrt((self.omega**s * np.abs(c) ** 2).sum()))
+        return float(np.sqrt((self.weight * np.abs(c) ** 2).sum()))
 
-    def dual_norm(self, f, s) -> float:
+    def dual_norm(self, f) -> float:
         c = self.V.T @ f
-        return float(np.sqrt((self.omega ** (-s) * np.abs(c) ** 2).sum()))
-
+        return float(np.sqrt((self.dual_weight * np.abs(c) ** 2).sum()))

@@ -1,9 +1,9 @@
 """Command-line front end: mesh, simulate, sweep, probe, all.
 
 Every command is deterministic given (config, seed) and writes CSV/JSON
-artifacts into the output directory. Exit codes: 0 success, 2 configuration
-or validation error, 3 time-domain solver failure, 4 frequency-domain
-singularity or a resolvent-norm estimate that did not converge.
+artifacts into the output directory. Exit codes: 0 success, 2 configuration,
+validation or artifact-write error, 3 time-domain solver failure, 4
+frequency-domain singularity or a resolvent-norm estimate that did not converge.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a key-value config file")
     parser.add_argument("--outdir", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override for simulate and sweep probes")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweep")
+    parser.add_argument("--jobs", type=int, default=1, help="sweep workers, at most one per CPU")
     return parser
 
 
@@ -171,6 +171,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except ValueError as exc:  # ConfigError, MeshConfigError, InsufficientPointsError, ...
         print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an artifact that a step cannot write
+        print(f"error: cannot write {exc.filename!r}: {exc.strerror}", file=_sys.stderr)
         return EXIT_CONFIG
     except (evolution.SolverFailure, SingularMatrixError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import State, SystemMatrices, graph_norm
+from .assembly import State, SystemMatrices, energy_norm
 from .linalg import SingularMatrixError, loglog_fit
 from .resolvent import ShiftedFactor
 
@@ -137,10 +137,10 @@ def simulate(x0: State, T, tau, sys: SystemMatrices) -> EnergyTrace:
 def prepare_smooth_data(seed, sys: SystemMatrices) -> State:
     """Seeded unit-graph-norm data obtained by smoothing a random vector.
 
-    Solves A x0 = M r for seeded random r on the kinematic split, then
-    scales so that the graph norm of x0 is exactly one. Raises if the
-    generator is singular: when a factorization fails, or when the solve
-    misses A x0 = M r by a relative residual above 1e-10 (a few 1e-16 here).
+    Solves A x0 = M r for seeded random r on the kinematic split, then scales
+    so that the graph norm |x0|_M + |M^{-1} A x0|_M = |x0|_M + |r|_M is one.
+    Raises if the generator is singular: when a factorization fails, or when
+    the solve misses A x0 = M r by a relative residual above 1e-10 (a few 1e-16 here).
     """
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(sys.dof.total)
@@ -157,8 +157,8 @@ def prepare_smooth_data(seed, sys: SystemMatrices) -> State:
             f"generator is numerically singular (relative residual {res:.3g} of A x = M r)"
         )
     state = State(sys.dof, x)
-    g = graph_norm(state, sys)
-    state.vec /= g
+    # A x = M r, so M^{-1} A x = r: the graph norm needs no mass solve.
+    state.vec /= energy_norm(state, sys) + energy_norm(State(sys.dof, r), sys)
     return state
 
 

@@ -63,7 +63,7 @@ class DirichletMap:
         """Monitored boundedness constant |E g|_{H1} / |g|_{1/2,h}."""
         e = self.extend(g)
         h1 = np.sqrt(np.vdot(e, sys.H1_s @ e).real)
-        gn = sys.surface_spectral.norm_function(g, 0.5)
+        gn = sys.surface_spectral.norm_function(g)
         return float(h1 / gn) if gn > 0 else 0.0
 
 
@@ -228,7 +228,7 @@ def flux_chain_monitor(x: State, b: State, beta, sys) -> dict[str, float]:
     grad_u = fluid_gradient_norm(x, sys)
     base = grad_u + bnorm       # |grad u| + |b|_H, shared by the fluid-side ratios
     unorm = math.sqrt(max(np.vdot(x.u, sys.M_f @ x.u).real, 0.0))
-    heat_flux = spectral.dual_norm(fluid_interface_flux(x, b, beta, sys), 0.5)
+    heat_flux = spectral.dual_norm(fluid_interface_flux(x, b, beta, sys))
 
     g = x.trace_u + b.h0
     ext = sys.dirichlet_map.extend(g)
@@ -247,13 +247,13 @@ def flux_chain_monitor(x: State, b: State, beta, sys) -> dict[str, float]:
     pairing = abs(np.vdot(x.h0, flux_w0))
     denom_thin = pairing + grad_u**2 + bnorm**2
 
-    gn = spectral.norm_function(g, 0.5)
-    dtn_norm = spectral.dual_norm(sys.dirichlet_map.neumann(g, ext), 0.5) / gn if gn > 0 else 0.0
+    gn = spectral.norm_function(g)
+    dtn_norm = spectral.dual_norm(sys.dirichlet_map.neumann(g, ext)) / gn if gn > 0 else 0.0
 
     zmax = float(np.max(np.abs(z)))
     return {
         "poincare_ratio": math.sqrt(ab) * unorm / base,
-        "trace_ratio": ab * spectral.norm_function(x.h0, 0.5) / base,
+        "trace_ratio": ab * spectral.norm_function(x.h0) / base,
         "flux_ratio": heat_flux / (math.sqrt(ab) * base),
         "r_crux": flux_l2 / denom,
         "r_s3": (zh1 + zb + flux_l2) / denom,

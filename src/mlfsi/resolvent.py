@@ -18,6 +18,7 @@ ratios and the flux-chain monitors.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -72,7 +73,6 @@ class ResolventSample:
 
 @dataclass
 class GrowthFit:
-    betas: np.ndarray
     slope: float
     residual: float
     window: tuple
@@ -174,7 +174,7 @@ def solve_static(beta, b: State, sys: SystemMatrices,
     return x
 
 
-def dissipation_residual(beta, b: State, x: State, sys: SystemMatrices) -> float:
+def dissipation_residual(b: State, x: State, sys: SystemMatrices) -> float:
     """|u^H K_f u - Re <b, x>_H|; an exact identity up to solver tolerance."""
     grad_sq = np.vdot(x.u, sys.K_f @ x.u).real
     pairing = np.vdot(b.vec, sys.M @ x.vec).real
@@ -215,7 +215,7 @@ def sample_point(beta, sys: SystemMatrices, b: State, *,
     """All per-frequency diagnostics for one beta and one probe vector."""
     shifted = ShiftedFactor(1j * beta, sys.kinematic)
     x = solve_static(beta, b, sys, shifted=shifted, tol=solve_tol)
-    diss = dissipation_residual(beta, b, x, sys)
+    diss = dissipation_residual(b, x, sys)
     monitors = flux_chain_monitor(x, b, beta, sys)
     if compute_opnorm:
         opnorm, iters = resolvent_opnorm(beta, sys, tol=opnorm_tol, shifted=shifted)
@@ -245,10 +245,10 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
 
     The beta-independent state (the Dirichlet map and the surface
     eigenbasis) is cached on the system and built once, in the calling
-    process. With jobs > 1 it is built before the pool starts, and the
-    system reaches each forked worker once, through the pool initializer;
-    tasks carry only beta, and results are reassembled in grid order, so
-    output does not depend on jobs.
+    process. When min(jobs, grid points, usable CPUs) exceeds one, it is built
+    before a pool of that many workers starts, and the system reaches each
+    forked worker once, through the pool initializer; tasks carry only beta,
+    and results are reassembled in grid order, so output does not depend on jobs.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size < 1:
@@ -260,10 +260,13 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
     b = probe_state(sys, probe_seed)
     options = dict(compute_opnorm=compute_opnorm, opnorm_tol=opnorm_tol, solve_tol=solve_tol)
     grid = [float(bb) for bb in betas]
-    if jobs > 1:
+    # The pool starts every worker at once: take no more than the CPUs this process may use.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(grid), cpus or 1)
+    if workers > 1:
         sys.surface_spectral, sys.dirichlet_map     # forked workers inherit them
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(grid)), initializer=_init_sweep_worker,
+            max_workers=workers, initializer=_init_sweep_worker,
             initargs=(sys, b, options),
         ) as pool:
             return list(pool.map(_sweep_task, grid))
@@ -295,7 +298,6 @@ def fit_growth(samples, top_decade=True) -> GrowthFit:
         raise InsufficientPointsError("top decade holds fewer than 2 samples")
     slope, _, residual = loglog_fit(betas, np.array([s.opnorm for s in pts]))
     return GrowthFit(
-        betas=betas,
         slope=slope,
         residual=residual,
         window=(float(betas.min()), float(betas.max())),

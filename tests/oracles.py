@@ -505,7 +505,7 @@ def poincare_ratio(beta, b, x, sys):
 
 def trace_ratio(beta, b, x, sys):
     """|beta h0|_{1/2,h} / (|grad u| + |b|_H), the kinematic trace monitor."""
-    num = abs(beta) * sys.surface_spectral.norm_function(x.h0, 0.5)
+    num = abs(beta) * sys.surface_spectral.norm_function(x.h0)
     denom = fluid_gradient_norm(x, sys) + energy_norm(b, sys)
     return float(num / denom) if denom > 0 else 0.0
 
@@ -514,15 +514,15 @@ def flux_ratio(beta, b, x, sys):
     """Variational heat flux in the dual half norm against its |beta|^(1/2) majorant."""
     fl = fluid_interface_flux(x, b, beta, sys)
     denom = math.sqrt(abs(beta)) * (fluid_gradient_norm(x, sys) + energy_norm(b, sys))
-    return float(sys.surface_spectral.dual_norm(fl, 0.5) / denom) if denom > 0 else 0.0
+    return float(sys.surface_spectral.dual_norm(fl) / denom) if denom > 0 else 0.0
 
 
 def dtn_norm(beta, b, x, sys):
     """Dirichlet-to-Neumann ratio |N g|_{-1/2,h} / |g|_{1/2,h} of g = trace u + h0,
     with the Neumann map solving its own Dirichlet extension of g."""
     g = x.trace_u + b.h0
-    gn = sys.surface_spectral.norm_function(g, 0.5)
-    return sys.surface_spectral.dual_norm(sys.dirichlet_map.neumann(g), 0.5) / gn if gn > 0 else 0.0
+    gn = sys.surface_spectral.norm_function(g)
+    return sys.surface_spectral.dual_norm(sys.dirichlet_map.neumann(g)) / gn if gn > 0 else 0.0
 
 
 def trend_slope(betas, values) -> float:

@@ -71,7 +71,7 @@ def test_criterion_1_dissipation_identity(systems, rng):
     for k, beta in enumerate(betas):
         b = probe_state(sys, 1000 + k)
         x = solve_static(beta, b, sys)
-        res = dissipation_residual(beta, b, x, sys)
+        res = dissipation_residual(b, x, sys)
         worst = max(worst, res / energy_norm(b, sys) ** 2)
     ok = worst <= 1e-9
     report(1, ok, f"dissipation identity, 100 random (beta, b): worst residual "

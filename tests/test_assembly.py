@@ -9,7 +9,6 @@ from mlfsi.assembly import (
     build_dofmap,
     build_system,
     energy_norm,
-    graph_norm,
 )
 from mlfsi.geometry import FLUID, GAMMA_F, GAMMA_TAGS, SOLID, Mesh, MeshConfig, build_mesh
 
@@ -235,27 +234,6 @@ def test_energy_norm_matches_dense_gram(default_sys, rng):
         x = State(sys.dof, rng.standard_normal(sys.dof.total))
         ref = np.sqrt(x.vec @ (Gd @ x.vec))
         assert energy_norm(x, sys) == pytest.approx(ref, rel=1e-12)
-
-
-def check_graph_norm_examples(sys, rng):
-    assert graph_norm(State.zeros(sys.dof), sys) == 0.0
-    Gd = sys.M.toarray()
-    Ad = sys.A.toarray()
-    x = State(sys.dof, rng.standard_normal(sys.dof.total))
-    y = np.linalg.solve(Gd, Ad @ x.vec)
-    ref = np.sqrt(x.vec @ (Gd @ x.vec)) + np.sqrt(y @ (Gd @ y))
-    assert graph_norm(x, sys) == pytest.approx(ref, rel=1e-10)
-
-
-def test_graph_norm_examples(default_sys, rng):
-    # No fluid-interior vertex at n=4: n_fi = 0.
-    assert default_sys.dof.n_fi == 0
-    check_graph_norm_examples(default_sys, rng)
-
-
-def test_graph_norm_examples_with_fluid_interior(n8_sys, rng):
-    assert n8_sys.dof.n_fi > 0
-    check_graph_norm_examples(n8_sys, rng)
 
 
 def test_mass_symmetric_and_spd(default_sys, tiny_sys):

@@ -316,6 +316,16 @@ def test_outdir_that_cannot_be_created_exit_2(tmp_path, capsys, outdir):
     assert (tmp_path / "file").read_text() == ""
 
 
+def test_artifact_that_cannot_be_written_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "mesh.txt").mkdir(parents=True)
+    assert main(["mesh", "--config", write_config(tmp_path, SMALL_GEOMETRY),
+                 "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"cannot write {str(out / 'mesh.txt')!r}" in err
+    assert "Traceback" not in err
+
+
 def test_cmd_probe_residuals_decrease(tmp_path):
     cfg = write_config(tmp_path, SMALL_GEOMETRY + "probe.refinements = 4 8\n")
     out = tmp_path / "out"

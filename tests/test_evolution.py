@@ -6,13 +6,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import mlfsi.assembly as assembly
 from mlfsi.assembly import (
     KinematicSplit,
     State,
     build_system,
     compose_first_order,
     energy_norm,
-    graph_norm,
 )
 from mlfsi.evolution import (
     fit_decay,
@@ -140,14 +140,39 @@ def test_decay_exponent_not_decreasing_under_refinement(default_sys, n8_sys):
     assert exponents["n8"] >= exponents["n4"] - 1e-6
 
 
-def test_prepare_smooth_data(default_sys):
+def test_prepare_smooth_data(default_sys, n8_sys):
     x1 = prepare_smooth_data(11, default_sys)
     x2 = prepare_smooth_data(11, default_sys)
     assert np.array_equal(x1.vec, x2.vec)
-    assert graph_norm(x1, default_sys) == pytest.approx(1.0, abs=1e-10)
-    assert energy_norm(x1, default_sys) <= 1.0 + 1e-10
     x3 = prepare_smooth_data(12, default_sys)
     assert not np.array_equal(x1.vec, x3.vec)
+    # Unit graph norm |x|_M + |M^{-1} A x|_M with a dense M^{-1} A, without
+    # (n=4) and with (n=8) fluid-interior unknowns.
+    assert default_sys.dof.n_fi == 0 < n8_sys.dof.n_fi
+    for sys in (default_sys, n8_sys):
+        x = prepare_smooth_data(11, sys).vec
+        Md = sys.M.toarray()
+        y = np.linalg.solve(Md, sys.A @ x)
+        assert np.sqrt(x @ Md @ x) + np.sqrt(y @ Md @ y) == pytest.approx(1.0, abs=1e-10)
+        assert energy_norm(State(sys.dof, x), sys) <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("name", ["default_sys", "n8_sys"])
+def test_prepare_smooth_data_factors_only_K_ff_and_P(request, monkeypatch, name):
+    # The graph norm takes M^{-1} A x = r from the solve: no M_VV LU, and a
+    # K_ff LU only where there are fluid-interior unknowns.
+    sys = request.getfixturevalue(name)
+    split = sys.kinematic
+    sizes = []
+
+    class Recording(Factorization):
+        def __init__(self, A, order):
+            sizes.append(A.shape[0])
+            super().__init__(A, order)
+
+    monkeypatch.setattr(assembly, "Factorization", Recording)
+    prepare_smooth_data(11, sys)
+    assert sizes == [split.n_fi] * (split.n_fi > 0) + [split.P.shape[0]]
 
 
 def test_prepare_smooth_data_rejects_a_wrong_solve(monkeypatch, default_sys):

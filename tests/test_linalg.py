@@ -158,7 +158,6 @@ def factored_block(sys, case):
     if case.startswith("reduced"):
         return reduced_matrix(split, case), v_vertices
     return {
-        "M_VV": (split.M_VV, v_vertices),
         "K_ff": (split.K[:n_fi, :n_fi], dof.fluid_interior),
         "P": (split.P, dof.solid_all),
         "M_G": (sys.M_G, dof.interface),
@@ -169,8 +168,8 @@ def factored_block(sys, case):
 def program_order(sys, case, monkeypatch):
     """The order in which the program factors the block of ``case``."""
     split = sys.kinematic
-    if case in ("M_VV", "K_ff", "P"):
-        # apply_generator factors M_VV, solve_generator K_ff, then P; none is kept.
+    if case in ("K_ff", "P"):
+        # solve_generator factors K_ff, then P; neither is kept.
         orders = []
 
         class Recording(Factorization):
@@ -179,8 +178,7 @@ def program_order(sys, case, monkeypatch):
                 super().__init__(A, order)
 
         monkeypatch.setattr(assembly, "Factorization", Recording)
-        generator = split.apply_generator if case == "M_VV" else split.solve_generator
-        generator(np.ones(sys.dof.total))
+        split.solve_generator(np.ones(sys.dof.total))
         return orders[case == "P"]
     if case == "M_G":
         return sys.mass_g_factor.order
@@ -189,7 +187,7 @@ def program_order(sys, case, monkeypatch):
     return split.order
 
 
-@pytest.mark.parametrize("case", ["M_VV", "K_ff", "P", "M_G", "Ks_II",
+@pytest.mark.parametrize("case", ["K_ff", "P", "M_G", "Ks_II",
                                   "reduced-shifted-1", "reduced-shifted-200", "reduced-stepper"])
 def test_factorization_ordering_rule_and_residual(n8_sys, rng, monkeypatch, case):
     # Every LU is in the nested-dissection order of its own unknowns' vertices.

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 import mlfsi.assembly as assembly
 import mlfsi.identities as identities
 import mlfsi.linalg as linalg
+import mlfsi.resolvent as resolvent
 from mlfsi.assembly import State, build_system, energy_norm
 from mlfsi.geometry import GAMMA_TAGS, MeshConfig, build_mesh
 from mlfsi.identities import flux_chain_monitor
@@ -91,14 +92,14 @@ def test_dissipation_identity_random_batch(default_sys, rng):
         for k in range(34):
             b = probe_state(sys, 100 + k)
             x = solve_static(beta, b, sys, shifted=shifted)
-            res = dissipation_residual(beta, b, x, sys)
+            res = dissipation_residual(b, x, sys)
             assert res <= 1e-9 * energy_norm(b, sys) ** 2
 
 
 def test_dissipation_zero_data(default_sys):
     b = State.zeros(default_sys.dof)
     x = solve_static(3.0, b, default_sys)
-    assert dissipation_residual(3.0, b, x, default_sys) == 0.0
+    assert dissipation_residual(b, x, default_sys) == 0.0
 
 
 def test_dissipation_tiny_dense_cross_check(tiny_sys):
@@ -265,6 +266,41 @@ def test_sweep_jobs_deterministic(tmp_path, default_sys):
     write_sweep_csv(s1, p1)
     write_sweep_csv(s2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_sweep_pool_is_bounded_by_usable_cpus(monkeypatch, default_sys):
+    # A pool stand-in records its size and runs the tasks here, so no
+    # process starts however large jobs is.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(resolvent, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(resolvent, "_worker_args", None)
+    betas = np.logspace(0, 1, 4)
+    serial = repr(sweep(betas, default_sys, compute_opnorm=False))
+    assert sizes == []
+    for cpus in (3, 1, 64):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        assert repr(sweep(betas, default_sys, compute_opnorm=False, jobs=10**6)) == serial
+    # Where the affinity set cannot be read, the machine's CPU count bounds it.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert repr(sweep(betas, default_sys, compute_opnorm=False, jobs=10**6)) == serial
+    # 3 CPUs; 1 CPU runs serially, with no pool; 64 CPUs, 4 grid points; cpu_count 2.
+    assert sizes == [3, 4, 2]
 
 
 def test_sweep_builds_dirichlet_map_once(monkeypatch):
