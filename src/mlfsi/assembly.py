@@ -339,10 +339,10 @@ class SystemMatrices:
     owners) is built on first use, so a caller that needs only the solid
     side never assembles the fluid. Fluid matrices are indexed
     [fluid interior, interface], solid matrices [interface, solid interior],
-    surface matrices by the interface. The solid and surface tables are kept
-    for the multiplier quadrature, which alone reads them; the fluid table,
-    and the solid one when the quadrature has not built it, is dropped once
-    its two blocks are scattered.
+    surface matrices by the interface. The solid and surface tables are kept,
+    with the blocks they scatter, for the multiplier quadrature, so each
+    element kernel runs once per region; the fluid table, which nothing else
+    reads, is dropped once its two blocks are scattered.
     """
 
     def __init__(self, mesh: Mesh):
@@ -356,17 +356,9 @@ class SystemMatrices:
         return table.M, table.K
 
     @cached_property
-    def _solid(self):
-        """M_s and K_s: the blocks of `solid_table` when it is built already,
-        else of a table dropped once they are scattered."""
-        table = self.__dict__.get("solid_table") or self._solid_elements()
-        return table.M, table.K
-
-    def _solid_elements(self) -> ElementTable:
+    def solid_table(self) -> ElementTable:
         return ElementTable(self.mesh.vertices, self.mesh.tets[self.mesh.tet_regions == SOLID],
                             self.dof.solid_all)
-
-    solid_table = cached_property(_solid_elements)
 
     @cached_property
     def mesh_h(self) -> float:
@@ -390,8 +382,8 @@ class SystemMatrices:
 
     M_f = cached_property(lambda self: self._fluid[0])
     K_f = cached_property(lambda self: self._fluid[1])
-    M_s = cached_property(lambda self: self._solid[0])
-    K_s = cached_property(lambda self: self._solid[1])
+    M_s = cached_property(lambda self: self.solid_table.M)
+    K_s = cached_property(lambda self: self.solid_table.K)
     M_G = cached_property(lambda self: self.surface_table.M)
     K_G = cached_property(lambda self: self.surface_table.K)
     H1_G = cached_property(lambda self: (self.K_G + self.M_G).tocsr())

@@ -1,9 +1,12 @@
 """Command-line front end: mesh, simulate, sweep, probe, all.
 
 Every command is deterministic given (config, seed) and writes CSV/JSON
-artifacts into the output directory. Exit codes: 0 success, 2 configuration,
-validation or artifact-write error, 3 time-domain solver failure, 4
-frequency-domain singularity or a resolvent-norm estimate that did not converge.
+artifacts into the output directory. `main` creates that directory once,
+and builds the mesh and then the system on first use, at most once per call:
+`all` shares one of each between its steps, and a command that needs
+neither builds neither. Exit codes: 0 success, 2 configuration, validation
+or artifact-write error, 3 time-domain solver failure, 4 frequency-domain
+singularity or a resolvent-norm estimate that did not converge.
 """
 
 from __future__ import annotations
@@ -11,11 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from functools import partial
+from functools import cache
 from pathlib import Path
 
 from . import evolution, geometry, resolvent
-from .assembly import State, build_system
+from .assembly import State, SystemMatrices, build_system
 from .config import (
     ConfigError,
     DEFAULT_CONFIG_TEXT,
@@ -24,7 +27,7 @@ from .config import (
     load_config,
     with_overrides,
 )
-from .geometry import build_mesh, save_mesh
+from .geometry import Mesh, build_mesh, save_mesh
 from .identities import manufactured_study
 from .linalg import SingularMatrixError
 
@@ -49,9 +52,7 @@ def _dump_json(obj, path):
         fh.write("\n")
 
 
-def cmd_mesh(cfg: RunConfig):
-    out = _outdir(cfg)
-    mesh = build_mesh(cfg.geometry)
+def cmd_mesh(out: Path, mesh: Mesh):
     save_mesh(mesh, out / "mesh.txt")
     print(
         f"mesh: {mesh.vertices.shape[0]} vertices, {mesh.tets.shape[0]} tets "
@@ -60,10 +61,7 @@ def cmd_mesh(cfg: RunConfig):
     )
 
 
-def cmd_simulate(cfg: RunConfig):
-    out = _outdir(cfg)
-    mesh = build_mesh(cfg.geometry)
-    system = build_system(mesh)
+def cmd_simulate(cfg: RunConfig, out: Path, system: SystemMatrices):
     sc = cfg.simulate
     if sc.initial == "zero":
         x0 = State.zeros(system.dof)
@@ -93,10 +91,7 @@ def cmd_simulate(cfg: RunConfig):
     )
 
 
-def cmd_sweep(cfg: RunConfig, jobs=1):
-    out = _outdir(cfg)
-    mesh = build_mesh(cfg.geometry)
-    system = build_system(mesh)
+def cmd_sweep(cfg: RunConfig, out: Path, system: SystemMatrices, jobs=1):
     sw = cfg.sweep
     samples = resolvent.sweep(
         sw.grid(), system, probe_seed=sw.probe_seed, opnorm_tol=sw.opnorm_tol,
@@ -112,8 +107,7 @@ def cmd_sweep(cfg: RunConfig, jobs=1):
     )
 
 
-def cmd_probe(cfg: RunConfig):
-    out = _outdir(cfg)
+def cmd_probe(cfg: RunConfig, out: Path):
     pc = cfg.probe
     if not pc.manufactured:
         print("probe: manufactured study disabled in config; nothing to do")
@@ -163,11 +157,23 @@ def main(argv=None) -> int:
         cfg = with_overrides(cfg, seed=args.seed, output_dir=args.outdir)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        out = _outdir(cfg)
+
+        @cache
+        def mesh():
+            return build_mesh(cfg.geometry)
+
+        @cache
+        def system():
+            return build_system(mesh())
+
         # Built per call to use the current cmd_* bindings; a failing step raises.
-        steps = {"mesh": cmd_mesh, "simulate": cmd_simulate,
-                 "sweep": partial(cmd_sweep, jobs=args.jobs), "probe": cmd_probe}
+        steps = {"mesh": lambda: cmd_mesh(out, mesh()),
+                 "simulate": lambda: cmd_simulate(cfg, out, system()),
+                 "sweep": lambda: cmd_sweep(cfg, out, system(), jobs=args.jobs),
+                 "probe": lambda: cmd_probe(cfg, out)}
         for name in PIPELINE if args.command == "all" else (args.command,):
-            steps[name](cfg)
+            steps[name]()
         return EXIT_OK
     except ValueError as exc:  # ConfigError, MeshConfigError, InsufficientPointsError, ...
         print(f"error: {exc}", file=_sys.stderr)

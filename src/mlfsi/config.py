@@ -105,8 +105,9 @@ class RunConfig:
                               f"{betas.max():g}] holds fewer than 2 of {w.points} frequencies")
         if w.opnorm_tol <= 0 or self.solve_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        if len(self.probe.refinements) < 1:
-            raise ConfigError("probe.refinements must name at least one resolution")
+        if len(self.probe.refinements) < 2:
+            raise ConfigError(f"probe.refinements needs at least 2 levels, got "
+                              f"{len(self.probe.refinements)}: the order fit needs two h")
         for i, n in enumerate(self.probe.refinements):
             if n in self.probe.refinements[:i]:
                 raise ConfigError(f"probe.refinements repeats n = {n}: "

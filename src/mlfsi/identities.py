@@ -123,8 +123,6 @@ class MultiplierReport:
     rhs: float
     residual: float
     h: float
-    flux_method: str = "variational"
-    quadrature: str = "exact-p1-products"
 
     def as_dict(self):
         return {
@@ -133,8 +131,8 @@ class MultiplierReport:
             "rhs": self.rhs,
             "residual": self.residual,
             "h": self.h,
-            "flux_method": self.flux_method,
-            "quadrature": self.quadrature,
+            "flux_method": "variational",
+            "quadrature": "exact-p1-products",
         }
 
 
@@ -152,13 +150,13 @@ def _hat_triple_integrals():
 _TRI_CUBIC = _hat_triple_integrals()
 
 
-def multiplier_residual(z, f, beta, sys, which) -> MultiplierReport:
-    """Evaluate both sides of a wave multiplier identity for the nodal field z.
+def multiplier_residual(z, f, beta, sys) -> dict[str, MultiplierReport]:
+    """Both sides of the two wave multiplier identities for the nodal field z.
 
-    ``which`` is "radial" for the gradient identity with m(x) = x (Jacobian
-    the identity), or "unit-div" for the equipartition identity with
-    div m = 1 (m = x/3, so the grad-div correction drops). ``f`` is the
-    nodal right-hand side of -beta^2 z - Delta z = f.
+    Key "radial" holds the gradient identity with m(x) = x (Jacobian the
+    identity), key "unit_div" the equipartition identity with div m = 1
+    (m = x/3, so the grad-div correction drops); both share one K_s z and
+    one M_s z. ``f`` is the nodal right-hand side of -beta^2 z - Delta z = f.
     """
     tet, tri = sys.solid_table, sys.surface_table
     zv = np.asarray(z, dtype=complex)
@@ -168,12 +166,9 @@ def multiplier_residual(z, f, beta, sys, which) -> MultiplierReport:
     grad_sq = float(np.vdot(zv, sys.K_s @ zv).real)
     mass_sq = float(np.vdot(zv, sys.M_s @ zv).real)
 
-    if which == "unit-div":
-        lhs = grad_sq - beta**2 * mass_sq
-        rhs = float(np.vdot(zv, sys.M_s @ fv).real)
-        return MultiplierReport(which, lhs, rhs, abs(lhs - rhs), sys.mesh_h)
-    if which != "radial":
-        raise ValueError(f"unknown identity {which!r}")
+    # div m = 1: the equation's weak form tested with z itself.
+    div_lhs = grad_sq - beta**2 * mass_sq
+    div_rhs = float(np.vdot(zv, sys.M_s @ fv).real)
 
     # m(x) = x: LHS is the gradient energy; RHS collects the boundary flux
     # terms (with nu into the solid), the div-m volume term, and the load term.
@@ -192,14 +187,15 @@ def multiplier_residual(z, f, beta, sys, which) -> MultiplierReport:
     lam_sq = np.einsum("tv,vij,ti,tj->t", s_tri, _TRI_CUBIC, lam_tri.conj(), lam_tri)
     term_b = 0.5 * float((lam_sq.real * tri.measure).sum())
 
-    term_c = 1.5 * (grad_sq - beta**2 * mass_sq)
+    term_c = 1.5 * div_lhs
 
     c_tet = np.einsum("tvd,td->tv", tet.coords, grad_z.conj())
     term_d = np.einsum("tv,tvw,tw->", fv[tet.local], tet.mass, c_tet).real
 
-    lhs = grad_sq
     rhs = float(term_a + term_b + term_c + term_d)
-    return MultiplierReport(which, lhs, rhs, abs(lhs - rhs), sys.mesh_h)
+    return {"radial": MultiplierReport("radial", grad_sq, rhs, abs(grad_sq - rhs), sys.mesh_h),
+            "unit_div": MultiplierReport("unit-div", div_lhs, div_rhs, abs(div_lhs - div_rhs),
+                                         sys.mesh_h)}
 
 
 # The keys of `flux_chain_monitor`, in `resolvent.ResolventSample` field order.
@@ -287,8 +283,10 @@ def manufactured_study(ns, beta=2.0, base_config: MeshConfig | None = None):
     """Multiplier residuals of both identities over a refinement sequence.
 
     Returns a list of per-resolution dicts and the fitted convergence orders
-    (slope of log residual versus log h).
+    (slope of log residual versus log h), which need at least two levels.
     """
+    if len(ns) < 2:
+        raise ValueError(f"the order fit needs at least 2 refinement levels, got {len(ns)}")
     if base_config is None:
         base_config = MeshConfig()
     rows = []
@@ -296,13 +294,11 @@ def manufactured_study(ns, beta=2.0, base_config: MeshConfig | None = None):
         mesh = build_mesh(replace(base_config, n=int(n)))
         sys = build_system(mesh)
         zv, fv = manufactured_field(mesh, sys.dof, beta)
-        rep_rad = multiplier_residual(zv, fv, beta, sys, "radial")
-        rep_div = multiplier_residual(zv, fv, beta, sys, "unit-div")
-        rows.append({"n": int(n), "radial": rep_rad, "unit_div": rep_div})
+        rows.append({"n": int(n), **multiplier_residual(zv, fv, beta, sys)})
 
     orders = {}
     for key in ("radial", "unit_div"):
         hs = np.array([r[key].h for r in rows])
         res = np.array([max(r[key].residual, 1e-300) for r in rows])
-        orders[key] = loglog_fit(hs, res)[0] if len(rows) > 1 else float("nan")
+        orders[key] = loglog_fit(hs, res)[0]
     return rows, orders

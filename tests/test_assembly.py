@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mlfsi.assembly as assembly
 from mlfsi.assembly import (
     ElementTable,
     State,
@@ -159,16 +160,30 @@ def test_blocks_are_canonical_csr(name, request):
 
 
 def test_solid_table_is_kept_only_when_read(default_mesh):
-    # The system pair needs only the solid blocks: their table is dropped.
+    # The system pair reads the solid blocks from the solid table, which is
+    # kept for the multiplier quadrature: one table per mesh.
     sys = build_system(default_mesh)
     sys.kinematic
-    assert "solid_table" not in vars(sys)
-    # Built first, the table is kept and lends its blocks: one table per mesh.
-    sys = build_system(default_mesh)
-    table = sys.solid_table
-    assert sys.M_s is table.M and sys.K_s is table.K
+    assert "solid_table" in vars(sys)
+    assert sys.M_s is sys.solid_table.M and sys.K_s is sys.solid_table.K
     # The longest edge of a Kuhn tet is its cell's diagonal.
     assert sys.mesh_h == pytest.approx(np.sqrt(3) / 4, rel=1e-15)
+
+
+def test_solid_tet_kernel_runs_once(default_mesh, monkeypatch):
+    # The system pair and then the quadrature's table: one kernel pass per region.
+    calls = []
+
+    def recording(p, kernel=assembly._tet_kernel):
+        calls.append(p.shape[0])
+        return kernel(p)
+
+    monkeypatch.setattr(assembly, "_tet_kernel", recording)
+    sys = build_system(default_mesh)
+    sys.kinematic
+    sys.solid_table
+    regions = default_mesh.tet_regions
+    assert calls == [int(np.sum(regions == FLUID)), int(np.sum(regions == SOLID))]
 
 
 def test_generator_dissipation_identity(default_sys, rng):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,7 +128,7 @@ def valid_configs(draw):
         probe=ProbeConfig(
             manufactured=draw(st.booleans()),
             refinements=tuple(n * k for k in draw(
-                st.lists(st.integers(1, 8), min_size=1, max_size=5, unique=True))),
+                st.lists(st.integers(1, 8), min_size=2, max_size=5, unique=True))),
             beta=draw(_floats(-1e6, 1e6)),
         ),
         output_dir=draw(
@@ -271,6 +272,7 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("probe.refinements = 4 6", "probe.refinements: n = 6: axis 0: inner_lo does not align"),
     ("probe.refinements = 4 0", "probe.refinements: n = 0: n must be a positive integer"),
     ("probe.refinements = 4 4", "probe.refinements repeats n = 4"),
+    ("probe.refinements = 4", "probe.refinements needs at least 2 levels, got 1: the order fit needs two h"),
     ("simulate.seed = -1", "simulate.seed must be non-negative, got -1"),
     ("sweep.probe_seed = -2", "sweep.probe_seed must be non-negative, got -2"),
     ("geometry.n = 127", "n = 127 gives 2097152 vertices"),
@@ -375,14 +377,41 @@ def test_cmd_all_matches_the_commands_one_by_one(tmp_path):
         + "probe.refinements = 4 8\n",
     )
     assert main(["all", "--config", cfg, "--outdir", str(tmp_path / "all")]) == 0
+    # Its sweep forks from a process whose simulate step already used the shared system.
+    assert main(["all", "--config", cfg, "--outdir", str(tmp_path / "jobs2"), "--jobs", "2"]) == 0
     for command in ("mesh", "simulate", "sweep", "probe"):
         assert main([command, "--config", cfg, "--outdir", str(tmp_path / "each")]) == 0
-    names = sorted(p.name for p in (tmp_path / "all").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "each").iterdir())
+    names = sorted(p.name for p in (tmp_path / "each").iterdir())
     assert names == sorted(["mesh.txt", "energy.csv", "decay.json", "sweep.csv", "growth.json",
                             "probe.json"])
-    for name in names:
-        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "each" / name).read_bytes(), name
+    for run in ("all", "jobs2"):
+        assert sorted(p.name for p in (tmp_path / run).iterdir()) == names, run
+        for name in names:
+            assert (tmp_path / run / name).read_bytes() == (tmp_path / "each" / name).read_bytes(), \
+                (run, name)
+
+
+@pytest.mark.parametrize("command, builds", [
+    # The steps share the mesh and the system: one fluid and one solid table
+    # for the run, one solid and one surface table per probe level (4 8 16).
+    ("all", {"build_mesh": 1, "build_system": 1, "_tet_kernel": 5, "_tri_kernel": 4}),
+    ("mesh", {"build_mesh": 1}),
+    ("probe", {"_tet_kernel": 3, "_tri_kernel": 3}),
+])
+def test_each_command_builds_its_pieces_once(tmp_path, monkeypatch, command, builds):
+    import mlfsi.assembly as assembly
+    import mlfsi.cli as cli
+
+    calls = Counter()
+    for module, name in ((cli, "build_mesh"), (cli, "build_system"),
+                         (assembly, "_tet_kernel"), (assembly, "_tri_kernel")):
+        def recording(*args, name=name, fn=getattr(module, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, recording)
+    assert main([command, "--outdir", str(tmp_path / "out")]) == 0
+    assert calls == builds
 
 
 def test_cmd_sweep_jobs_flag_matches_serial(tmp_path):

@@ -3,7 +3,8 @@
 The mesh hash, the strings and the integer fields must match exactly, and
 every other float to GOLDEN_RTOL relative. The two identity residuals sit at
 rounding level, where a relative bound says nothing, so they must match to
-RESIDUAL_ATOL times the energy of their data instead.
+RESIDUAL_ATOL times the energy of their data instead. Every JSON artifact
+must also be strict JSON, with no NaN or Infinity.
 """
 
 import hashlib
@@ -85,6 +86,19 @@ def run(request, tmp_path_factory):
 def test_mesh_matches_golden_hash(run):
     n, out = run
     assert hashlib.sha256((out / "mesh.txt").read_bytes()).hexdigest() == GOLDEN_MESH_SHA256[f"n{n}"]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def test_json_artifacts_are_strict(run):
+    n, out = run
+    for path in sorted(out.glob("*.json")):
+        try:
+            json.loads(path.read_text(), parse_constant=reject_constant)
+        except ValueError as exc:
+            pytest.fail(f"{path.name}: {exc}")
 
 
 def test_artifacts_match_goldens(run):

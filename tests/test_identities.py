@@ -168,15 +168,15 @@ def test_build_z_interior_matches_dense_composition(tiny_sys, rich_sys):
 def test_multiplier_zero_field(default_sys):
     z = np.zeros(default_sys.dof.n_s + default_sys.dof.n_i, dtype=complex)
     f = np.zeros_like(z)
-    for which in ("radial", "unit-div"):
-        rep = multiplier_residual(z, f, 2.0, default_sys, which)
+    reports = multiplier_residual(z, f, 2.0, default_sys)
+    assert sorted(reports) == ["radial", "unit_div"]
+    for rep in reports.values():
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.residual == 0.0
 
 
-def test_multiplier_unknown_identity(default_sys):
-    z = np.zeros(default_sys.dof.n_s + default_sys.dof.n_i, dtype=complex)
-    with pytest.raises(ValueError):
-        multiplier_residual(z, z, 2.0, default_sys, "bogus")
+def test_manufactured_study_needs_two_levels():
+    with pytest.raises(ValueError, match="the order fit needs at least 2 refinement levels, got 1"):
+        manufactured_study((4,), beta=2.0)
 
 
 def test_manufactured_residuals_converge():
@@ -225,7 +225,7 @@ def test_unit_div_identity_equals_weak_form_residual():
     sys = build_system(mesh)
     beta = 2.0
     zv, fv = manufactured_field(mesh, sys.dof, beta)
-    rep = multiplier_residual(zv, fv, beta, sys, "unit-div")
+    rep = multiplier_residual(zv, fv, beta, sys)["unit_div"]
 
     Md, Kd = dense_volume_matrices(mesh, SOLID)
     sel = sys.dof.solid_all
