@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a key-value config file")
     parser.add_argument("--outdir", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override for simulate and sweep probes")
-    parser.add_argument("--jobs", type=int, default=1, help="sweep workers, at most one per CPU")
+    parser.add_argument("--jobs", type=int, default=1, help="sweep threads, at most one per CPU")
     return parser
 
 

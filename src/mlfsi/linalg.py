@@ -4,7 +4,8 @@ log-log fit behind every rate.
 Direct SuperLU factorizations serve both the real SPD blocks and the complex
 shifted systems at desk scale, each in a nested-dissection order of the grid
 vertices its unknowns sit on; a factorization is immutable after
-construction and can be shared across solves. Operator norms in a gram
+construction and can be shared across solves and across threads, since a
+solve writes only to its own arrays. Operator norms in a gram
 metric are estimated by ARPACK's implicitly restarted Lanczos on the
 gram-normal operator.
 """
@@ -33,11 +34,12 @@ class Factorization:
     """
 
     def __init__(self, A, order):
-        self.matrix = sp.csc_matrix(A)
+        A = sp.csc_matrix(A)
+        self.real = A.dtype.kind != "c"
         self.order = np.asarray(order, dtype=np.int64)
         self.inverse = np.argsort(self.order)
         try:
-            self.lu = spla.splu(self.matrix[self.order][:, self.order], permc_spec="NATURAL",
+            self.lu = spla.splu(A[self.order][:, self.order], permc_spec="NATURAL",
                                 diag_pivot_thresh=ORDERED_PIVOT_THRESHOLD,
                                 options={"SymmetricMode": True})
         except RuntimeError as exc:
@@ -45,16 +47,12 @@ class Factorization:
 
     def solve(self, b, trans="N"):
         b = np.asarray(b)
-        if np.iscomplexobj(b) and self.matrix.dtype.kind != "c":
+        if np.iscomplexobj(b) and self.real:
             return self._solve(b.real, trans) + 1j * self._solve(b.imag, trans)
         return self._solve(b, trans)
 
     def _solve(self, b, trans):
         return self.lu.solve(b[self.order], trans=trans)[self.inverse]
-
-    def __reduce__(self):
-        # SuperLU handles cannot cross process boundaries; re-factorize there.
-        return (Factorization, (self.matrix, self.order))
 
 
 # Diagonal pivot threshold of every factorization. SuperLU's default

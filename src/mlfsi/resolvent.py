@@ -12,14 +12,16 @@ algebraic dissipation identity
 holds for every solve up to solver tolerance and is recorded per sample,
 along with every value of the one monitor pass
 (`identities.flux_chain_monitor`): the sharpened-Poincare, trace and flux
-ratios and the flux-chain monitors.
+ratios and the flux-chain monitors. A sweep with ``jobs`` > 1 samples its
+frequencies on threads that share the one system and every factorization
+built from it; only the shifted LU of each frequency is the thread's own.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,29 +228,19 @@ def sample_point(beta, sys: SystemMatrices, b: State, *,
                            iters=iters, **monitors)
 
 
-_worker_args = None     # (sys, b, options), set once per pool worker by _init_sweep_worker
-
-
-def _init_sweep_worker(sys, b, options):
-    global _worker_args
-    _worker_args = (sys, b, options)
-
-
-def _sweep_task(beta):
-    sys, b, options = _worker_args
-    return sample_point(beta, sys, b, **options)
-
-
 def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
           opnorm_tol=1e-4, solve_tol=1e-10, jobs=1) -> list[ResolventSample]:
     """Diagnostics along a frequency grid; results ordered by the grid.
 
-    The beta-independent state (the Dirichlet map and the surface
-    eigenbasis) is cached on the system and built once, in the calling
-    process. When min(jobs, grid points, usable CPUs) exceeds one, it is built
-    before a pool of that many workers starts, and the system reaches each
-    forked worker once, through the pool initializer; tasks carry only beta,
-    and results are reassembled in grid order, so output does not depend on jobs.
+    The beta-independent state (the generator A, the H1 Gram H1_s, the M_G
+    LU, the surface eigenbasis and the Dirichlet map) is cached on the system
+    and built once, in the calling thread. When min(jobs, grid points, usable
+    CPUs) exceeds one, it is built before a pool of that many threads starts;
+    the threads share the one system and its factorizations, each holds the
+    shifted LU of the frequency it samples, and results come back in grid
+    order, so output does not depend on jobs. SuperLU and ARPACK release the
+    interpreter lock, so the threads' solves overlap; the BLAS thread count is
+    whatever the caller's process set.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size < 1:
@@ -260,16 +252,14 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
     b = probe_state(sys, probe_seed)
     options = dict(compute_opnorm=compute_opnorm, opnorm_tol=opnorm_tol, solve_tol=solve_tol)
     grid = [float(bb) for bb in betas]
-    # The pool starts every worker at once: take no more than the CPUs this process may use.
+    # The pool runs every thread at once: take no more than the CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(grid), cpus or 1)
     if workers > 1:
-        sys.surface_spectral, sys.dirichlet_map     # forked workers inherit them
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_sweep_worker,
-            initargs=(sys, b, options),
-        ) as pool:
-            return list(pool.map(_sweep_task, grid))
+        # A cached piece that two threads first read at once may be built twice.
+        sys.A, sys.H1_s, sys.mass_g_factor, sys.surface_spectral, sys.dirichlet_map
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda bb: sample_point(bb, sys, b, **options), grid))
     return [sample_point(bb, sys, b, **options) for bb in grid]
 
 

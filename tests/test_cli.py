@@ -377,7 +377,7 @@ def test_cmd_all_matches_the_commands_one_by_one(tmp_path):
         + "probe.refinements = 4 8\n",
     )
     assert main(["all", "--config", cfg, "--outdir", str(tmp_path / "all")]) == 0
-    # Its sweep forks from a process whose simulate step already used the shared system.
+    # Its sweep threads share the one system that its simulate step already used.
     assert main(["all", "--config", cfg, "--outdir", str(tmp_path / "jobs2"), "--jobs", "2"]) == 0
     for command in ("mesh", "simulate", "sweep", "probe"):
         assert main([command, "--config", cfg, "--outdir", str(tmp_path / "each")]) == 0
@@ -419,6 +419,29 @@ def test_cmd_sweep_jobs_flag_matches_serial(tmp_path):
     assert main(["sweep", "--config", cfg, "--outdir", str(tmp_path / "o1")]) == 0
     assert main(["sweep", "--config", cfg, "--outdir", str(tmp_path / "o2"), "--jobs", "2"]) == 0
     assert (tmp_path / "o1" / "sweep.csv").read_bytes() == (tmp_path / "o2" / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("error", ["FrequencySingularityError", "OpnormConvergenceError"])
+def test_cmd_sweep_jobs_failing_frequency_exit_4(tmp_path, capsys, monkeypatch, error):
+    # A frequency that fails on a sweep thread exits as it does serially.
+    import mlfsi.resolvent as resolvent
+
+    sample_point = resolvent.sample_point
+
+    def failing(beta, *args, **kwargs):
+        if beta > 5:
+            raise getattr(resolvent, error)(beta, "forced")
+        return sample_point(beta, *args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "sample_point", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = write_config(tmp_path, FAST_SWEEP)
+    errors = []
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--config", cfg, "--outdir", str(tmp_path / jobs), "--jobs", jobs]) == 4
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "beta = 5.62" in errors[0] and "forced" in errors[0]
 
 
 def test_cmd_sweep_opnorm_no_convergence_exit_4(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
-import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -203,13 +205,34 @@ def test_factorization_ordering_rule_and_residual(n8_sys, rng, monkeypatch, case
 
 
 @pytest.mark.parametrize("case", ["reduced-shifted-200", "reduced-stepper"])
-def test_ordered_factorization_pickles_to_identical_solves(n8_sys, rng, case):
+def test_shared_factorization_solves_alike_on_concurrent_threads(n8_sys, rng, case):
+    # A jobs sweep shares the Dirichlet map's LU and the M_G LU across its
+    # threads. More threads than cores solve on one complex or one real LU at
+    # once, with a short switch interval, and each must give the serial bits.
     fact = Factorization(reduced_matrix(n8_sys.kinematic, case), order=n8_sys.kinematic.order)
-    copy = pickle.loads(pickle.dumps(fact))
-    assert np.array_equal(copy.order, fact.order)
-    b = rng.standard_normal(fact.matrix.shape[0]) + 1j * rng.standard_normal(fact.matrix.shape[0])
-    for trans in ("N", "H"):
-        assert np.array_equal(copy.solve(b, trans=trans), fact.solve(b, trans=trans))
+    n = fact.order.size
+    solves = [(rng.standard_normal(n) + 1j * rng.standard_normal(n), trans)
+              for _ in range(2) for trans in ("N", "H")]
+    serial = [fact.solve(b, trans=trans) for b, trans in solves]
+    threads = 4
+    barrier = threading.Barrier(threads)
+
+    def run(_):
+        barrier.wait(timeout=30)
+        return [[fact.solve(b, trans=trans) for b, trans in solves] for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, range(threads), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == threads
+    for rounds in results:
+        for xs in rounds:
+            for x, ref in zip(xs, serial, strict=True):
+                assert np.array_equal(x, ref)
 
 
 def test_loglog_fit_matches_polyfit():

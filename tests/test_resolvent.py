@@ -1,4 +1,6 @@
 import os
+import subprocess
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from mlfsi.resolvent import (
     CSV_HEADER,
     FrequencySingularityError,
     InsufficientPointsError,
+    OpnormConvergenceError,
     ResolventSample,
     ShiftedFactor,
     dissipation_residual,
@@ -270,13 +273,12 @@ def test_sweep_jobs_deterministic(tmp_path, default_sys):
 
 def test_sweep_pool_is_bounded_by_usable_cpus(monkeypatch, default_sys):
     # A pool stand-in records its size and runs the tasks here, so no
-    # process starts however large jobs is.
+    # thread starts however large jobs is.
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -287,8 +289,7 @@ def test_sweep_pool_is_bounded_by_usable_cpus(monkeypatch, default_sys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(resolvent, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(resolvent, "_worker_args", None)
+    monkeypatch.setattr(resolvent, "ThreadPoolExecutor", InlinePool)
     betas = np.logspace(0, 1, 4)
     serial = repr(sweep(betas, default_sys, compute_opnorm=False))
     assert sizes == []
@@ -347,25 +348,86 @@ def test_sweep_builds_dirichlet_map_once(monkeypatch):
     assert 0 < len(extensions) <= monitor_passes
 
 
-def test_jobs_sweep_builds_eigenbasis_and_dirichlet_map_once(tmp_path, monkeypatch):
-    # Each build appends its name and process id to one file, so builds in
-    # the forked workers are counted too. The parent builds both pieces
-    # before the pool starts, and the workers inherit them.
+def test_jobs_sweep_builds_eigenbasis_and_dirichlet_map_once(monkeypatch):
+    # Each build records the thread that ran it: the calling thread builds
+    # both pieces before the pool starts, and the sweep threads share them.
     sys = build_system(build_mesh(MeshConfig()))
-    log = tmp_path / "builds.txt"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    builds = []
     for cls, name in ((identities.DirichletMap, "dirichlet-map"),
                       (assembly.SurfaceSpectral, "surface-eigenbasis")):
         def logged(self, *args, init=cls.__init__, name=name, **kwargs):
             init(self, *args, **kwargs)
-            with open(log, "a") as fh:
-                fh.write(f"{name} {os.getpid()}\n")
+            builds.append((name, threading.current_thread()))
 
         monkeypatch.setattr(cls, "__init__", logged)
 
     samples = sweep(np.logspace(0, 1, 4), sys, probe_seed=2, compute_opnorm=False, jobs=2)
     assert len(samples) == 4
-    assert sorted(log.read_text().splitlines()) == [f"dirichlet-map {os.getpid()}",
-                                                    f"surface-eigenbasis {os.getpid()}"]
+    main = threading.main_thread()
+    assert sorted(builds, key=lambda b: b[0]) == [("dirichlet-map", main),
+                                                  ("surface-eigenbasis", main)]
+
+
+def test_jobs_sweep_threads_find_every_cached_piece_built(monkeypatch):
+    # cached_property takes no lock on Python 3.12 and later, so a piece two
+    # threads first read at once could be built twice. The sweep builds every
+    # piece its samples read before the threads start: the cached attributes
+    # of the system and its kinematic split stay the same while they run.
+    sys = build_system(build_mesh(MeshConfig()))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sample = resolvent.sample_point
+    seen = []
+
+    def cached():
+        return set(vars(sys)), set(vars(sys.kinematic))
+
+    def recording(*args, **kwargs):
+        seen.append(cached())
+        result = sample(*args, **kwargs)
+        seen.append(cached())
+        return result
+
+    monkeypatch.setattr(resolvent, "sample_point", recording)
+    betas = np.logspace(0, 1, 4)
+    sweep(betas, sys, probe_seed=2, jobs=2)
+    assert len(seen) == 2 * len(betas)
+    assert all(s == cached() for s in seen)
+
+
+@pytest.mark.parametrize("error", [FrequencySingularityError, OpnormConvergenceError])
+def test_jobs_sweep_raises_the_serial_error(monkeypatch, default_sys, error):
+    # Two frequencies fail; a jobs sweep raises the error of the first, as
+    # the serial sweep does, with its class and beta intact.
+    sample = resolvent.sample_point
+
+    def failing(beta, *args, **kwargs):
+        if beta > 5:
+            raise error(beta, "forced")
+        return sample(beta, *args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "sample_point", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    betas = np.logspace(0, 1, 5)
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(error) as info:
+            sweep(betas, default_sys, compute_opnorm=False, jobs=jobs)
+        raised.append((str(info.value), info.value.beta))
+    assert raised[0] == raised[1]
+    assert raised[0][1] == betas[3]
+
+
+def test_jobs_sweep_starts_no_process(monkeypatch, default_sys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jobs sweep started a process")
+
+    betas = np.logspace(0, 1, 4)
+    serial = repr(sweep(betas, default_sys, compute_opnorm=False))
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert repr(sweep(betas, default_sys, compute_opnorm=False, jobs=2)) == serial
 
 
 def test_singularity_detection():
