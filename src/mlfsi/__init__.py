@@ -8,57 +8,12 @@ on the kinematic split of its state, velocities before displacements
 solves the shifted static systems along the imaginary frequency axis, and
 monitors the dissipation, trace, and flux identities that control
 the decay and resolvent-growth rates.
+
+The top level holds the mesh and system entry points: `MeshConfig`,
+`build_mesh`, `save_mesh`, `load_mesh`, `interface_area`, the region tags
+`FLUID` and `SOLID`, `build_system` and `energy_norm`. Everything else is
+imported from its module (`mlfsi.resolvent`, `mlfsi.evolution`, ...).
 """
 
-from .assembly import (
-    DofMap,
-    KinematicSplit,
-    State,
-    SurfaceSpectral,
-    SystemMatrices,
-    build_dofmap,
-    build_system,
-    compose_first_order,
-    energy_norm,
-    fluid_gradient_norm,
-)
-from .config import RunConfig, default_config, format_config, load_config, parse_config
-from .evolution import (
-    DecayFit,
-    EnergyTrace,
-    fit_decay,
-    make_stepper,
-    prepare_smooth_data,
-    simulate,
-)
-from .geometry import (
-    FLUID,
-    GAMMA_F,
-    SOLID,
-    Mesh,
-    MeshConfig,
-    MeshConfigError,
-    build_mesh,
-    interface_area,
-    load_mesh,
-    save_mesh,
-)
-from .identities import (
-    DirichletMap,
-    MultiplierReport,
-    build_z,
-    flux_chain_monitor,
-    manufactured_study,
-    multiplier_residual,
-)
-from .linalg import Factorization
-from .resolvent import (
-    GrowthFit,
-    ResolventSample,
-    dissipation_residual,
-    fit_growth,
-    solve_static,
-    sweep,
-)
-
-__version__ = "0.1.0"
+from .assembly import build_system, energy_norm
+from .geometry import FLUID, SOLID, MeshConfig, build_mesh, interface_area, load_mesh, save_mesh

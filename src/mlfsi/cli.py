@@ -3,10 +3,11 @@
 Every command is deterministic given (config, seed) and writes CSV/JSON
 artifacts into the output directory. `main` creates that directory once,
 and builds the mesh and then the system on first use, at most once per call:
-`all` shares one of each between its steps, and a command that needs
-neither builds neither. Exit codes: 0 success, 2 configuration, validation
-or artifact-write error, 3 time-domain solver failure, 4 frequency-domain
-singularity or a resolvent-norm estimate that did not converge.
+`all` shares one of each between its steps, `probe` measures them at its
+level n = geometry.n, and a command that needs neither builds neither. Exit
+codes: 0 success, 2 configuration, validation or artifact-write error, 3
+time-domain solver failure, 4 frequency-domain singularity or a
+resolvent-norm estimate that did not converge.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -99,7 +101,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, system: SystemMatrices, jobs=1):
     )
     resolvent.write_sweep_csv(samples, out / "sweep.csv")
     fit = resolvent.fit_growth(samples)
-    resolvent.write_growth_json(fit, out / "growth.json")
+    _dump_json(fit.as_dict(), out / "growth.json")
     print(
         f"sweep: {len(samples)} frequencies in [{sw.beta_min:g}, {sw.beta_max:g}], "
         f"growth slope {fit.slope:.6g} (reference {resolvent.GROWTH_REFERENCE_EXPONENT}) "
@@ -107,12 +109,16 @@ def cmd_sweep(cfg: RunConfig, out: Path, system: SystemMatrices, jobs=1):
     )
 
 
-def cmd_probe(cfg: RunConfig, out: Path):
+def cmd_probe(cfg: RunConfig, out: Path, system):
     pc = cfg.probe
     if not pc.manufactured:
         print("probe: manufactured study disabled in config; nothing to do")
         return
-    rows, orders = manufactured_study(pc.refinements, beta=pc.beta, base_config=cfg.geometry)
+
+    # The level at geometry.n measures the run's system; each other level is built in turn.
+    def level(n):
+        return system() if n == cfg.geometry.n else build_system(build_mesh(replace(cfg.geometry, n=n)))
+    rows, orders = manufactured_study(map(level, pc.refinements), beta=pc.beta)
     payload = {
         "beta": pc.beta,
         "refinements": [r["n"] for r in rows],
@@ -171,7 +177,7 @@ def main(argv=None) -> int:
         steps = {"mesh": lambda: cmd_mesh(out, mesh()),
                  "simulate": lambda: cmd_simulate(cfg, out, system()),
                  "sweep": lambda: cmd_sweep(cfg, out, system(), jobs=args.jobs),
-                 "probe": lambda: cmd_probe(cfg, out)}
+                 "probe": lambda: cmd_probe(cfg, out, system)}
         for name in PIPELINE if args.command == "all" else (args.command,):
             steps[name]()
         return EXIT_OK

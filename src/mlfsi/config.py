@@ -6,8 +6,10 @@ true/1/yes or false/0/no. Unknown and repeated keys are errors.
 
 The frozen dataclasses below (with ``geometry.MeshConfig``) are the schema:
 each field is one key, its type annotation says how the value parses, and its
-default is the only default. ``format_config`` prints a config in the same
-format, so ``DEFAULT_CONFIG_TEXT`` is ``format_config(RunConfig())``.
+default is the only default. The probe seed and the two tolerances take
+theirs from the `resolvent` constants that `resolvent.sweep` and
+`resolvent.solve_static` default to. ``format_config`` prints a config in the
+same format, so ``DEFAULT_CONFIG_TEXT`` is ``format_config(RunConfig())``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .evolution import MAX_STEPS, check_fit_window
 from .geometry import MeshConfig, MeshConfigError
-from .resolvent import MAX_POINTS, in_top_decade
+from .resolvent import MAX_POINTS, OPNORM_TOL, PROBE_SEED, SOLVE_TOL, in_top_decade
 
 
 class ConfigError(ValueError):
@@ -41,8 +43,8 @@ class SweepConfig:
     beta_min: float = 1.0
     beta_max: float = 200.0
     points: int = 25
-    probe_seed: int = 2
-    opnorm_tol: float = 1e-4
+    probe_seed: int = PROBE_SEED
+    opnorm_tol: float = OPNORM_TOL
 
     def grid(self):
         """The frequencies of the sweep, log-spaced on [beta_min, beta_max]."""
@@ -63,7 +65,7 @@ class RunConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     output_dir: str = "out"
-    solve_tol: float = 1e-10
+    solve_tol: float = SOLVE_TOL
 
     def validate(self):
         for key, hint in SCHEMA.items():

@@ -76,7 +76,6 @@ class EnergyTrace:
 
 @dataclass
 class DecayFit:
-    window: tuple
     exponent: float
     amplitude: float
     residual: float
@@ -167,7 +166,6 @@ def fit_decay(trace: EnergyTrace, window) -> DecayFit:
 
     The fitted exponent p means |x| ~ amplitude * t^(-p) over the window.
     """
-    ta, tb = window
     mask = _fit_window_mask(trace.t, window)
     tt = trace.t[mask]
     nn = trace.norm_H[mask]
@@ -175,7 +173,6 @@ def fit_decay(trace: EnergyTrace, window) -> DecayFit:
         raise ValueError("trace is not positive on the window")
     slope, intercept, residual = loglog_fit(tt, nn)
     return DecayFit(
-        window=(float(ta), float(tb)),
         exponent=float(-slope),
         amplitude=float(np.exp(intercept)),
         residual=residual,

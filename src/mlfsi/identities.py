@@ -14,12 +14,12 @@ Orientation convention: nu points from the fluid into the solid everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DofMap, State, build_system, energy_norm, fluid_gradient_norm
-from .geometry import GAMMA_F, Mesh, MeshConfig, build_mesh
+from .assembly import DofMap, State, energy_norm, fluid_gradient_norm
+from .geometry import GAMMA_F, Mesh
 from .linalg import Factorization, loglog_fit, nested_dissection
 
 
@@ -279,22 +279,23 @@ def manufactured_field(mesh: Mesh, dof: DofMap, beta) -> tuple[np.ndarray, np.nd
     return z, f
 
 
-def manufactured_study(ns, beta=2.0, base_config: MeshConfig | None = None):
+def manufactured_study(systems, beta):
     """Multiplier residuals of both identities over a refinement sequence.
 
+    ``systems`` yields one system per level, each on a mesh that keeps its
+    configuration; a generator builds each level only when it is measured.
     Returns a list of per-resolution dicts and the fitted convergence orders
     (slope of log residual versus log h), which need at least two levels.
+    A generator has no length, so fewer than two levels raise ``ValueError``
+    only after every level given has been built and measured;
+    ``config.RunConfig.validate`` rejects such a config before any build.
     """
-    if len(ns) < 2:
-        raise ValueError(f"the order fit needs at least 2 refinement levels, got {len(ns)}")
-    if base_config is None:
-        base_config = MeshConfig()
     rows = []
-    for n in ns:
-        mesh = build_mesh(replace(base_config, n=int(n)))
-        sys = build_system(mesh)
-        zv, fv = manufactured_field(mesh, sys.dof, beta)
-        rows.append({"n": int(n), **multiplier_residual(zv, fv, beta, sys)})
+    for sys in systems:
+        zv, fv = manufactured_field(sys.mesh, sys.dof, beta)
+        rows.append({"n": sys.mesh.config.n, **multiplier_residual(zv, fv, beta, sys)})
+    if len(rows) < 2:
+        raise ValueError(f"the order fit needs at least 2 refinement levels, got {len(rows)}")
 
     orders = {}
     for key in ("radial", "unit_div"):

@@ -119,7 +119,7 @@ class OpnormInfo:
 LANCZOS_NCV = 6
 
 
-def opnorm_from_normal(normal, gram, dim, tol=1e-4, seed=0) -> OpnormInfo:
+def opnorm_from_normal(normal, gram, dim, tol, seed) -> OpnormInfo:
     """Gram-metric norm of T from its normal operator N = G^{-1} T^H G T.
 
     N is self-adjoint and positive semidefinite in the G inner product, and

@@ -19,7 +19,6 @@ built from it; only the shifted LU of each frequency is the thread's own.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +31,10 @@ from .identities import flux_chain_monitor
 from .linalg import Factorization, SingularMatrixError, loglog_fit, opnorm_from_normal
 
 GROWTH_REFERENCE_EXPONENT = 11.0 / 2.0
+# The defaults of `sweep` and `solve_static`, and so of `config.RunConfig`.
+PROBE_SEED = 2
+OPNORM_TOL = 1e-4
+SOLVE_TOL = 1e-10
 # The most frequencies a sweep takes; each factors its own shifted LU.
 MAX_POINTS = 10**6
 
@@ -154,7 +157,7 @@ class ShiftedFactor:
 
 
 def solve_static(beta, b: State, sys: SystemMatrices,
-                 shifted: ShiftedFactor | None = None, tol=1e-10) -> State:
+                 shifted: ShiftedFactor | None = None, tol=SOLVE_TOL) -> State:
     """Solve (i beta M - A) x = M b to relative residual <= tol.
 
     The solve sets the thin kinematic row in closed form,
@@ -165,9 +168,9 @@ def solve_static(beta, b: State, sys: SystemMatrices,
     """
     if shifted is None:
         shifted = ShiftedFactor(1j * beta, sys.kinematic)
-    xvec = shifted.solve(b.vec)
-    x = State(sys.dof, xvec)
     rhs = sys.M @ b.vec.astype(np.complex128)
+    xvec = shifted.solve(b.vec, Mb=rhs)
+    x = State(sys.dof, xvec)
     nb = np.linalg.norm(rhs)
     if nb > 0:
         res = np.linalg.norm(shifted.shift * (sys.M @ xvec) - sys.A @ xvec - rhs) / nb
@@ -183,8 +186,7 @@ def dissipation_residual(b: State, x: State, sys: SystemMatrices) -> float:
     return float(abs(grad_sq - pairing))
 
 
-def resolvent_opnorm(beta, sys: SystemMatrices, tol=1e-4,
-                     shifted: ShiftedFactor | None = None, seed=0):
+def resolvent_opnorm(beta, sys: SystemMatrices, tol, shifted: ShiftedFactor | None = None):
     """Operator norm of b -> x in the energy metric; returns (value, applications).
 
     With R = (i beta M - A)^{-1} the map is T = R M, and its M-normal
@@ -199,7 +201,7 @@ def resolvent_opnorm(beta, sys: SystemMatrices, tol=1e-4,
         return shifted.solve_adjoint(shifted.solve(v))
 
     try:
-        info = opnorm_from_normal(normal, sys.M, sys.dof.total, tol=tol, seed=seed)
+        info = opnorm_from_normal(normal, sys.M, sys.dof.total, tol=tol, seed=0)
     except ArpackNoConvergence as exc:
         raise OpnormConvergenceError(beta, str(exc)) from exc
     return info.sigma, info.iterations
@@ -213,7 +215,7 @@ def probe_state(sys: SystemMatrices, seed) -> State:
 
 
 def sample_point(beta, sys: SystemMatrices, b: State, *,
-                 compute_opnorm=True, opnorm_tol=1e-4, solve_tol=1e-10) -> ResolventSample:
+                 compute_opnorm, opnorm_tol, solve_tol) -> ResolventSample:
     """All per-frequency diagnostics for one beta and one probe vector."""
     shifted = ShiftedFactor(1j * beta, sys.kinematic)
     x = solve_static(beta, b, sys, shifted=shifted, tol=solve_tol)
@@ -228,8 +230,8 @@ def sample_point(beta, sys: SystemMatrices, b: State, *,
                            iters=iters, **monitors)
 
 
-def sweep(betas, sys: SystemMatrices, *, probe_seed=2, compute_opnorm=True,
-          opnorm_tol=1e-4, solve_tol=1e-10, jobs=1) -> list[ResolventSample]:
+def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, compute_opnorm=True,
+          opnorm_tol=OPNORM_TOL, solve_tol=SOLVE_TOL, jobs=1) -> list[ResolventSample]:
     """Diagnostics along a frequency grid; results ordered by the grid.
 
     The beta-independent state (the generator A, the H1 Gram H1_s, the M_G
@@ -300,9 +302,3 @@ def write_sweep_csv(samples, path):
         fh.write(CSV_HEADER + "\n")
         for s in samples:
             fh.write(",".join(format(getattr(s, c), ".17g") for c in CSV_COLUMNS) + "\n")
-
-
-def write_growth_json(fit: GrowthFit, path):
-    with open(path, "w") as fh:
-        json.dump(fit.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -23,6 +23,11 @@ NON_CUBIC_CONFIG = MeshConfig(
 )
 
 
+def level_systems(ns):
+    """Systems of the default geometry at each n, each built when it is reached."""
+    return (build_system(build_mesh(MeshConfig(n=n))) for n in ns)
+
+
 @pytest.fixture(scope="session")
 def tiny_mesh():
     return build_mesh(TINY_CONFIG)

@@ -23,7 +23,7 @@ from mlfsi.resolvent import (
     sweep,
 )
 
-from conftest import TINY_CONFIG
+from conftest import TINY_CONFIG, level_systems
 from oracles import trend_slope
 
 DECAY_WINDOW = (1.0, 50.0)
@@ -176,7 +176,7 @@ def test_criterion_7_z_boundary_vanishes(monitor_sweeps, growth_fits):
 
 def test_criterion_8_multiplier_identities():
     t0 = time.time()
-    rows, orders = manufactured_study((4, 8, 16), beta=2.0)
+    rows, orders = manufactured_study(level_systems((4, 8, 16)), beta=2.0)
     res_div = [r["unit_div"].residual for r in rows]
     res_rad = [r["radial"].residual for r in rows]
     monotone = res_div[0] > res_div[1] > res_div[2] and res_rad[0] > res_rad[1] > res_rad[2]

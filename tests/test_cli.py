@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlfsi
+from mlfsi import linalg, resolvent
 from mlfsi.cli import main
 from mlfsi.config import (
     SCHEMA,
@@ -170,6 +172,24 @@ def test_readme_defaults_block_parses_to_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"The defaults:\n\n```\n(.*?)```", readme, re.S).group(1)
     assert parse_config(block) == RunConfig()
+
+
+def test_library_defaults_are_the_config_defaults():
+    # The library's defaults are RunConfig()'s; the per-frequency functions take
+    # their tolerances from their caller and have no default of their own.
+    cfg = RunConfig()
+    sweep = inspect.signature(resolvent.sweep).parameters
+    assert sweep["probe_seed"].default == cfg.sweep.probe_seed
+    assert sweep["opnorm_tol"].default == cfg.sweep.opnorm_tol
+    assert sweep["solve_tol"].default == cfg.solve_tol
+    assert inspect.signature(resolvent.solve_static).parameters["tol"].default == cfg.solve_tol
+    for fn, names in ((resolvent.sample_point, ("compute_opnorm", "opnorm_tol", "solve_tol")),
+                      (resolvent.resolvent_opnorm, ("tol",)),
+                      (linalg.opnorm_from_normal, ("tol", "seed"))):
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, (fn.__name__, name)
+    assert "seed" not in inspect.signature(resolvent.resolvent_opnorm).parameters
 
 
 def test_cmd_mesh_writes_dump(tmp_path, capsys):
@@ -393,10 +413,11 @@ def test_cmd_all_matches_the_commands_one_by_one(tmp_path):
 
 @pytest.mark.parametrize("command, builds", [
     # The steps share the mesh and the system: one fluid and one solid table
-    # for the run, one solid and one surface table per probe level (4 8 16).
-    ("all", {"build_mesh": 1, "build_system": 1, "_tet_kernel": 5, "_tri_kernel": 4}),
+    # for the run, and the probe level at geometry.n = 4 reads the run's solid
+    # and surface tables. The levels 8 and 16 build their own of each.
+    ("all", {"build_mesh": 3, "build_system": 3, "_tet_kernel": 4, "_tri_kernel": 3}),
     ("mesh", {"build_mesh": 1}),
-    ("probe", {"_tet_kernel": 3, "_tri_kernel": 3}),
+    ("probe", {"build_mesh": 3, "build_system": 3, "_tet_kernel": 3, "_tri_kernel": 3}),
 ])
 def test_each_command_builds_its_pieces_once(tmp_path, monkeypatch, command, builds):
     import mlfsi.assembly as assembly

@@ -18,6 +18,7 @@ from mlfsi.identities import (
 from mlfsi.resolvent import probe_state, solve_static
 
 import oracles
+from conftest import level_systems
 from oracles import solid_face_owner_loop
 
 
@@ -176,11 +177,11 @@ def test_multiplier_zero_field(default_sys):
 
 def test_manufactured_study_needs_two_levels():
     with pytest.raises(ValueError, match="the order fit needs at least 2 refinement levels, got 1"):
-        manufactured_study((4,), beta=2.0)
+        manufactured_study(level_systems((4,)), beta=2.0)
 
 
 def test_manufactured_residuals_converge():
-    rows, orders = manufactured_study((4, 8, 16), beta=2.0)
+    rows, orders = manufactured_study(level_systems((4, 8, 16)), beta=2.0)
     res_div = [r["unit_div"].residual for r in rows]
     res_rad = [r["radial"].residual for r in rows]
     assert res_div[0] > res_div[1] > res_div[2]
@@ -199,7 +200,7 @@ def test_manufactured_study_never_assembles_fluid(monkeypatch):
             return kernel(p)
 
         monkeypatch.setattr(assembly, name, recording)
-    manufactured_study((4, 8), beta=2.0)
+    manufactured_study(level_systems((4, 8)), beta=2.0)
     expected = []
     for n in (4, 8):
         mesh = build_mesh(MeshConfig(n=n))
