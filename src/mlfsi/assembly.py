@@ -106,12 +106,14 @@ class ElementTable:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Vertex index partitions and the flat state layout built on them.
+    """Vertex index partitions and the sizes of the flat state layout built on them.
 
     Interface vertices are exactly the vertices of the interface triangles.
     Outer-boundary vertices carry no unknown. Fluid blocks are indexed
     [fluid interior, interface] and solid blocks [interface, solid interior],
     the orders in which u and the solid displacement d sit in the state.
+    The state's blocks have sizes n_fi + n_i = n_u, n_s, n_i, n_s; n_v ends
+    the velocities and ``total`` is the length of the vector.
     """
 
     fluid_interior: np.ndarray
@@ -150,22 +152,6 @@ class DofMap:
     def solid_all(self):
         return np.concatenate([self.interface, self.solid_interior])
 
-    @property
-    def slice_u(self):
-        return slice(0, self.n_u)
-
-    @property
-    def slice_w1(self):
-        return slice(self.n_u, self.n_v)
-
-    @property
-    def slice_h0(self):
-        return slice(self.n_v, self.n_v + self.n_i)
-
-    @property
-    def slice_w0(self):
-        return slice(self.n_v + self.n_i, self.total)
-
 
 def _marked(nv, vertices):
     mask = np.zeros(nv, dtype=bool)
@@ -192,7 +178,13 @@ def build_dofmap(mesh: Mesh) -> DofMap:
 
 @dataclass
 class State:
-    """Flat coefficient vector plus views on its blocks."""
+    """Flat coefficient vector plus views on its blocks, indexed by the DofMap sizes.
+
+    ``u`` and its interface block ``trace_u``; ``w1_full`` and ``w0_full``, the
+    interior-wave velocity and displacement in the solid order, whose
+    interface blocks are ``trace_u`` and ``h0`` and whose interior blocks are
+    their [n_i:] slices.
+    """
 
     dof: DofMap
     vec: np.ndarray
@@ -207,19 +199,11 @@ class State:
 
     @property
     def u(self):
-        return self.vec[self.dof.slice_u]
-
-    @property
-    def w1_int(self):
-        return self.vec[self.dof.slice_w1]
+        return self.vec[:self.dof.n_u]
 
     @property
     def h0(self):
-        return self.vec[self.dof.slice_h0]
-
-    @property
-    def w0_int(self):
-        return self.vec[self.dof.slice_w0]
+        return self.vec[self.dof.n_v:self.dof.n_v + self.dof.n_i]
 
     @property
     def trace_u(self):

@@ -93,7 +93,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, system: SystemMatrices):
     )
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, system: SystemMatrices, jobs=1):
+def cmd_sweep(cfg: RunConfig, out: Path, system: SystemMatrices, jobs):
     sw = cfg.sweep
     samples = resolvent.sweep(
         sw.grid(), system, probe_seed=sw.probe_seed, opnorm_tol=sw.opnorm_tol,

@@ -115,9 +115,14 @@ class RunConfig:
                 raise ConfigError(f"probe.refinements repeats n = {n}: "
                                   "the order fit needs distinct h")
             try:
-                replace(self.geometry, n=n).validate()
+                _, ilo, ihi = replace(self.geometry, n=n).grid_counts()
             except MeshConfigError as exc:
                 raise ConfigError(f"probe.refinements: n = {n}: {exc}") from exc
+            if np.any(ihi - ilo < 2):
+                axis = int(np.argmin(ihi - ilo))
+                raise ConfigError(f"probe.refinements: n = {n}: axis {axis}: the cube spans "
+                                  "one grid cell, so it has no interior vertex for the "
+                                  "manufactured field")
 
 
 def _schema(cls, prefix=""):

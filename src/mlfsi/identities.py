@@ -67,22 +67,20 @@ class DirichletMap:
         return float(h1 / gn) if gn > 0 else 0.0
 
 
-def build_z(x: State, b: State, beta, sys, ext=None) -> tuple[np.ndarray, np.ndarray]:
+def build_z(x: State, b: State, beta, sys, ext) -> tuple[np.ndarray, np.ndarray]:
     """Nodal (z, load) on the solid ordering [interface, interior].
 
     z = w0 + (i/beta) E(trace u + trace of the data displacement) solves
     -beta^2 z - Delta z = load, with load = -i beta E(...) + w1 + i beta w0
-    of the data; both come from one Dirichlet extension of
-    g = trace u + h0 of the data, passed as ``ext`` when the caller has
-    already solved it. The static solve sets h0 = (trace u + h0 of the data)
-    / (i beta), which (i/beta) E g cancels exactly in floating point (E g is
-    g itself on the interface), so the boundary trace must vanish to solver
-    precision; this is asserted at 1e-12 relative to the field's max magnitude.
+    of the data; both come from ``ext``, the one Dirichlet extension E g of
+    g = trace u + h0 of the data. The static solve sets
+    h0 = (trace u + h0 of the data) / (i beta), which (i/beta) E g cancels
+    exactly in floating point (E g is g itself on the interface), so the
+    boundary trace must vanish to solver precision; this is asserted at
+    1e-12 relative to the field's max magnitude.
     """
     if abs(beta) < 1.0:
         raise ValueError(f"z construction requires |beta| >= 1, got {beta}")
-    if ext is None:
-        ext = sys.dirichlet_map.extend(x.trace_u + b.h0)
     z = x.w0_full + (1j / beta) * ext
     scale = float(np.max(np.abs(z)))
     bres = float(np.max(np.abs(z[:sys.dof.n_i])))
@@ -292,6 +290,9 @@ def manufactured_study(systems, beta):
     """
     rows = []
     for sys in systems:
+        if sys.dof.n_s == 0:
+            raise ValueError(f"level n = {sys.mesh.config.n}: the cube has no interior vertex, "
+                             "so the manufactured field is rounding noise")
         zv, fv = manufactured_field(sys.mesh, sys.dof, beta)
         rows.append({"n": sys.mesh.config.n, **multiplier_residual(zv, fv, beta, sys)})
     if len(rows) < 2:

@@ -115,7 +115,7 @@ class OpnormInfo:
 
 
 # Lanczos basis size (ARPACK's ncv) of the norm estimate. At n=16 the 13-point
-# log grid on [1, 200] then takes 166 normal-operator applications in all.
+# log grid on [1, 200] then takes 160 normal-operator applications in all.
 LANCZOS_NCV = 6
 
 

@@ -4,7 +4,9 @@ For a real frequency beta the static system is (i beta M - A) x = M b. Its
 kinematic rows are eliminated in closed form, so each frequency factors one
 matrix on the velocity unknowns only (`ShiftedFactor`). The operator norm
 of the map b -> x is measured with the energy Gram matrix M on both sides,
-which is the operator norm on the discrete energy space. The exact
+which is the operator norm on the discrete energy space; every sample of a
+sweep carries it, since its growth in beta is the resolvent criterion the
+decay rate rests on (Borichev-Tomilov), and `fit_growth` fits it. The exact
 algebraic dissipation identity
 
     u^H K_f u = Re <b, x>_H
@@ -186,16 +188,15 @@ def dissipation_residual(b: State, x: State, sys: SystemMatrices) -> float:
     return float(abs(grad_sq - pairing))
 
 
-def resolvent_opnorm(beta, sys: SystemMatrices, tol, shifted: ShiftedFactor | None = None):
+def resolvent_opnorm(beta, sys: SystemMatrices, tol, shifted: ShiftedFactor):
     """Operator norm of b -> x in the energy metric; returns (value, applications).
 
     With R = (i beta M - A)^{-1} the map is T = R M, and its M-normal
     operator M^{-1} T^H M T = R^H M R M is `ShiftedFactor.solve` followed by
-    `ShiftedFactor.solve_adjoint`: two solves on the velocity LU and no mass
-    solve. ``applications`` counts how often it was applied.
+    `ShiftedFactor.solve_adjoint` on ``shifted``, the factor at s = i beta:
+    two solves on the velocity LU and no mass solve. ``applications`` counts
+    how often it was applied.
     """
-    if shifted is None:
-        shifted = ShiftedFactor(1j * beta, sys.kinematic)
 
     def normal(v):
         return shifted.solve_adjoint(shifted.solve(v))
@@ -214,25 +215,27 @@ def probe_state(sys: SystemMatrices, seed) -> State:
     return b
 
 
-def sample_point(beta, sys: SystemMatrices, b: State, *,
-                 compute_opnorm, opnorm_tol, solve_tol) -> ResolventSample:
-    """All per-frequency diagnostics for one beta and one probe vector."""
+def sample_point(beta, sys: SystemMatrices, b: State, *, opnorm_tol, solve_tol) -> ResolventSample:
+    """All per-frequency diagnostics for one beta and one probe vector.
+
+    One shifted LU serves the static solve, the monitor pass and the
+    resolvent-norm estimate, so ``opnorm`` is always the ARPACK estimate and
+    ``iters`` (its normal-operator applications) at least 1.
+    """
     shifted = ShiftedFactor(1j * beta, sys.kinematic)
     x = solve_static(beta, b, sys, shifted=shifted, tol=solve_tol)
     diss = dissipation_residual(b, x, sys)
     monitors = flux_chain_monitor(x, b, beta, sys)
-    if compute_opnorm:
-        opnorm, iters = resolvent_opnorm(beta, sys, tol=opnorm_tol, shifted=shifted)
-    else:
-        opnorm, iters = float("nan"), 0
+    opnorm, iters = resolvent_opnorm(beta, sys, tol=opnorm_tol, shifted=shifted)
     return ResolventSample(beta=float(beta), opnorm=opnorm,
                            dissipation_residual=diss / energy_norm(b, sys) ** 2,
                            iters=iters, **monitors)
 
 
-def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, compute_opnorm=True,
-          opnorm_tol=OPNORM_TOL, solve_tol=SOLVE_TOL, jobs=1) -> list[ResolventSample]:
-    """Diagnostics along a frequency grid; results ordered by the grid.
+def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNORM_TOL,
+          solve_tol=SOLVE_TOL, jobs=1) -> list[ResolventSample]:
+    """Diagnostics along a frequency grid, every `sample_point` value
+    included; results ordered by the grid.
 
     The beta-independent state (the generator A, the H1 Gram H1_s, the M_G
     LU, the surface eigenbasis and the Dirichlet map) is cached on the system
@@ -252,7 +255,7 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, compute_opnorm=T
     if betas[0] < 1.0:
         raise ValueError("frequency grid must start at beta >= 1")
     b = probe_state(sys, probe_seed)
-    options = dict(compute_opnorm=compute_opnorm, opnorm_tol=opnorm_tol, solve_tol=solve_tol)
+    options = dict(opnorm_tol=opnorm_tol, solve_tol=solve_tol)
     grid = [float(bb) for bb in betas]
     # The pool runs every thread at once: take no more than the CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -275,25 +278,23 @@ def fit_growth(samples, top_decade=True) -> GrowthFit:
 
     By default the fit uses only the top decade of the grid, where the
     growth regime is not contaminated by the order-one plateau at small beta.
+    Every sample of a sweep carries a finite norm; fewer than 2 samples in
+    the window raise `InsufficientPointsError`.
     """
-    pts = [s for s in samples if np.isfinite(s.opnorm)]
-    if len(pts) < 2:
-        raise InsufficientPointsError(
-            f"growth fit needs at least 2 finite samples, got {len(pts)}"
-        )
-    betas = np.array([s.beta for s in pts])
-    if top_decade:
+    betas = np.array([s.beta for s in samples])
+    opnorms = np.array([s.opnorm for s in samples])
+    if top_decade and betas.size:
         keep = in_top_decade(betas)
-        pts = [s for s, k in zip(pts, keep) if k]
-        betas = betas[keep]
-    if len(pts) < 2:
-        raise InsufficientPointsError("top decade holds fewer than 2 samples")
-    slope, _, residual = loglog_fit(betas, np.array([s.opnorm for s in pts]))
+        betas, opnorms = betas[keep], opnorms[keep]
+    if betas.size < 2:
+        raise InsufficientPointsError(f"growth fit needs at least 2 samples in its window, "
+                                      f"got {betas.size}")
+    slope, _, residual = loglog_fit(betas, opnorms)
     return GrowthFit(
         slope=slope,
         residual=residual,
         window=(float(betas.min()), float(betas.max())),
-        points=len(pts),
+        points=betas.size,
     )
 
 

@@ -48,9 +48,7 @@ def monitor_sweeps(systems):
     out = {}
     for n, sys in systems.items():
         for seed in PROBE_SEEDS:
-            out[(n, seed)] = sweep(
-                MONITOR_GRID, sys, probe_seed=seed, compute_opnorm=False
-            )
+            out[(n, seed)] = sweep(MONITOR_GRID, sys, probe_seed=seed)
     return out
 
 

@@ -237,8 +237,7 @@ def test_energy_norm_examples(default_sys):
     # Uniform displacement: only the surface mass term survives.
     c = 0.7
     x = State.zeros(sys.dof)
-    x.vec[sys.dof.slice_h0] = c
-    x.vec[sys.dof.slice_w0] = c
+    x.w0_full[:] = c
     assert energy_norm(x, sys) ** 2 == pytest.approx(1.5 * c * c, rel=1e-12)
 
 
@@ -278,8 +277,7 @@ def test_rigid_state_image(default_sys):
     sys = default_sys
     c = 1.3
     x = State.zeros(sys.dof)
-    x.vec[sys.dof.slice_h0] = c
-    x.vec[sys.dof.slice_w0] = c
+    x.w0_full[:] = c
     ax = sys.A @ x.vec
     n_fi, n_u = sys.dof.n_fi, sys.dof.n_u
     expected_u = np.zeros(n_u)
@@ -293,10 +291,10 @@ def test_state_views(default_sys, rng):
     sys = default_sys
     x = State(sys.dof, rng.standard_normal(sys.dof.total))
     # The views tile the vector in split order: velocities, then displacements.
-    assert np.array_equal(np.concatenate([x.u, x.w1_int, x.h0, x.w0_int]), x.vec)
-    assert sys.kinematic.n_v == sys.dof.n_v == x.u.size + x.w1_int.size
-    assert np.array_equal(x.w0_full[sys.dof.n_i:], x.w0_int)
-    assert np.array_equal(x.w0_full[: sys.dof.n_i], x.h0)
-    assert np.array_equal(x.w1_full[: sys.dof.n_i], x.trace_u)
+    n_i = sys.dof.n_i
+    assert np.array_equal(np.concatenate([x.u, x.w1_full[n_i:], x.h0, x.w0_full[n_i:]]), x.vec)
+    assert sys.kinematic.n_v == sys.dof.n_v == x.u.size + sys.dof.n_s
+    assert np.array_equal(x.w0_full[:n_i], x.h0)
+    assert np.array_equal(x.w1_full[:n_i], x.trace_u)
     assert x.u.size == sys.dof.n_u
 

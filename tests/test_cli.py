@@ -94,14 +94,16 @@ def _floats(lo, hi, **kw):
 @st.composite
 def valid_configs(draw):
     """Configs that pass ``validate``: corners on grid planes at n and at every
-    refinement (a multiple of n), ordered windows (for smooth data, starting
-    after t = 0 and at least 12 steps long), at most MAX_STEPS / 2 time steps,
-    and a sweep grid with at least 2 points in its top decade (fewer than 0.99
-    decades between points)."""
+    refinement (a multiple of n, where the cube is at least 2 cells wide),
+    ordered windows (for smooth data, starting after t = 0 and at least 12
+    steps long), at most MAX_STEPS / 2 time steps, and a sweep grid with at
+    least 2 points in its top decade (fewer than 0.99 decades between points)."""
     n = draw(st.integers(1, 8))
     olo = tuple(draw(_floats(-10, 10)) for _ in range(3))
     steps = [sorted(draw(st.sets(st.integers(1, 12), min_size=3, max_size=3))) for _ in range(3)]
     ilo, ihi, ohi = (tuple(o + s[k] / n for o, s in zip(olo, steps)) for k in range(3))
+    # A cube one cell wide at n has no interior vertex: its probe levels refine n.
+    k_min = 1 if min(s[1] - s[0] for s in steps) >= 2 else 2
     T = draw(_floats(1e-3, 1e6))
     initial = draw(st.sampled_from(["smooth", "zero"]))
     tau_min = max(1e-6, 2 * T / MAX_STEPS)
@@ -130,7 +132,7 @@ def valid_configs(draw):
         probe=ProbeConfig(
             manufactured=draw(st.booleans()),
             refinements=tuple(n * k for k in draw(
-                st.lists(st.integers(1, 8), min_size=2, max_size=5, unique=True))),
+                st.lists(st.integers(k_min, 8), min_size=2, max_size=5, unique=True))),
             beta=draw(_floats(-1e6, 1e6)),
         ),
         output_dir=draw(
@@ -183,7 +185,10 @@ def test_library_defaults_are_the_config_defaults():
     assert sweep["opnorm_tol"].default == cfg.sweep.opnorm_tol
     assert sweep["solve_tol"].default == cfg.solve_tol
     assert inspect.signature(resolvent.solve_static).parameters["tol"].default == cfg.solve_tol
-    for fn, names in ((resolvent.sample_point, ("compute_opnorm", "opnorm_tol", "solve_tol")),
+    # A sweep takes exactly the keywords cmd_sweep passes it: no switch that only tests set.
+    assert {name for name, p in sweep.items() if p.kind is p.KEYWORD_ONLY} == {
+        "probe_seed", "opnorm_tol", "solve_tol", "jobs"}
+    for fn, names in ((resolvent.sample_point, ("opnorm_tol", "solve_tol")),
                       (resolvent.resolvent_opnorm, ("tol",)),
                       (linalg.opnorm_from_normal, ("tol", "seed"))):
         params = inspect.signature(fn).parameters
@@ -293,6 +298,10 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("probe.refinements = 4 0", "probe.refinements: n = 0: n must be a positive integer"),
     ("probe.refinements = 4 4", "probe.refinements repeats n = 4"),
     ("probe.refinements = 4", "probe.refinements needs at least 2 levels, got 1: the order fit needs two h"),
+    ("geometry.inner_hi = 0.5 0.5 0.5\nprobe.refinements = 4 8",
+     "probe.refinements: n = 4: axis 0: the cube spans one grid cell"),
+    ("geometry.inner_lo = 0.25 0.5 0.25\nprobe.refinements = 8 4",
+     "probe.refinements: n = 4: axis 1: the cube spans one grid cell"),
     ("simulate.seed = -1", "simulate.seed must be non-negative, got -1"),
     ("sweep.probe_seed = -2", "sweep.probe_seed must be non-negative, got -2"),
     ("geometry.n = 127", "n = 127 gives 2097152 vertices"),

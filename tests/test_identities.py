@@ -127,10 +127,15 @@ def test_h1_ratio_monitor(default_sys, rng):
     assert all(np.isfinite(v) and v > 0 for v in vals)
 
 
+def z_and_load(x, b, beta, sys):
+    """`build_z` given the one Dirichlet extension, as `flux_chain_monitor` calls it."""
+    return build_z(x, b, beta, sys, sys.dirichlet_map.extend(x.trace_u + b.h0))
+
+
 def test_build_z_zero_data(default_sys):
     b = State.zeros(default_sys.dof)
     x = solve_static(3.0, b, default_sys)
-    z, load = build_z(x, b, 3.0, default_sys)
+    z, load = z_and_load(x, b, 3.0, default_sys)
     assert np.all(z == 0) and np.all(load == 0)
 
 
@@ -138,7 +143,7 @@ def test_build_z_boundary_vanishes(default_sys):
     sys = default_sys
     b = probe_state(sys, 17)
     x = solve_static(3.0, b, sys)
-    z, _ = build_z(x, b, 3.0, sys)
+    z, _ = z_and_load(x, b, 3.0, sys)
     assert flux_chain_monitor(x, b, 3.0, sys)["z_boundary"] == 0.0
     assert np.max(np.abs(z[: sys.dof.n_i])) == 0.0
 
@@ -147,7 +152,7 @@ def test_build_z_requires_beta_at_least_one(default_sys):
     b = probe_state(default_sys, 17)
     x = solve_static(1.0, b, default_sys)
     with pytest.raises(ValueError):
-        build_z(x, b, 0.25, default_sys)
+        z_and_load(x, b, 0.25, default_sys)
 
 
 def test_build_z_interior_matches_dense_composition(tiny_sys, rich_sys):
@@ -157,7 +162,7 @@ def test_build_z_interior_matches_dense_composition(tiny_sys, rich_sys):
         beta = 3.0
         b = probe_state(sys, 8)
         x = solve_static(beta, b, sys)
-        z, _ = build_z(x, b, beta, sys)
+        z, _ = z_and_load(x, b, beta, sys)
         n_i = sys.dof.n_i
         K = sys.K_s.toarray()
         g = x.trace_u + b.h0
@@ -178,6 +183,13 @@ def test_multiplier_zero_field(default_sys):
 def test_manufactured_study_needs_two_levels():
     with pytest.raises(ValueError, match="the order fit needs at least 2 refinement levels, got 1"):
         manufactured_study(level_systems((4,)), beta=2.0)
+
+
+def test_manufactured_study_needs_an_interior_vertex():
+    # At n = 4 a cube one cell wide has no interior vertex: its field is sin(pi) rounding.
+    levels = (MeshConfig(inner_hi=(0.5, 0.5, 0.5), n=n) for n in (4, 8))
+    with pytest.raises(ValueError, match="level n = 4: the cube has no interior vertex"):
+        manufactured_study((build_system(build_mesh(c)) for c in levels), beta=2.0)
 
 
 def test_manufactured_residuals_converge():
@@ -319,7 +331,7 @@ def test_z_equation_load_formula(default_sys):
     beta = 2.0
     b = probe_state(sys, 10)
     x = solve_static(beta, b, sys)
-    _, fz = build_z(x, b, beta, sys)
+    _, fz = z_and_load(x, b, beta, sys)
     g = x.trace_u + b.h0
     ref = -1j * beta * DirichletMap(sys).extend(g) + b.w1_full + 1j * beta * b.w0_full
     assert np.allclose(fz, ref)

@@ -69,8 +69,9 @@ def test_kinematic_rows_exact(default_sys):
         kin = 1j * beta * x.h0 - x.trace_u - b.h0
         assert np.max(np.abs(kin)) <= 1e-13 * scale
         # Interior displacement row holds to solver precision.
-        kin_w = 1j * beta * x.w0_int - x.w1_int - b.w0_int
-        assert np.max(np.abs(kin_w)) <= 1e-10 * max(np.max(np.abs(x.w1_int)), 1.0)
+        n_i = sys.dof.n_i
+        kin_w = 1j * beta * x.w0_full[n_i:] - x.w1_full[n_i:] - b.w0_full[n_i:]
+        assert np.max(np.abs(kin_w)) <= 1e-10 * max(np.max(np.abs(x.w1_full[n_i:])), 1.0)
 
 
 def test_kinematic_relation_per_face(default_sys):
@@ -122,8 +123,8 @@ def test_poincare_ratio_zero_heat_component(default_sys):
     beta = 4.0
     target = State.zeros(sys.dof)
     rng = np.random.default_rng(9)
-    target.vec[sys.dof.slice_h0] = rng.standard_normal(sys.dof.n_i)
-    target.vec[sys.dof.slice_w0] = rng.standard_normal(sys.dof.n_s)
+    target.h0[:] = rng.standard_normal(sys.dof.n_i)
+    target.w0_full[sys.dof.n_i:] = rng.standard_normal(sys.dof.n_s)
     bvec = np.linalg.solve(sys.M.toarray(), ((1j * beta) * sys.M - sys.A).toarray() @ target.vec)
     # The manufactured data is complex; the ratio formula only needs states.
     b = State(sys.dof, bvec)
@@ -169,8 +170,13 @@ def test_opnorm_diagonal_surrogate():
     assert val == pytest.approx(ref, rel=1e-6)
 
 
+def norm_estimate(beta, sys, tol):
+    """`resolvent_opnorm` on a shifted factor of its own, as `sample_point` calls it."""
+    return resolvent_opnorm(beta, sys, tol, ShiftedFactor(1j * beta, sys.kinematic))
+
+
 def test_resolvent_norm_matches_dense_svd(tiny_sys):
-    val = resolvent_opnorm(2.0, tiny_sys, tol=1e-6)[0]
+    val = norm_estimate(2.0, tiny_sys, tol=1e-6)[0]
     ref = dense_resolvent_opnorm(2.0, tiny_sys)
     assert abs(val - ref) / ref < 1e-3
 
@@ -186,20 +192,20 @@ def test_resolvent_opnorm_within_tolerance_of_arpack_reference(n16_sys, k):
     # stop once left the estimate 9e-4 and 1.3e-3 low at tol 1e-4.
     beta = 10 ** (np.log10(200) * k / 12)
     tol = 1e-4
-    val, _ = resolvent_opnorm(beta, n16_sys, tol=tol)
+    val, _ = norm_estimate(beta, n16_sys, tol=tol)
     ref = arpack_resolvent_opnorm(beta, n16_sys)
     assert ref * (1 - 3 * tol) <= val <= ref * (1 + 1e-9)
 
 
 def test_resolvent_conjugation_symmetry(rich_sys):
-    vp, _ = resolvent_opnorm(3.0, rich_sys, tol=1e-6)
-    vm, _ = resolvent_opnorm(-3.0, rich_sys, tol=1e-6)
+    vp, _ = norm_estimate(3.0, rich_sys, tol=1e-6)
+    vm, _ = norm_estimate(-3.0, rich_sys, tol=1e-6)
     assert abs(vp - vm) / vp < 1e-4
 
 
 def test_resolvent_lipschitz_on_neighbors(tiny_sys):
     betas = [2.0, 2.05, 2.1]
-    vals = [resolvent_opnorm(b, tiny_sys, tol=1e-7)[0] for b in betas]
+    vals = [norm_estimate(b, tiny_sys, tol=1e-7)[0] for b in betas]
     for (b1, v1), (b2, v2) in zip(zip(betas, vals), zip(betas[1:], vals[1:])):
         bound = abs(b2 - b1) * v1 * v2 * (1 + 1e-3) + (v1 + v2) * 1e-6
         assert abs(v1 - v2) <= bound
@@ -207,7 +213,7 @@ def test_resolvent_lipschitz_on_neighbors(tiny_sys):
 
 def test_sweep_rejects_bad_grids(default_sys):
     with pytest.raises(InsufficientPointsError):
-        fit_growth(sweep(np.array([2.0]), default_sys, compute_opnorm=False))
+        fit_growth(sweep(np.array([2.0]), default_sys))
     with pytest.raises(ValueError):
         sweep(np.array([2.0, 1.5]), default_sys)
     with pytest.raises(ValueError):
@@ -253,7 +259,7 @@ def test_trace_ratio_bounded_across_sweep(default_sys):
     # The kinematic trace monitor saturates rather than growing: finite
     # everywhere, and no growth trend over the top decade.
     betas = np.logspace(0, np.log10(200), 25)
-    samples = sweep(betas, default_sys, probe_seed=2, compute_opnorm=False)
+    samples = sweep(betas, default_sys, probe_seed=2)
     vals = np.array([s.trace_ratio for s in samples])
     assert np.all(np.isfinite(vals))
     bs = np.array([s.beta for s in samples])
@@ -263,8 +269,9 @@ def test_trace_ratio_bounded_across_sweep(default_sys):
 
 def test_sweep_jobs_deterministic(tmp_path, default_sys):
     betas = np.logspace(0, 1, 4)
-    s1 = sweep(betas, default_sys, probe_seed=2, compute_opnorm=False, jobs=1)
-    s2 = sweep(betas, default_sys, probe_seed=2, compute_opnorm=False, jobs=2)
+    s1 = sweep(betas, default_sys, probe_seed=2, jobs=1)
+    s2 = sweep(betas, default_sys, probe_seed=2, jobs=2)
+    assert all(s.iters > 0 for s in s1 + s2)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_sweep_csv(s1, p1)
     write_sweep_csv(s2, p2)
@@ -291,15 +298,16 @@ def test_sweep_pool_is_bounded_by_usable_cpus(monkeypatch, default_sys):
 
     monkeypatch.setattr(resolvent, "ThreadPoolExecutor", InlinePool)
     betas = np.logspace(0, 1, 4)
-    serial = repr(sweep(betas, default_sys, compute_opnorm=False))
-    assert sizes == []
+    samples = sweep(betas, default_sys)
+    assert sizes == [] and all(s.iters > 0 for s in samples)
+    serial = repr(samples)
     for cpus in (3, 1, 64):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-        assert repr(sweep(betas, default_sys, compute_opnorm=False, jobs=10**6)) == serial
+        assert repr(sweep(betas, default_sys, jobs=10**6)) == serial
     # Where the affinity set cannot be read, the machine's CPU count bounds it.
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert repr(sweep(betas, default_sys, compute_opnorm=False, jobs=10**6)) == serial
+    assert repr(sweep(betas, default_sys, jobs=10**6)) == serial
     # 3 CPUs; 1 CPU runs serially, with no pool; 64 CPUs, 4 grid points; cpu_count 2.
     assert sizes == [3, 4, 2]
 
@@ -338,8 +346,8 @@ def test_sweep_builds_dirichlet_map_once(monkeypatch):
     monkeypatch.setattr(linalg.Factorization, "solve", counted_solve)
 
     betas = np.logspace(0, 1, 4)
-    sweep(betas, sys, probe_seed=2, compute_opnorm=False)
-    sweep(betas, sys, probe_seed=3, compute_opnorm=False)
+    sweep(betas, sys, probe_seed=2)
+    sweep(betas, sys, probe_seed=3)
     b = probe_state(sys, 9)
     flux_chain_monitor(solve_static(3.0, b, sys), b, 3.0, sys)
     assert sorted(built) == ["M_G factorization", "dirichlet map", "surface eigenbasis"]
@@ -362,7 +370,7 @@ def test_jobs_sweep_builds_eigenbasis_and_dirichlet_map_once(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", logged)
 
-    samples = sweep(np.logspace(0, 1, 4), sys, probe_seed=2, compute_opnorm=False, jobs=2)
+    samples = sweep(np.logspace(0, 1, 4), sys, probe_seed=2, jobs=2)
     assert len(samples) == 4
     main = threading.main_thread()
     assert sorted(builds, key=lambda b: b[0]) == [("dirichlet-map", main),
@@ -412,7 +420,7 @@ def test_jobs_sweep_raises_the_serial_error(monkeypatch, default_sys, error):
     raised = []
     for jobs in (1, 2):
         with pytest.raises(error) as info:
-            sweep(betas, default_sys, compute_opnorm=False, jobs=jobs)
+            sweep(betas, default_sys, jobs=jobs)
         raised.append((str(info.value), info.value.beta))
     assert raised[0] == raised[1]
     assert raised[0][1] == betas[3]
@@ -423,11 +431,13 @@ def test_jobs_sweep_starts_no_process(monkeypatch, default_sys):
         raise AssertionError("a jobs sweep started a process")
 
     betas = np.logspace(0, 1, 4)
-    serial = repr(sweep(betas, default_sys, compute_opnorm=False))
+    samples = sweep(betas, default_sys)
+    assert all(s.iters > 0 for s in samples)
+    serial = repr(samples)
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(subprocess, "Popen", refuse)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert repr(sweep(betas, default_sys, compute_opnorm=False, jobs=2)) == serial
+    assert repr(sweep(betas, default_sys, jobs=2)) == serial
 
 
 def test_singularity_detection():
