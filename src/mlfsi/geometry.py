@@ -144,15 +144,13 @@ def build_mesh(config: MeshConfig) -> Mesh:
     solid_cell = np.all((corner >= ilo) & (corner < ihi), axis=1)
 
     # Kuhn split: each tet is a monotone path of axis steps low corner -> high corner.
+    # Row t of ``paths`` offsets the vertices of path tet t from its cell's
+    # low corner; for positive orientation an odd path swaps its last two.
     stride = np.array([(cells[1] + 1) * (cells[2] + 1), cells[2] + 1, 1])
-    base = corner @ stride
-    tets = np.empty((corner.shape[0] * 6, 4), dtype=np.int64)
+    paths = np.cumsum(np.c_[np.zeros(6, int), stride[np.array(_AXIS_PERMS)]], axis=1)
+    paths[_ODD_PERMS, 2:] = paths[_ODD_PERMS, :1:-1]
+    tets = ((corner @ stride)[:, None, None] + paths).reshape(-1, 4)
     regions = np.repeat(np.where(solid_cell, SOLID, FLUID), 6).astype(np.int8)
-    for t, perm in enumerate(_AXIS_PERMS):
-        tets[t::6] = base[:, None] + np.cumsum(np.r_[0, stride[list(perm)]])
-    # Positive orientation: an odd path swaps its last two vertices.
-    for t in _ODD_PERMS:
-        tets[t::6, 2:] = tets[t::6, :1:-1]
 
     # Outer-box faces, normal out of the fluid, then cube faces, normal into
     # the solid, tagged 1 + 2*axis + side. A group's box bounds both its
@@ -212,9 +210,10 @@ _CHUNK_ROWS = 1 << 16
 
 def _text_table(a):
     """(table, index): ``table[index]`` is the text of each entry of ``a``,
-    as NUL-padded bytes. Integers index one ``arange`` table over their span,
-    whose text is ``%d``'s. Floats are formatted ``%.17g`` once per distinct
-    bit pattern, not value, so that -0.0 and 0.0 keep their own text."""
+    as NUL-padded bytes. Integers index one table over their span, whose
+    text is ``%d``'s, built one column of decimal digits at a time and
+    right-aligned after the NULs. Floats are formatted ``%.17g`` once per
+    distinct bit pattern, not value, so that -0.0 and 0.0 keep their own text."""
     if a.dtype.kind == "f":
         bits, index = np.unique(np.ascontiguousarray(a, np.float64).view(np.uint64),
                                 return_inverse=True)
@@ -222,7 +221,15 @@ def _text_table(a):
         return np.array(text), index.reshape(a.shape)
     lo, hi = int(a.min()), int(a.max())
     width = max(len(str(lo)), len(str(hi)))          # the widest text in [lo, hi]
-    return np.arange(lo, hi + 1).astype(f"S{width}"), a - lo
+    values = np.arange(lo, hi + 1)
+    rest = np.abs(values)
+    text = np.zeros((values.size, width), np.uint8)
+    for column in range(width - 1, -1, -1):          # least significant digit first
+        text[:, column] = np.where((rest > 0) | (column == width - 1), rest % 10 + ord("0"), 0)
+        rest //= 10
+    negative = np.flatnonzero(values < 0)            # '-' in the NUL before the first digit
+    text[negative, np.count_nonzero(text[negative] == 0, axis=1) - 1] = ord("-")
+    return text.view(f"S{width}").ravel(), a - lo
 
 
 def _block(fh, tag, *parts):

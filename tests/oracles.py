@@ -396,6 +396,46 @@ def tet_kernel_per_tet(p):
     return vol, grads, vol[:, None, None] * ((np.ones((4, 4)) + np.eye(4)) / 20.0)
 
 
+def tri_kernel_per_tri(p):
+    """`assembly._tri_kernel` one triangle at a time, with its mass."""
+    area, grads = np.empty(len(p)), np.empty((len(p), 3, 3))
+    for t, q in enumerate(p):
+        nrm = np.cross(q[1] - q[0], q[2] - q[0])
+        area2 = math.sqrt(nrm[0] * nrm[0] + nrm[1] * nrm[1] + nrm[2] * nrm[2])
+        for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+            grads[t, i] = np.cross(nrm / area2, q[b] - q[a]) / area2
+        area[t] = 0.5 * area2
+    return area, grads, area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+
+
+def element_table_per_element(vertices, simplices, block):
+    """`assembly.ElementTable` with its values formed per element: the loop
+    kernels above, one stiffness per element by one einsum over all of
+    them, and the same COO to CSR scatter into block order. Returns the
+    per-element measure, gradients and mass, and the block matrices M, K."""
+    to_block = np.full(vertices.shape[0], -1, dtype=np.int32)
+    to_block[block] = np.arange(block.size)
+    local = to_block[simplices]
+    k, n = simplices.shape[1], block.size
+    kernel = tet_kernel_per_tet if k == 4 else tri_kernel_per_tri
+    measure, grads, mass = kernel(vertices[simplices])
+    stiff = np.einsum("tid,tjd,t->tij", grads, grads, measure)
+    rows = np.repeat(local, k, axis=1).ravel()
+    cols = np.tile(local, (1, k)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    M, K = (sp.coo_matrix((e.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+            for e in (mass, stiff))
+    return measure, grads, mass, M, K
+
+
+def max_solid_edge(mesh):
+    """Longest edge of the solid tets: the norm of each of the 6 edges of
+    every solid tet, then the max over all of them."""
+    c = mesh.vertices[mesh.tets[mesh.tet_regions == SOLID]]
+    edges = c[:, [0, 0, 0, 1, 1, 2]] - c[:, [1, 2, 3, 2, 3, 3]]
+    return float(np.max(np.linalg.norm(edges, axis=2)))
+
+
 def solid_face_owner_loop(mesh):
     """Index among the solid tets of the solid tet bounded by each interface
     triangle, by a dict over every face of every solid tet."""

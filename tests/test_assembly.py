@@ -13,10 +13,12 @@ from mlfsi.assembly import (
 )
 from mlfsi.geometry import FLUID, GAMMA_F, GAMMA_TAGS, SOLID, Mesh, MeshConfig, build_mesh
 
-from conftest import NON_CUBIC_CONFIG
+from conftest import NON_CUBIC_CONFIG, RICH_CONFIG
 from oracles import (
     DenseWeakForm,
     dense_gram_extreme_eigs,
+    element_table_per_element,
+    max_solid_edge,
     tet_element_quadrature,
     tet_kernel_per_tet,
 )
@@ -82,12 +84,58 @@ def _signed_zero_pair():
     (_signed_zero_pair, 2),
 ], ids=["n24-solid", "non-cubic", "random", "signed-zero"])
 def test_tet_kernel_matches_per_tet_lapack_bit_for_bit(coords, shapes):
-    # The kernel factors once per distinct edge matrix, keyed on its bits.
+    # The kernel factors once per distinct edge matrix, keyed on its bits,
+    # and each tet reads the row of its shape.
     p = coords()
     edges = (p[:, 1:] - p[:, :1]).reshape(len(p), -1).view(np.uint64)
     assert len(np.unique(edges, axis=0)) == shapes
-    for got, want in zip(_tet_kernel(p), tet_kernel_per_tet(p)):
+    vol, grads, shape = _tet_kernel(p)
+    assert len(vol) == len(grads) == shapes
+    want_vol, want_grads, _ = tet_kernel_per_tet(p)
+    for got, want in ((vol[shape], want_vol), (grads[shape], want_grads)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _region_table_args(config, region):
+    """ElementTable arguments of one region: its simplices and its block."""
+    mesh = build_mesh(config)
+    dof = build_dofmap(mesh)
+    if region == "surface":
+        return mesh.vertices, mesh.interface_tris(), dof.interface
+    block = dof.solid_all if region == SOLID else dof.fluid_free
+    return mesh.vertices, region_tets(mesh, region), block
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("config, region", [
+    (MeshConfig(n=24), SOLID),
+    (MeshConfig(n=8), FLUID),
+    (NON_CUBIC_CONFIG, SOLID),
+    (NON_CUBIC_CONFIG, FLUID),
+    (NON_CUBIC_CONFIG, "surface"),
+], ids=["n24-solid", "n8-fluid", "non-cubic-solid", "non-cubic-fluid", "non-cubic-surface"])
+def test_element_table_matches_per_element_oracle_bit_for_bit(config, region):
+    # Mass and stiffness are formed once per shape and gathered per element:
+    # the same bits as forming them element by element.
+    args = _region_table_args(config, region)
+    table = ElementTable(*args)
+    measure, grads, mass, M, K = element_table_per_element(*args)
+    for got, want in ((table.measure, measure), (table.grads, grads), (table.mass, mass)):
+        assert _same_bits(got, want)
+    for got, want in ((table.M, M), (table.K, K)):
+        assert all(_same_bits(getattr(got, a), getattr(want, a))
+                   for a in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("config", [
+    MeshConfig(n=4), MeshConfig(n=12), MeshConfig(n=24), NON_CUBIC_CONFIG, RICH_CONFIG,
+], ids=["n4", "n12", "n24", "non-cubic", "rich"])
+def test_mesh_h_is_the_longest_solid_edge_bit_for_bit(config):
+    mesh = build_mesh(config)
+    assert build_system(mesh).mesh_h == max_solid_edge(mesh)
 
 
 def test_empty_region_errors():

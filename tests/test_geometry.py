@@ -312,15 +312,34 @@ def test_dump_keeps_signed_zeros_and_subnormals(tmp_path, with_elements):
     assert np.array_equal(_bits(back.tri_normals), _bits(mesh.tri_normals))
 
 
-# sha256 of mesh.txt at three configs, pinned so its bytes rest on more than `mesh_text_rows`.
+def test_dump_writes_integers_as_percent_d(tmp_path):
+    # Integer text is built digit column by digit column: spans that cross
+    # zero and a power of ten, negatives with a sign, one-value spans.
+    vertices = np.zeros((1, 3))
+    tets = np.array([[-12, 0, 7, 100], [-1, 9, 10, 99], [-100, 1000, -7, 0]])
+    mesh = Mesh(vertices, tets, np.array([FLUID, SOLID, SOLID], np.int8), np.array([[-105, 3, -9]]),
+                np.array([-3], np.int8), np.zeros((1, 3)))
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    assert path.read_text() == mesh_text_rows(mesh)
+    assert "\n-100 1000 -7 0 1\ntris 1\n-105 3 -9 -3 0 0 0\n" in path.read_text()
+
+
+# sha256 of mesh.txt at four configs, pinned so its bytes rest on more than `mesh_text_rows`.
 GOLDEN_MESH_SHA256 = json.loads((Path(__file__).parent / "golden" / "mesh_sha256.json").read_text())
-GOLDEN_MESH_CONFIGS = {"n4": MeshConfig(n=4), "n8": MeshConfig(n=8), "non-cubic": NON_CUBIC_CONFIG}
+GOLDEN_MESH_CONFIGS = {"n4": MeshConfig(n=4), "n8": MeshConfig(n=8), "non-cubic": NON_CUBIC_CONFIG,
+                       "n32": MeshConfig(n=32)}
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunks", "7-row-chunks"])
-@pytest.mark.parametrize("name", GOLDEN_MESH_CONFIGS)
+@pytest.mark.parametrize("name, chunk_rows", [
+    pytest.param(name, chunk_rows, id=f"{name}-{label}")
+    for name in GOLDEN_MESH_CONFIGS
+    for chunk_rows, label in ((7, "7-row-chunks"), (None, "default-chunks"))
+    if chunk_rows is None or name != "n32"
+])
 def test_dump_matches_golden_bytes(tmp_path, monkeypatch, name, chunk_rows):
-    # 7-row chunks put seams inside every block of these meshes.
+    # 7-row chunks put seams inside every block of the small meshes; the
+    # default chunks already split the tets block of the n=32 refine mesh.
     if chunk_rows is not None:
         monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk_rows)
     mesh = build_mesh(GOLDEN_MESH_CONFIGS[name])

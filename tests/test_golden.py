@@ -1,10 +1,13 @@
-"""`mlfsi all` at n=4 and n=8 against the golden artifacts of `golden/regen.py`.
+"""`mlfsi all` at n=4 and n=8, and the refine run, against the golden
+artifacts of `golden/regen.py`.
 
-The mesh hash, the strings and the integer fields must match exactly, and
-every other float to GOLDEN_RTOL relative. The two identity residuals sit at
-rounding level, where a relative bound says nothing, so they must match to
-RESIDUAL_ATOL times the energy of their data instead. Every JSON artifact
-must also be strict JSON, with no NaN or Infinity.
+For `mlfsi all`, the mesh hash, the strings and the integer fields must
+match exactly, and every other float to GOLDEN_RTOL relative. The two
+identity residuals sit at rounding level, where a relative bound says
+nothing, so they must match to RESIDUAL_ATOL times the energy of their data
+instead. Every JSON artifact must also be strict JSON, with no NaN or
+Infinity. The refine run (`mlfsi mesh` and `mlfsi probe` up to n=32) must
+match byte for byte: its mesh hash and its whole `probe.json`.
 """
 
 import hashlib
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from golden.regen import FULL_ARTIFACTS, GOLDEN, SIZES, energy_sample, run_all
+from golden.regen import FULL_ARTIFACTS, GOLDEN, SIZES, energy_sample, run_all, run_refine
 
 GOLDEN_RTOL = 1e-11
 RESIDUAL_ATOL = 1e-14
@@ -114,3 +117,13 @@ def test_artifacts_match_goldens(run):
             want_doc = json.loads(want)
             bad += compare_json(json.loads(got), want_doc, name, want_doc)
     assert not bad, f"{len(bad)} fields off the goldens, first: {bad[:5]}"
+
+
+@pytest.fixture(scope="module")
+def refine(tmp_path_factory):
+    return run_refine(tmp_path_factory.mktemp("golden-refine"))
+
+
+def test_refine_artifacts_match_goldens_byte_for_byte(refine):
+    assert hashlib.sha256((refine / "mesh.txt").read_bytes()).hexdigest() == GOLDEN_MESH_SHA256["n32"]
+    assert (refine / "probe.json").read_bytes() == (GOLDEN / "refine" / "probe.json").read_bytes()

@@ -18,7 +18,7 @@ from mlfsi.identities import (
 from mlfsi.resolvent import probe_state, solve_static
 
 import oracles
-from conftest import level_systems
+from conftest import NON_CUBIC_CONFIG, level_systems
 from oracles import solid_face_owner_loop
 
 
@@ -221,9 +221,10 @@ def test_manufactured_study_never_assembles_fluid(monkeypatch):
     assert calls == expected
 
 
-@pytest.mark.parametrize("n", [4, 8])
-def test_interface_tet_adjacency_matches_dict_loop(n):
-    mesh = build_mesh(MeshConfig(n=n))
+@pytest.mark.parametrize("config", [MeshConfig(n=4), MeshConfig(n=8), MeshConfig(n=12),
+                                    NON_CUBIC_CONFIG], ids=["4", "8", "12", "non-cubic"])
+def test_interface_tet_adjacency_matches_dict_loop(config):
+    mesh = build_mesh(config)
     got = build_system(mesh).interface_owner
     assert np.array_equal(got, solid_face_owner_loop(mesh))
 
