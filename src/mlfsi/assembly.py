@@ -80,35 +80,56 @@ class ElementTable:
     holds each simplex's block indices, -1 at a vertex outside the block (the
     outer boundary). The element kernel runs once, on every simplex, and
     returns its values per distinct shape: on the structured grid 6 tet
-    shapes at dyadic n, 162 solid and 1296 over all tets at n=24. The exact
-    P1 mass and the stiffness are formed per shape too, and each simplex
-    gathers those of its own. ``measure``, ``grads`` and ``mass`` are the
-    per-element volumes or areas, constant barycentric gradients and mass,
-    and ``M`` and ``K`` the mass and stiffness scattered straight into block
-    order as canonical CSR, every entry that touches a -1 dropped.
+    shapes at dyadic n, 162 solid and 1296 over all tets at n=24. The table
+    keeps only those per-shape values (volume or area, barycentric
+    gradients, exact P1 mass and stiffness), each simplex's int32 ``shape``
+    and the region's ``simplices``. ``M`` and ``K`` are the mass and
+    stiffness scattered straight from the per-shape tables into block order
+    as canonical CSR, every entry that touches a -1 dropped. ``measure``,
+    ``grads``, ``mass`` and the vertex ``coords`` are per-element gathers,
+    formed on each read.
     """
 
     def __init__(self, vertices, simplices, block):
         if simplices.shape[0] == 0:
             raise ValueError("region has no elements")
+        self.vertices, self.simplices = vertices, simplices
         # int32 is scipy's index type at these sizes: the scatter copies no index array.
         to_block = np.full(vertices.shape[0], -1, dtype=np.int32)
         to_block[block] = np.arange(block.size)
         self.local = to_block[simplices]
-        self.coords = vertices[simplices]
         k, n = simplices.shape[1], block.size
         kernel, unit_mass = (_tet_kernel, _TET_MASS) if k == 4 else (_tri_kernel, _TRI_MASS)
-        measure, grads, shape = kernel(self.coords)
-        mass = measure[:, None, None] * unit_mass
-        stiff = np.einsum("tid,tjd,t->tij", grads, grads, measure)[shape]
-        self.measure, self.grads, self.mass = measure[shape], grads[shape], mass[shape]
+        self._measure, self._grads, shape = kernel(self.coords)
+        self.shape = shape.astype(np.int32)
+        self._mass = self._measure[:, None, None] * unit_mass
+        stiff = np.einsum("tid,tjd,t->tij", self._grads, self._grads, self._measure)
 
+        # Entry (i, j) of simplex t is entry shape[t] * k^2 + i * k + j of the flat tables.
+        entry = (self.shape[:, None] * np.int32(k * k) + np.arange(k * k, dtype=np.int32)).ravel()
         rows = np.repeat(self.local, k, axis=1).ravel()
         cols = np.tile(self.local, (1, k)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols = rows[keep], cols[keep]
-        self.M, self.K = (sp.coo_matrix((e.ravel()[keep], (rows, cols)), shape=(n, n)).tocsr()
-                          for e in (self.mass, stiff))
+        if self.local.min() < 0:
+            keep = (rows >= 0) & (cols >= 0)
+            rows, cols, entry = rows[keep], cols[keep], entry[keep]
+        self.M, self.K = (sp.coo_matrix((e.ravel()[entry], (rows, cols)), shape=(n, n)).tocsr()
+                          for e in (self._mass, stiff))
+
+    @property
+    def coords(self):
+        return self.vertices[self.simplices]
+
+    @property
+    def measure(self):
+        return self._measure[self.shape]
+
+    @property
+    def grads(self):
+        return self._grads[self.shape]
+
+    @property
+    def mass(self):
+        return self._mass[self.shape]
 
 
 @dataclass(frozen=True)
@@ -160,9 +181,12 @@ class DofMap:
         return np.concatenate([self.interface, self.solid_interior])
 
 
-def _marked(nv, vertices):
+def _marked(nv, simplices, selected=slice(None)):
+    """Mask of the vertices of ``simplices[selected]``, marked one column at a
+    time so the selected rows are never copied whole."""
     mask = np.zeros(nv, dtype=bool)
-    mask[vertices] = True
+    for column in simplices.T:
+        mask[column[selected]] = True
     return mask
 
 
@@ -171,14 +195,14 @@ def build_dofmap(mesh: Mesh) -> DofMap:
     if iface_tris.shape[0] == 0:
         raise ValueError("mesh has no fluid/solid interface")
     nv = mesh.vertices.shape[0]
-    outer = _marked(nv, mesh.tris[mesh.tri_tags == GAMMA_F])
+    outer = _marked(nv, mesh.tris, mesh.tri_tags == GAMMA_F)
     interface = _marked(nv, iface_tris)
     if np.any(outer & interface):
         raise ValueError("outer boundary touches the interface; geometry invalid")
 
     fluid = mesh.tet_regions == FLUID
-    fluid_interior = _marked(nv, mesh.tets[fluid]) & ~outer & ~interface
-    solid_interior = _marked(nv, mesh.tets[~fluid]) & ~interface
+    fluid_interior = _marked(nv, mesh.tets, fluid) & ~outer & ~interface
+    solid_interior = _marked(nv, mesh.tets, ~fluid) & ~interface
     return DofMap(np.flatnonzero(fluid_interior), np.flatnonzero(interface),
                   np.flatnonzero(solid_interior))
 
@@ -335,8 +359,10 @@ class SystemMatrices:
     [fluid interior, interface], solid matrices [interface, solid interior],
     surface matrices by the interface. The solid and surface tables are kept,
     with the blocks they scatter, for the multiplier quadrature, so each
-    element kernel runs once per region; the fluid table, which nothing else
-    reads, is dropped once its two blocks are scattered.
+    element kernel runs once per region; they hold their values per shape
+    and the quadrature gathers the per-element ones as it reads them. The
+    fluid table, which nothing else reads, is dropped once its two blocks
+    are scattered.
     """
 
     def __init__(self, mesh: Mesh):

@@ -229,7 +229,7 @@ def _text_table(a):
         rest //= 10
     negative = np.flatnonzero(values < 0)            # '-' in the NUL before the first digit
     text[negative, np.count_nonzero(text[negative] == 0, axis=1) - 1] = ord("-")
-    return text.view(f"S{width}").ravel(), a - lo
+    return text.view(f"S{width}").ravel(), a if lo == 0 else a - lo
 
 
 def _block(fh, tag, *parts):
@@ -255,8 +255,7 @@ def _block(fh, tag, *parts):
         chunk = buf[:rows - start]
         for k, (table, index) in enumerate(cells):
             chunk[f"v{k}"] = table[index[start:start + chunk.size]]
-        raw = chunk.view(np.uint8)
-        fh.write(raw[raw != 0])
+        fh.write(chunk.tobytes().translate(None, b"\0"))
 
 
 def save_mesh(mesh: Mesh, path):
