@@ -10,7 +10,7 @@ displacement is h0 itself. Each velocity thus pairs with its kinematic
 displacement: u on the interface with h0, w1 with w0. Solid blocks are
 indexed [interface, solid interior], so the interior-wave displacement is
 d = x[n_v:] and its velocity x[n_fi:n_v], both in the order of M_s and K_s.
-`compose_first_order` builds M and A from the blocks as that kinematic
+`SystemMatrices.kinematic` builds M and A from the blocks as that kinematic
 split, so the kinematic constraints hold by construction and M equals the
 Gram matrix of the energy inner product: the semi-discrete system
 M x' = A x satisfies the exact algebraic dissipation identity
@@ -255,27 +255,6 @@ def _placed(block, offset, n):
                           sp.csr_matrix((n - offset - block.shape[0],) * 2)), format="csr")
 
 
-def compose_first_order(dof: DofMap, M_f, K_f, M_G, H1_G, M_s, K_s, vertices) -> KinematicSplit:
-    """The first-order system of the blocks, as its kinematic split.
-
-    The blocks are canonical CSR in block order, so every sum below is too.
-    ``H1_G`` is the surface H1 Gram matrix K_G + M_G. The solid blocks are
-    indexed [interface, solid interior], the order of d = (h0, w0) and of
-    E v = v[n_fi:] = (u on the interface, w1). On v = (u, w1), M_VV is M_f on
-    u plus M_s + M_G on E v, and K is K_f on u and zero on w1; on d,
-    P = K_s + H1_G, with H1_G on the leading interface block. Each v unknown
-    lives on its own mesh vertex (every vertex off the outer boundary), whose
-    coordinates the split takes for its orders.
-    """
-    n_v, n_d = dof.n_v, dof.n_i + dof.n_s
-    M_VV = _placed(M_f, 0, n_v) + _placed(M_s + _placed(M_G, 0, n_d), dof.n_fi, n_v)
-    K = _placed(K_f, 0, n_v)
-    P = K_s + _placed(H1_G, 0, n_d)
-
-    coords = vertices[np.concatenate([dof.fluid_free, dof.solid_interior])]
-    return KinematicSplit(M_VV, K, P, coords)
-
-
 class KinematicSplit:
     """M x' = A x on velocity unknowns v = x[:n_v] and kinematic displacement
     unknowns d = x[n_v:].
@@ -421,8 +400,26 @@ class SystemMatrices:
 
     @cached_property
     def kinematic(self) -> KinematicSplit:
-        return compose_first_order(self.dof, self.M_f, self.K_f, self.M_G, self.H1_G,
-                                   self.M_s, self.K_s, self.mesh.vertices)
+        """The first-order system of the blocks, as its kinematic split.
+
+        The blocks are canonical CSR in block order, so every sum is too. On
+        v = (u, w1), M_VV is M_f on u plus M_s + M_G on E v = v[n_fi:], and K
+        is K_f on u; on d, P = K_s + H1_G, with H1_G on the leading interface
+        block. The split orders v by the mesh vertex each unknown lives on.
+        A block assigned on a fresh system before its first read (``sys.K_f
+        = eps * K_f``) replaces the assembled one here and for every other
+        reader: the Dirichlet map and the monitors. The multiplier
+        quadrature reads `solid_table` and `surface_table` directly, not K_s
+        or M_G.
+        """
+        dof = self.dof
+        n_v, n_d = dof.n_v, dof.n_i + dof.n_s
+        M_VV = (_placed(self.M_f, 0, n_v)
+                + _placed(self.M_s + _placed(self.M_G, 0, n_d), dof.n_fi, n_v))
+        K = _placed(self.K_f, 0, n_v)
+        P = self.K_s + _placed(self.H1_G, 0, n_d)
+        coords = self.mesh.vertices[np.concatenate([dof.fluid_free, dof.solid_interior])]
+        return KinematicSplit(M_VV, K, P, coords)
 
     @cached_property
     def mass_g_factor(self) -> Factorization:

@@ -14,9 +14,10 @@ algebraic dissipation identity
 holds for every solve up to solver tolerance and is recorded per sample,
 along with every value of the one monitor pass
 (`identities.flux_chain_monitor`): the sharpened-Poincare, trace and flux
-ratios and the flux-chain monitors. A sweep with ``jobs`` > 1 samples its
-frequencies on threads that share the one system and every factorization
-built from it; only the shifted LU of each frequency is the thread's own.
+ratios and the flux-chain monitors. A sweep samples its first frequency in
+the calling thread and the rest on threads that share the one system and
+every factorization built from it; only the shifted LU of each frequency is
+the thread's own.
 """
 
 from __future__ import annotations
@@ -237,15 +238,14 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNOR
     """Diagnostics along a frequency grid, every `sample_point` value
     included; results ordered by the grid.
 
-    The beta-independent state (the generator A, the H1 Gram H1_s, the M_G
-    LU, the surface eigenbasis and the Dirichlet map) is cached on the system
-    and built once, in the calling thread. When min(jobs, grid points, usable
-    CPUs) exceeds one, it is built before a pool of that many threads starts;
-    the threads share the one system and its factorizations, each holds the
-    shifted LU of the frequency it samples, and results come back in grid
-    order, so output does not depend on jobs. SuperLU and ARPACK release the
-    interpreter lock, so the threads' solves overlap; the BLAS thread count is
-    whatever the caller's process set.
+    The beta-independent pieces a sample reads are cached on the system, so
+    the first sample, run in the calling thread, builds each of them once.
+    The rest of the grid then runs on a pool of min(jobs, grid points,
+    usable CPUs) threads that share the one system and its factorizations;
+    each holds the shifted LU of the frequency it samples. Results come back
+    in grid order, so output does not depend on jobs. SuperLU and ARPACK
+    release the interpreter lock, so the threads' solves overlap; the BLAS
+    thread count is whatever the caller's process set.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size < 1:
@@ -260,12 +260,10 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNOR
     # The pool runs every thread at once: take no more than the CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(grid), cpus or 1)
-    if workers > 1:
-        # A cached piece that two threads first read at once may be built twice.
-        sys.A, sys.H1_s, sys.mass_g_factor, sys.surface_spectral, sys.dirichlet_map
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda bb: sample_point(bb, sys, b, **options), grid))
-    return [sample_point(bb, sys, b, **options) for bb in grid]
+    # cached_property takes no lock: no thread starts before the first sample built its pieces.
+    first = sample_point(grid[0], sys, b, **options)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [first, *pool.map(lambda bb: sample_point(bb, sys, b, **options), grid[1:])]
 
 
 def in_top_decade(betas):

@@ -28,6 +28,7 @@ from oracles import trend_slope
 
 DECAY_WINDOW = (1.0, 50.0)
 SIM_T, SIM_TAU = 60.0, 0.01
+DECAY_BOUND = 2.0 / 11.0 - 0.02
 GROWTH_GRID = np.logspace(np.log10(20.0), np.log10(200.0), 25)
 MONITOR_GRID = np.logspace(0.0, np.log10(200.0), 25)
 PROBE_SEEDS = (2, 3)
@@ -137,10 +138,9 @@ def test_criterion_5_decay_rate_bound(systems):
         x0 = prepare_smooth_data(1, sys)
         trace = simulate(x0, SIM_T, SIM_TAU, sys)
         exponents[n] = fit_decay(trace, DECAY_WINDOW).exponent
-    bound = 2.0 / 11.0 - 0.02
-    ok = all(p >= bound for p in exponents.values())
+    ok = all(p >= DECAY_BOUND for p in exponents.values())
     report(5, ok, f"decay exponents on [1,50]: n=4 {exponents[4]:.3f}, n=8 {exponents[8]:.3f}; "
-                  f"both >= 2/11 - 0.02 = {bound:.4f} ({time.time() - t0:.1f}s)")
+                  f"both >= 2/11 - 0.02 = {DECAY_BOUND:.4f} ({time.time() - t0:.1f}s)")
 
 
 def test_criterion_6_sharpened_poincare(monitor_sweeps):

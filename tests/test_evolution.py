@@ -10,8 +10,6 @@ import mlfsi.assembly as assembly
 from mlfsi.assembly import (
     KinematicSplit,
     State,
-    build_system,
-    compose_first_order,
     energy_norm,
 )
 from mlfsi.evolution import (
@@ -24,6 +22,7 @@ from mlfsi.evolution import (
 from mlfsi.linalg import Factorization, SingularMatrixError
 from mlfsi.resolvent import FrequencySingularityError, ShiftedFactor
 
+from mutants import mutant
 from oracles import log_slope_loop
 
 
@@ -112,13 +111,10 @@ def test_energy_balance_residual(default_sys, rng):
 
 
 def test_reversible_when_dissipation_removed(default_sys):
-    # Harness: rebuild the generator with the fluid stiffness zeroed; the
-    # midpoint rule must then conserve energy to rounding over 1000 steps.
-    sys = default_sys
-    K0 = sp.csr_matrix(sys.K_f.shape)
-    split = compose_first_order(sys.dof, sys.M_f, K0, sys.M_G, sys.H1_G, sys.M_s, sys.K_s,
-                                sys.mesh.vertices)
-    stepper = ShiftedFactor(2.0 / 0.01, split)
+    # Harness: a system with the fluid stiffness zeroed; the midpoint rule
+    # must then conserve energy to rounding over 1000 steps.
+    sys = mutant(default_sys.mesh, K_f=sp.csr_matrix(default_sys.K_f.shape))
+    stepper = ShiftedFactor(2.0 / 0.01, sys.kinematic)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(sys.dof.total)
     e0 = 0.5 * x @ (sys.M @ x)
@@ -201,9 +197,7 @@ def test_prepare_smooth_data_matches_dense_solve(request, name):
 def test_prepare_smooth_data_rejects_a_singular_generator(n8_sys):
     # Without the fluid stiffness the fluid-interior velocities (n_fi > 0 at
     # n=8) span a kernel of A, and the K_ff factorization fails.
-    sys = build_system(n8_sys.mesh)
-    sys.kinematic = compose_first_order(sys.dof, sys.M_f, sp.csr_matrix(sys.K_f.shape), sys.M_G,
-                                        sys.H1_G, sys.M_s, sys.K_s, sys.mesh.vertices)
+    sys = mutant(n8_sys.mesh, K_f=sp.csr_matrix(n8_sys.K_f.shape))
     with pytest.raises(SingularMatrixError, match="generator is singular"):
         prepare_smooth_data(11, sys)
 

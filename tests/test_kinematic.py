@@ -9,12 +9,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from mlfsi.assembly import State, build_system, compose_first_order
+from mlfsi.assembly import State, build_system
 from mlfsi.evolution import make_stepper
 from mlfsi.geometry import MeshConfig, build_mesh
 from mlfsi.linalg import DISSECTION_LEAF, Factorization, coordinate_bisection
 from mlfsi.resolvent import ShiftedFactor
 
+from mutants import mutant
 from oracles import extracted_split, full_midpoint_steps, full_shifted_lu, shared_trace_pair
 
 # A box that is not a cube, around an off-center brick.
@@ -145,9 +146,8 @@ def test_solid_blocks_share_the_state_order(name, request):
 
 
 def test_split_without_dissipation_keeps_kinematic_identities(default_sys):
-    sys = default_sys
-    split = compose_first_order(sys.dof, sys.M_f, sp.csr_matrix(sys.K_f.shape), sys.M_G,
-                                sys.H1_G, sys.M_s, sys.K_s, sys.mesh.vertices)
+    sys = mutant(default_sys.mesh, K_f=sp.csr_matrix(default_sys.K_f.shape))
+    split = sys.kinematic
     assert split.K.count_nonzero() == 0
     _, mismatches = extracted_split(sys.dof, split.M, split.A)
     assert mismatches == dict.fromkeys(mismatches, 0)

@@ -1,6 +1,8 @@
+import functools
 import os
 import subprocess
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -299,7 +301,7 @@ def test_sweep_pool_is_bounded_by_usable_cpus(monkeypatch, default_sys):
     monkeypatch.setattr(resolvent, "ThreadPoolExecutor", InlinePool)
     betas = np.logspace(0, 1, 4)
     samples = sweep(betas, default_sys)
-    assert sizes == [] and all(s.iters > 0 for s in samples)
+    assert sizes == [1] and all(s.iters > 0 for s in samples)
     serial = repr(samples)
     for cpus in (3, 1, 64):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
@@ -308,8 +310,8 @@ def test_sweep_pool_is_bounded_by_usable_cpus(monkeypatch, default_sys):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert repr(sweep(betas, default_sys, jobs=10**6)) == serial
-    # 3 CPUs; 1 CPU runs serially, with no pool; 64 CPUs, 4 grid points; cpu_count 2.
-    assert sizes == [3, 4, 2]
+    # jobs=1; 3 CPUs; 1 CPU; 64 CPUs, 4 grid points; cpu_count 2.
+    assert sizes == [1, 3, 1, 4, 2]
 
 
 def test_sweep_builds_dirichlet_map_once(monkeypatch):
@@ -379,9 +381,10 @@ def test_jobs_sweep_builds_eigenbasis_and_dirichlet_map_once(monkeypatch):
 
 def test_jobs_sweep_threads_find_every_cached_piece_built(monkeypatch):
     # cached_property takes no lock on Python 3.12 and later, so a piece two
-    # threads first read at once could be built twice. The sweep builds every
-    # piece its samples read before the threads start: the cached attributes
-    # of the system and its kinematic split stay the same while they run.
+    # threads first read at once could be built twice. The first sample runs
+    # in the calling thread and builds every piece the samples read: the
+    # cached attributes of the system and its kinematic split stay the same
+    # across every sample that runs on a pool thread.
     sys = build_system(build_mesh(MeshConfig()))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sample = resolvent.sample_point
@@ -391,16 +394,44 @@ def test_jobs_sweep_threads_find_every_cached_piece_built(monkeypatch):
         return set(vars(sys)), set(vars(sys.kinematic))
 
     def recording(*args, **kwargs):
-        seen.append(cached())
+        before = cached()
         result = sample(*args, **kwargs)
-        seen.append(cached())
+        seen.append((threading.current_thread(), before, cached()))
         return result
 
     monkeypatch.setattr(resolvent, "sample_point", recording)
     betas = np.logspace(0, 1, 4)
     sweep(betas, sys, probe_seed=2, jobs=2)
-    assert len(seen) == 2 * len(betas)
-    assert all(s == cached() for s in seen)
+    pooled = [s for s in seen if s[0] is not threading.main_thread()]
+    assert len(seen) == len(betas) and len(pooled) == len(betas) - 1
+    assert all(before == after == cached() for _, before, after in pooled)
+
+
+def test_jobs_sweep_builds_a_new_cached_piece_once_in_the_calling_thread(monkeypatch):
+    # A piece added to the system later needs no edit to the sweep: a
+    # sample that reads it finds it built once, by the calling thread.
+    sys = build_system(build_mesh(MeshConfig()))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    builds = []
+
+    def build(self):
+        builds.append(threading.current_thread())
+        time.sleep(0.05)                      # widen the window two threads could share
+        return object()
+
+    piece = functools.cached_property(build)
+    piece.__set_name__(assembly.SystemMatrices, "new_piece")
+    monkeypatch.setattr(assembly.SystemMatrices, "new_piece", piece, raising=False)
+    sample = resolvent.sample_point
+
+    def reading(beta, sys, *args, **kwargs):
+        sys.new_piece
+        return sample(beta, sys, *args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "sample_point", reading)
+    samples = sweep(np.logspace(0, 1, 4), sys, probe_seed=2, jobs=2)
+    assert len(samples) == 4
+    assert builds == [threading.main_thread()]
 
 
 @pytest.mark.parametrize("error", [FrequencySingularityError, OpnormConvergenceError])
