@@ -149,7 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a key-value config file")
     parser.add_argument("--outdir", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override for simulate and sweep probes")
-    parser.add_argument("--jobs", type=int, default=1, help="sweep threads, at most one per CPU")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="sweep threads counting the calling one, so 1 starts none; at most"
+                        " one per CPU; each past the first holds one more shifted LU")
     return parser
 
 

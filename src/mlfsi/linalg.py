@@ -48,7 +48,9 @@ class Factorization:
     def solve(self, b, trans="N"):
         b = np.asarray(b)
         if np.iscomplexobj(b) and self.real:
-            return self._solve(b.real, trans) + 1j * self._solve(b.imag, trans)
+            # One two-column solve; SuperLU gives each column the bits of its own solve.
+            x = self._solve(np.column_stack([b.real, b.imag]), trans)
+            return x[:, 0] + 1j * x[:, 1]
         return self._solve(b, trans)
 
     def _solve(self, b, trans):

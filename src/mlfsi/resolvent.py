@@ -15,14 +15,17 @@ holds for every solve up to solver tolerance and is recorded per sample,
 along with every value of the one monitor pass
 (`identities.flux_chain_monitor`): the sharpened-Poincare, trace and flux
 ratios and the flux-chain monitors. A sweep samples its first frequency in
-the calling thread and the rest on threads that share the one system and
-every factorization built from it; only the shifted LU of each frequency is
-the thread's own.
+the calling thread; that thread and jobs - 1 more then share out the rest
+of the grid, so a one-job sweep starts no thread. The threads share the one
+system and every factorization built from it; only the shifted LU of each
+frequency is the thread's own, so memory grows by one such LU per extra
+thread.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -240,13 +243,19 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNOR
 
     The beta-independent pieces a sample reads are cached on the system, so
     the first sample, run in the calling thread, builds each of them once.
-    The rest of the grid then runs on a pool of min(jobs, grid points,
-    usable CPUs) threads that share the one system and its factorizations;
-    each holds the shifted LU of the frequency it samples. Results come back
-    in grid order, so output does not depend on jobs. SuperLU and ARPACK
-    release the interpreter lock, so the threads' solves overlap; the BLAS
-    thread count is whatever the caller's process set.
+    The calling thread and up to jobs - 1 pool threads, min(jobs, grid
+    points, usable CPUs) in all, then claim the rest of the grid point by
+    point: jobs=1 starts no thread. The threads share the one system and its
+    factorizations; each holds the shifted LU of the frequency it samples,
+    so memory grows by one such LU per thread past the first. Results are
+    kept in grid order, so output does not depend on jobs. A failing sample
+    stops further claims, and the error raised is that of the lowest failing
+    grid point, as in a serial sweep. SuperLU and ARPACK release the
+    interpreter lock, so the threads' solves overlap; the BLAS thread count
+    is whatever the caller's process set.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     betas = np.asarray(betas, dtype=float)
     if betas.size < 1:
         raise InsufficientPointsError("empty frequency grid")
@@ -257,13 +266,38 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNOR
     b = probe_state(sys, probe_seed)
     options = dict(opnorm_tol=opnorm_tol, solve_tol=solve_tol)
     grid = [float(bb) for bb in betas]
-    # The pool runs every thread at once: take no more than the CPUs this process may use.
+    # Every thread samples at once: take no more than the CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(grid), cpus or 1)
     # cached_property takes no lock: no thread starts before the first sample built its pieces.
-    first = sample_point(grid[0], sys, b, **options)
+    samples = [sample_point(grid[0], sys, b, **options)] + [None] * (len(grid) - 1)
+    claims = iter(range(1, len(grid)))
+    failures = {}                 # grid index -> the error its sample raised
+    lock = threading.Lock()
+
+    def claim():
+        with lock:
+            return None if failures else next(claims, None)
+
+    # Claims go in grid order and a claimed point runs to its end, so every
+    # point below a failure is sampled: the lowest failure recorded is the one
+    # a serial sweep meets first, and it is raised once every thread is done.
+    def drain():
+        for i in iter(claim, None):
+            try:
+                samples[i] = sample_point(grid[i], sys, b, **options)
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [first, *pool.map(lambda bb: sample_point(bb, sys, b, **options), grid[1:])]
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    if failures:
+        raise failures[min(failures)]
+    return samples
 
 
 def in_top_decade(betas):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -280,9 +281,43 @@ def test_sweep_jobs_deterministic(tmp_path, default_sys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_sweep_rejects_jobs_below_one_before_any_sample(monkeypatch, default_sys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample ran")
+
+    monkeypatch.setattr(resolvent, "sample_point", refuse)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            sweep(np.logspace(0, 1, 4), default_sys, jobs=jobs)
+
+
+def test_sweep_starts_one_thread_fewer_than_it_samples_on(monkeypatch, default_sys):
+    # The calling thread samples its share: a one-job sweep starts no
+    # thread, and a four-job sweep on 2 usable CPUs starts one.
+    betas = np.logspace(0, 1, 4)
+    serial = repr(sweep(betas, default_sys))
+    start = threading.Thread.start
+
+    def refuse(self):
+        raise AssertionError("a one-job sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert repr(sweep(betas, default_sys, jobs=1)) == serial
+    started = []
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert repr(sweep(betas, default_sys, jobs=4)) == serial
+    assert len(started) == 1
+
+
 def test_sweep_pool_is_bounded_by_usable_cpus(monkeypatch, default_sys):
-    # A pool stand-in records its size and runs the tasks here, so no
-    # thread starts however large jobs is.
+    # A pool stand-in records its size and runs each task here when it is
+    # submitted, so no thread starts however large jobs is.
     sizes = []
 
     class InlinePool:
@@ -295,8 +330,10 @@ def test_sweep_pool_is_bounded_by_usable_cpus(monkeypatch, default_sys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn):
+            done = Future()
+            done.set_result(fn())
+            return done
 
     monkeypatch.setattr(resolvent, "ThreadPoolExecutor", InlinePool)
     betas = np.logspace(0, 1, 4)
@@ -384,27 +421,36 @@ def test_jobs_sweep_threads_find_every_cached_piece_built(monkeypatch):
     # threads first read at once could be built twice. The first sample runs
     # in the calling thread and builds every piece the samples read: the
     # cached attributes of the system and its kinematic split stay the same
-    # across every sample that runs on a pool thread.
+    # across every later sample, whichever thread runs it. The calling
+    # thread holds its second sample until the pool thread has finished
+    # one, so the pool thread surely samples.
     sys = build_system(build_mesh(MeshConfig()))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sample = resolvent.sample_point
+    main = threading.main_thread()
+    pooled = threading.Event()
     seen = []
 
     def cached():
         return set(vars(sys)), set(vars(sys.kinematic))
 
-    def recording(*args, **kwargs):
+    def recording(beta, *args, **kwargs):
+        if seen and threading.current_thread() is main:
+            assert pooled.wait(timeout=60)
         before = cached()
-        result = sample(*args, **kwargs)
-        seen.append((threading.current_thread(), before, cached()))
+        result = sample(beta, *args, **kwargs)
+        seen.append((beta, threading.current_thread(), before, cached()))
+        if threading.current_thread() is not main:
+            pooled.set()
         return result
 
     monkeypatch.setattr(resolvent, "sample_point", recording)
     betas = np.logspace(0, 1, 4)
     sweep(betas, sys, probe_seed=2, jobs=2)
-    pooled = [s for s in seen if s[0] is not threading.main_thread()]
-    assert len(seen) == len(betas) and len(pooled) == len(betas) - 1
-    assert all(before == after == cached() for _, before, after in pooled)
+    assert sorted(s[0] for s in seen) == list(betas)
+    assert seen[0][:2] == (betas[0], main)
+    assert {s[1] for s in seen[1:]} - {main}
+    assert all(before == after == cached() for _, _, before, after in seen[1:])
 
 
 def test_jobs_sweep_builds_a_new_cached_piece_once_in_the_calling_thread(monkeypatch):
@@ -437,23 +483,34 @@ def test_jobs_sweep_builds_a_new_cached_piece_once_in_the_calling_thread(monkeyp
 @pytest.mark.parametrize("error", [FrequencySingularityError, OpnormConvergenceError])
 def test_jobs_sweep_raises_the_serial_error(monkeypatch, default_sys, error):
     # Two frequencies fail; a jobs sweep raises the error of the first, as
-    # the serial sweep does, with its class and beta intact.
+    # the serial sweep does, with its class and beta intact. In the last
+    # run the earlier failing sample waits until the later one has begun,
+    # so the later error is raised first in time; the sweep must still
+    # raise the earlier one.
     sample = resolvent.sample_point
+    betas = np.logspace(0, 1, 5)
+    later_raised = threading.Event()
+    hold = False
 
     def failing(beta, *args, **kwargs):
+        if beta == betas[3] and hold:
+            assert later_raised.wait(timeout=60)
+        if beta == betas[4]:
+            later_raised.set()
         if beta > 5:
             raise error(beta, "forced")
         return sample(beta, *args, **kwargs)
 
     monkeypatch.setattr(resolvent, "sample_point", failing)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    betas = np.logspace(0, 1, 5)
     raised = []
-    for jobs in (1, 2):
+    for jobs, hold in ((1, False), (2, False), (2, True)):
+        later_raised.clear()
         with pytest.raises(error) as info:
             sweep(betas, default_sys, jobs=jobs)
         raised.append((str(info.value), info.value.beta))
-    assert raised[0] == raised[1]
+    assert later_raised.is_set()
+    assert raised[0] == raised[1] == raised[2]
     assert raised[0][1] == betas[3]
 
 
