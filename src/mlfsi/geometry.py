@@ -18,6 +18,7 @@ squares without matching the faces of all tets.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -30,8 +31,7 @@ GAMMA_F = 0
 # Interface face tags: 1 + 2*axis + (0 for the low face, 1 for the high face)
 GAMMA_TAGS = (1, 2, 3, 4, 5, 6)
 
-_MESH_FORMAT = "mlfsi-mesh"
-_MESH_VERSION = 1
+_HEADER = b"mlfsi-mesh 1\n"   # format name and version
 
 # The 6 tetrahedra of the corner-to-corner (Kuhn) split of a hex, as paths
 # of axis steps from the low corner to the high corner.
@@ -259,111 +259,71 @@ def _block(fh, tag, *parts):
 
 
 def save_mesh(mesh: Mesh, path):
-    """Versioned text dump; float columns round-trip bit-exactly.
-
-    Every block formats each distinct number once into a text table and
-    writes its rows as gathers from it, in fixed-size chunks (`_block`).
-    """
+    """Versioned text dump; float columns round-trip bit-exactly."""
     with open(path, "wb") as fh:
-        fh.write(f"{_MESH_FORMAT} {_MESH_VERSION}\n".encode())
-        if mesh.config is not None:
-            c = mesh.config
-            fh.write((("config" + " %.17g" * 12 + " %s\n")
-                      % (*c.outer_lo, *c.outer_hi, *c.inner_lo, *c.inner_hi, c.n)).encode())
-        _block(fh, "vertices", mesh.vertices)
-        _block(fh, "tets", mesh.tets, mesh.tet_regions[:, None])
-        _block(fh, "tris", mesh.tris, mesh.tri_tags[:, None], mesh.tri_normals)
+        _write(fh, mesh)
+
+
+def _write(fh, mesh):
+    """Dump ``mesh`` to the binary file ``fh``. Every block formats each
+    distinct number once into a text table and writes its rows as gathers
+    from it, in fixed-size chunks (`_block`)."""
+    fh.write(_HEADER)
+    if mesh.config is not None:
+        c = mesh.config
+        fh.write((("config" + " %.17g" * 12 + " %s\n")
+                  % (*c.outer_lo, *c.outer_hi, *c.inner_lo, *c.inner_hi, c.n)).encode())
+    _block(fh, "vertices", mesh.vertices)
+    _block(fh, "tets", mesh.tets, mesh.tet_regions[:, None])
+    _block(fh, "tris", mesh.tris, mesh.tri_tags[:, None], mesh.tri_normals)
 
 
 def load_mesh(path) -> Mesh:
-    """Read a ``save_mesh`` dump.
+    """Read a ``save_mesh`` dump of ``build_mesh(config)``: the file must equal,
+    byte for byte, the dump of the mesh of its config line. Raises ValueError
+    on an unknown header; on a config line that is missing, does not parse or
+    validate, or whose mesh needs more bytes than the file holds (checked
+    before building); and on the first line that differs, naming its block and
+    1-based line and quoting what was read and what the config's mesh has."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, _, rest = data.partition(b"\n")
+    if header + b"\n" != _HEADER:
+        raise ValueError(f"unsupported mesh file header: {header.decode(errors='replace')!r}")
+    line = rest.partition(b"\n")[0].decode(errors="replace")
+    try:
+        parts = line.split()
+        if parts[:1] != ["config"]:
+            raise ValueError(f"expected 'config' and 13 fields, got {line[:60]!r}")
+        if len(parts) != 14:
+            raise ValueError(f"expected 13 fields, got {len(parts) - 1}")
+        f = [float(x) for x in parts[1:13]]
+        config = MeshConfig(*(tuple(f[k:k + 3]) for k in (0, 3, 6, 9)), int(parts[13]))
+        tets = 6 * math.prod(config.grid_counts()[0].tolist())
+        if len(data) < 10 * tets:           # a tets row is at least "0 1 2 3 0\n"
+            raise ValueError(f"its mesh has {tets} tets, at least {10 * tets} bytes, "
+                             f"but the file holds {len(data)} bytes")
+    except (ValueError, OverflowError) as exc:    # OverflowError: an infinite coordinate
+        raise ValueError(f"config block, line 2: {exc}") from None
+    mesh = build_mesh(config)
+    buf = io.BytesIO()
+    _write(buf, mesh)
+    want = buf.getvalue()
+    if data == want:
+        return mesh
+    n = min(len(data), len(want))
+    differs = np.flatnonzero(np.frombuffer(data, np.uint8, n) != np.frombuffer(want, np.uint8, n))
+    start = data.rfind(b"\n", 0, differs[0] if differs.size else n) + 1   # same in both
+    number = data.count(b"\n", 0, start) + 1
+    heads = np.cumsum([2, 1, 1 + len(mesh.vertices), 1 + len(mesh.tets)])
+    block = ("config", "vertices", "tets", "tris")[np.searchsorted(heads, number, "right") - 1]
+    raise ValueError(f"{block} block, line {number}: read {_quote(data, start)}, "
+                     f"the config's mesh has {_quote(want, start)}")
 
-    Raises ValueError naming the block and the line of the first malformed
-    entry: a config line or block row of the wrong shape, a field that does
-    not parse as its number type, a block header that does not match, a
-    block shorter or longer than its count, a vertex index out of range, or
-    a region or boundary tag that the geometry does not define.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].split() != [_MESH_FORMAT, str(_MESH_VERSION)]:
-        raise ValueError(f"unsupported mesh file header: {lines[0] if lines else ''!r}")
-    pos = 1
-    config = None
-    if pos < len(lines) and lines[pos].startswith("config "):
-        parts = lines[pos].split()[1:]
-        try:
-            if len(parts) != 13:
-                raise ValueError(f"expected 13 fields, got {len(parts)}")
-            f = [float(x) for x in parts[:12]]
-            config = MeshConfig(*(tuple(f[k:k + 3]) for k in (0, 3, 6, 9)), int(parts[12]))
-        except ValueError as exc:
-            raise ValueError(f"config block, line {pos + 1}: {exc}") from None
-        pos += 1
 
-    def read_block(tag, ncols, prev=None):
-        """Rows of block ``tag`` as strings, and the 1-based line of its first.
-
-        ``prev`` is the (tag, width) of the block before; a row of that width
-        where this header belongs means that block is longer than its count.
-        """
-        nonlocal pos
-        header = lines[pos].split() if pos < len(lines) else ["end of file"]
-        if prev is not None and len(header) == prev[1]:
-            raise ValueError(f"{prev[0]} block, line {pos + 1}: more rows than its count")
-        if len(header) != 2 or header[0] != tag or not header[1].isdigit():
-            raise ValueError(f"{tag} block, line {pos + 1}: expected '{tag} <count>', "
-                             f"got {' '.join(header)!r}")
-        count = int(header[1])
-        first = pos + 2
-        rows = [line.split() for line in lines[pos + 1:pos + 1 + count]]
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError(f"{tag} block, line {first + i}: expected {ncols} fields, "
-                                 f"got {len(row)}")
-        if len(rows) < count:
-            raise ValueError(f"{tag} block, line {first + len(rows)}: file ends after "
-                             f"{len(rows)} of {count} rows")
-        pos += 1 + count
-        return np.array(rows, dtype=object).reshape(count, ncols), first
-
-    def typed(raw, dtype, tag, first):
-        """``raw`` as ``dtype``; a field that does not parse names its line."""
-        try:
-            return np.array(raw, dtype=dtype)
-        except (ValueError, OverflowError):
-            for i, row in enumerate(raw):
-                try:
-                    np.array(row, dtype=dtype)
-                except (ValueError, OverflowError) as exc:
-                    raise ValueError(f"{tag} block, line {first + i}: {exc}") from None
-            raise
-
-    def reject(bad, tag, first, what):
-        rows = np.flatnonzero(bad)
-        if rows.size:
-            raise ValueError(f"{tag} block, line {first + rows[0]}: {what}")
-
-    vraw, first = read_block("vertices", 3)
-    vertices = typed(vraw, np.float64, "vertices", first)
-    nv = vertices.shape[0]
-    traw, first = read_block("tets", 5, prev=("vertices", 3))
-    tets = typed(traw[:, :4], np.int64, "tets", first)
-    regions = typed(traw[:, 4], np.int64, "tets", first)
-    reject(np.any((tets < 0) | (tets >= nv), axis=1), "tets", first,
-           f"vertex index outside [0, {nv})")
-    reject(~np.isin(regions, (FLUID, SOLID)), "tets", first,
-           f"region tag not in {{{FLUID}, {SOLID}}}")
-    braw, first = read_block("tris", 7, prev=("tets", 5))
-    tris = typed(braw[:, :3], np.int64, "tris", first)
-    tags = typed(braw[:, 3], np.int64, "tris", first)
-    normals = typed(braw[:, 4:], np.float64, "tris", first)
-    reject(np.any((tris < 0) | (tris >= nv), axis=1), "tris", first,
-           f"vertex index outside [0, {nv})")
-    reject(~np.isin(tags, (GAMMA_F, *GAMMA_TAGS)), "tris", first,
-           f"boundary tag not in {{{GAMMA_F}, {', '.join(map(str, GAMMA_TAGS))}}}")
-    extra = [i for i in range(pos, len(lines)) if lines[i].strip()]
-    if extra:
-        raise ValueError(f"tris block, line {extra[0] + 1}: more rows than its count")
-    return Mesh(vertices, tets, regions.astype(np.int8), tris, tags.astype(np.int8), normals,
-                config=config)
+def _quote(data, start):
+    """The line of ``data`` at ``start``, line break included, quoted and cut
+    to 60 characters; 'end of file' past the end."""
+    text = data[start:start + 61].decode(errors="replace")
+    text = text[:text.find("\n") + 1] or text
+    return repr(text[:60] + "..." if len(text) > 60 else text) if text else "end of file"

@@ -267,23 +267,12 @@ def _meshes(draw):
 @settings(max_examples=60, deadline=None)
 @given(_meshes())
 def test_roundtrip_bit_exact_property(mesh):
+    # %.17g text equal to the oracle's pins the bit-exact round trip of every
+    # float; load_mesh reads only dumps of build_mesh meshes.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mesh.txt"
         save_mesh(mesh, path)
         assert path.read_text() == mesh_text_rows(mesh)
-        back = load_mesh(path)
-        assert np.array_equal(_bits(back.vertices), _bits(mesh.vertices))
-        assert np.array_equal(back.tets, mesh.tets)
-        assert np.array_equal(back.tet_regions, mesh.tet_regions)
-        assert np.array_equal(back.tris, mesh.tris)
-        assert np.array_equal(back.tri_tags, mesh.tri_tags)
-        assert np.array_equal(_bits(back.tri_normals), _bits(mesh.tri_normals))
-        assert (back.config is None) == (mesh.config is None)
-        if mesh.config is not None:
-            c, d = back.config, mesh.config
-            assert c.n == d.n
-            fields = ("outer_lo", "outer_hi", "inner_lo", "inner_hi")
-            assert all(np.array_equal(_bits(getattr(c, f)), _bits(getattr(d, f))) for f in fields)
 
 
 def _signed_zero_mesh(with_elements):
@@ -307,9 +296,6 @@ def test_dump_keeps_signed_zeros_and_subnormals(tmp_path, with_elements):
     text = path.read_text()
     assert text == mesh_text_rows(mesh)
     assert "\n-0 0 1\n0 -0 4.9406564584124654e-324\n" in text
-    back = load_mesh(path)
-    assert np.array_equal(_bits(back.vertices), _bits(mesh.vertices))
-    assert np.array_equal(_bits(back.tri_normals), _bits(mesh.tri_normals))
 
 
 def test_dump_writes_integers_as_percent_d(tmp_path):
@@ -362,6 +348,7 @@ def _set_field(lines, header, row, col, value):
 def _recount(lines, header, delta):
     tag, count = lines[header].split()
     lines[header] = f"{tag} {int(count) + delta}"
+    return header + 1
 
 
 def _malform(lines, case):
@@ -369,52 +356,65 @@ def _malform(lines, case):
     hdr = {line.split()[0]: i for i, line in enumerate(lines)
            if line.split()[0] in ("vertices", "tets", "tris")}
     nv = int(lines[hdr["vertices"]].split()[1])
+    dump = list(lines)
+
+    def differs(block, number):
+        """The message for a first difference at 1-based line ``number``."""
+        read = repr(lines[number - 1] + "\n") if number <= len(lines) else "end of file"
+        want = repr(dump[number - 1] + "\n")
+        return f"{block} block, line {number}: read {read}, the config's mesh has {want}"
+
     if case == "negative-tet-index":
-        return f"tets block, line {_set_field(lines, hdr['tets'], 3, 0, -1)}: vertex index outside"
+        return differs("tets", _set_field(lines, hdr["tets"], 3, 0, -1))
     if case == "tet-index-past-the-vertices":
-        return f"tets block, line {_set_field(lines, hdr['tets'], 5, 2, nv)}: vertex index outside"
+        return differs("tets", _set_field(lines, hdr["tets"], 5, 2, nv))
     if case == "tri-index-past-the-vertices":
-        return f"tris block, line {_set_field(lines, hdr['tris'], 2, 1, nv)}: vertex index outside"
+        return differs("tris", _set_field(lines, hdr["tris"], 2, 1, nv))
     if case == "region-tag-2":
-        return f"tets block, line {_set_field(lines, hdr['tets'], 7, 4, 2)}: region tag"
+        return differs("tets", _set_field(lines, hdr["tets"], 7, 4, 2))
     if case == "triangle-tag-9":
-        return f"tris block, line {_set_field(lines, hdr['tris'], 4, 3, 9)}: boundary tag"
-    if case == "short-vertices-block":
-        _recount(lines, hdr["vertices"], +1)
-        return f"vertices block, line {hdr['tets'] + 1}: expected 3 fields, got 2"
-    if case == "long-vertices-block":
-        _recount(lines, hdr["vertices"], -1)
-        return f"vertices block, line {hdr['tets']}: more rows than its count"
-    if case == "short-tets-block":
-        _recount(lines, hdr["tets"], +1)
-        return f"tets block, line {hdr['tris'] + 1}: expected 5 fields, got 2"
-    if case == "long-tets-block":
-        _recount(lines, hdr["tets"], -1)
-        return f"tets block, line {hdr['tris']}: more rows than its count"
-    if case == "short-tris-block":
-        _recount(lines, hdr["tris"], +1)
-        return f"tris block, line {len(lines) + 1}: file ends after"
-    if case == "long-tris-block":
-        _recount(lines, hdr["tris"], -1)
-        return f"tris block, line {len(lines)}: more rows than its count"
+        return differs("tris", _set_field(lines, hdr["tris"], 4, 3, 9))
+    if case in ("short-vertices-block", "long-vertices-block", "short-tets-block",
+                "long-tets-block", "short-tris-block", "long-tris-block"):
+        short, block = case.split("-")[:2]
+        return differs(block, _recount(lines, hdr[block], +1 if short == "short" else -1))
     if case == "non-integer-tet-index":
-        return f"tets block, line {_set_field(lines, hdr['tets'], 3, 1, 1.5)}: invalid literal for int()"
+        return differs("tets", _set_field(lines, hdr["tets"], 3, 1, 1.5))
     if case == "non-integer-region-tag":
-        return f"tets block, line {_set_field(lines, hdr['tets'], 6, 4, 'x')}: invalid literal for int()"
+        return differs("tets", _set_field(lines, hdr["tets"], 6, 4, "x"))
     if case == "non-integer-tri-index":
-        return f"tris block, line {_set_field(lines, hdr['tris'], 2, 0, 1.5)}: invalid literal for int()"
+        return differs("tris", _set_field(lines, hdr["tris"], 2, 0, 1.5))
     if case == "non-integer-tri-tag":
-        return f"tris block, line {_set_field(lines, hdr['tris'], 5, 3, '1e0')}: invalid literal for int()"
+        return differs("tris", _set_field(lines, hdr["tris"], 5, 3, "1e0"))
     if case == "non-float-vertex":
-        return f"vertices block, line {_set_field(lines, hdr['vertices'], 4, 2, 'x')}: could not convert"
+        return differs("vertices", _set_field(lines, hdr["vertices"], 4, 2, "x"))
     if case == "non-float-tri-normal":
-        return f"tris block, line {_set_field(lines, hdr['tris'], 3, 5, 'nul')}: could not convert"
+        return differs("tris", _set_field(lines, hdr["tris"], 3, 5, "nul"))
     if case == "short-config-line":
         lines[1] = lines[1].rsplit(" ", 1)[0]
         return "config block, line 2: expected 13 fields, got 12"
     if case == "non-float-config-field":
         _set_field(lines, 0, 0, 3, "x")
         return "config block, line 2: could not convert"
+    # Well-formed rows that the old field-by-field checks let through.
+    if case == "swapped-tet-rows":
+        first = hdr["tets"] + 1
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        return differs("tets", first + 1)
+    if case == "moved-vertex":
+        return differs("vertices", _set_field(lines, hdr["vertices"], 9, 1, 0.25))
+    if case == "missing-config-line":
+        del lines[1]
+        return f"config block, line 2: expected 'config' and 13 fields, got '{dump[2]}'"
+    if case == "file-ends-early":
+        lines.pop()
+        return differs("tris", len(dump))
+    if case == "trailing-blank-line":
+        lines.append("")
+        return f"tris block, line {len(lines)}: read '\\n', the config's mesh has end of file"
+    if case == "crlf-line-endings":
+        lines[:] = [line + "\r" for line in lines]
+        return "unsupported mesh file header: 'mlfsi-mesh 1\\r'"
     raise AssertionError(case)
 
 
@@ -424,7 +424,8 @@ def _malform(lines, case):
     "short-tets-block", "long-tets-block", "short-tris-block", "long-tris-block",
     "non-integer-tet-index", "non-integer-region-tag", "non-integer-tri-index",
     "non-integer-tri-tag", "non-float-vertex", "non-float-tri-normal", "short-config-line",
-    "non-float-config-field",
+    "non-float-config-field", "swapped-tet-rows", "moved-vertex", "missing-config-line",
+    "file-ends-early", "trailing-blank-line", "crlf-line-endings",
 ])
 def test_load_mesh_rejects_malformed_file(tmp_path, tiny_mesh, case):
     path = tmp_path / "mesh.txt"
@@ -434,3 +435,33 @@ def test_load_mesh_rejects_malformed_file(tmp_path, tiny_mesh, case):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(message)):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("name", GOLDEN_MESH_CONFIGS)
+def test_load_mesh_returns_the_built_mesh(tmp_path, name):
+    mesh = build_mesh(GOLDEN_MESH_CONFIGS[name])
+    save_mesh(mesh, tmp_path / "mesh.txt")
+    back = load_mesh(tmp_path / "mesh.txt")
+    assert back.config == mesh.config
+    for field in ("vertices", "tets", "tet_regions", "tris", "tri_tags", "tri_normals"):
+        a, b = getattr(back, field), getattr(mesh, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert (back.tets.dtype, back.tet_regions.dtype, back.tri_tags.dtype) == (np.int64, np.int8, np.int8)
+    assert np.array_equal(_bits(back.vertices), _bits(mesh.vertices))
+    assert np.array_equal(_bits(back.tri_normals), _bits(mesh.tri_normals))
+
+
+def test_load_mesh_checks_the_size_before_building(tmp_path, monkeypatch):
+    # A config line whose mesh (n = 126 on the unit box, 12M tets) cannot fit
+    # in a file of a few hundred bytes is rejected without a build.
+    config = MeshConfig(inner_lo=(1 / 126,) * 3, inner_hi=(125 / 126,) * 3, n=126)
+    empty = Mesh(np.zeros((0, 3)), np.zeros((0, 4), np.int64), np.zeros(0, np.int8),
+                 np.zeros((0, 3), np.int64), np.zeros(0, np.int8), np.zeros((0, 3)), config=config)
+    save_mesh(empty, tmp_path / "mesh.txt")
+
+    def no_build(config):
+        raise AssertionError("load_mesh built the mesh")
+
+    monkeypatch.setattr(geometry, "build_mesh", no_build)
+    with pytest.raises(ValueError, match=r"config block, line 2: its mesh has 12002256 tets"):
+        load_mesh(tmp_path / "mesh.txt")

@@ -1,12 +1,17 @@
-"""Rate gates against mutants that must fail them.
+"""Rate gates against mutants.
 
-A gate that passes on every system shows nothing. Each mutant here weakens
-the physics the gate rests on, through `mutants.mutant`, and the gate must
-fail on it and still pass on the real system, with the exact identities
-holding on both.
+A gate that passes on every system shows nothing. Each mutant here changes
+the physics a gate rests on, through `mutants.mutant`. Where the gate can see
+the change, it must fail on the mutant and still pass on the real system,
+with the exact identities holding on both; where it cannot, the test pins
+that blind spot.
 """
 
-from mlfsi.evolution import fit_decay, prepare_smooth_data, simulate
+import numpy as np
+import pytest
+
+from mlfsi.evolution import SolverFailure, fit_decay, prepare_smooth_data, simulate
+from mlfsi.resolvent import OPNORM_TOL, PROBE_SEED, SOLVE_TOL, probe_state, sample_point
 
 from mutants import mutant
 from test_acceptance import DECAY_BOUND, DECAY_WINDOW, SIM_T, SIM_TAU
@@ -28,3 +33,21 @@ def test_decay_gate_fails_when_dissipation_is_weakened(default_sys):
     exponent, trace = decay_run(default_sys)
     assert exponent >= DECAY_BOUND
     assert trace.max_balance_residual() <= 1e-10 * trace.E[0]
+
+
+def test_resolvent_norm_cannot_see_the_sign_of_the_dissipation(default_sys):
+    # K_f negated feeds energy in: criterion 5's run overflows, and over
+    # T = 2 the energy grows by about 1e154 while the midpoint balance holds
+    # to rounding. Yet the mutant generator is -A^T, the M-adjoint of A
+    # negated, so ||R(i beta)|| in the energy metric is unchanged, and so is
+    # the growth gate (criterion 4) that fits it.
+    flip = mutant(default_sys.mesh, K_f=-default_sys.K_f)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverFailure):
+        decay_run(flip)
+    trace = simulate(prepare_smooth_data(1, flip), 2.0, SIM_TAU, flip)
+    assert trace.E[-1] > 1e100 * trace.E[0]
+    assert trace.max_balance_residual() <= 1e-10 * trace.E.max()
+    b = probe_state(default_sys, PROBE_SEED)
+    real, flipped = (sample_point(10.0, sys, b, opnorm_tol=OPNORM_TOL, solve_tol=SOLVE_TOL).opnorm
+                     for sys in (default_sys, flip))
+    assert flipped == pytest.approx(real, rel=1e-10, abs=0)
