@@ -87,7 +87,8 @@ class ElementTable:
     stiffness scattered straight from the per-shape tables into block order
     as canonical CSR, every entry that touches a -1 dropped. ``measure``,
     ``grads``, ``mass`` and the vertex ``coords`` are per-element gathers,
-    formed on each read.
+    formed on each read; `blocks` forms ``grads`` and ``coords`` a run of
+    simplices at a time.
     """
 
     def __init__(self, vertices, simplices, block):
@@ -130,6 +131,14 @@ class ElementTable:
     @property
     def mass(self):
         return self._mass[self.shape]
+
+    def blocks(self, size):
+        """(rows, grads, coords) of each run of ``size`` simplices, in order:
+        ``rows`` is the run's slice, ``grads`` and ``coords`` its own
+        per-element gathers. The last run may be shorter."""
+        for start in range(0, self.shape.size, size):
+            rows = slice(start, start + size)
+            yield rows, self._grads[self.shape[rows]], self.vertices[self.simplices[rows]]
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,10 @@ def _sample_times(first, last, tau):
 
 
 def simulate(x0: State, T, tau, sys: SystemMatrices) -> EnergyTrace:
-    """Evolve x0 over [0, T]; ceil(T/tau) + 1 samples with balance audit."""
+    """Evolve x0 over [0, T]; ceil(T/tau) + 1 samples with balance audit.
+
+    Raises `SolverFailure` at the first step whose state or energy is not
+    finite."""
     if T <= 0 or tau <= 0:
         raise ValueError("T and tau must be positive")
     if not np.all(np.isfinite(x0.vec)):
@@ -120,10 +123,13 @@ def simulate(x0: State, T, tau, sys: SystemMatrices) -> EnergyTrace:
     norm[0] = math.sqrt(max(2.0 * E[0], 0.0))
     for k in range(nsteps):
         x_new = stepper.cayley(x, Mx)
-        if not np.all(np.isfinite(x_new)):
-            raise SolverFailure("non-finite state produced", step=k + 1)
         Mx, Ku_new = np.split(stacked @ x_new, [n])
         e_new = 0.5 * float(x_new @ Mx)
+        # A non-finite entry of x_new makes its term of x_new @ Mx, and so
+        # E, non-finite too: this one check also stops a finite state whose
+        # energy has overflowed.
+        if not math.isfinite(e_new):
+            raise SolverFailure("non-finite state or energy", step=k + 1)
         m_u = 0.5 * (x[:n_u] + x_new[:n_u])
         bal[k] = abs(e_new - E[k] + tau * float(m_u @ (0.5 * (Ku + Ku_new))))
         x, Ku = x_new, Ku_new

@@ -64,15 +64,24 @@ class MeshConfig:
     def validate(self):
         olo, ohi = np.asarray(self.outer_lo, float), np.asarray(self.outer_hi, float)
         ilo, ihi = np.asarray(self.inner_lo, float), np.asarray(self.inner_hi, float)
-        if self.n < 1 or int(self.n) != self.n:
+        if not (math.isfinite(self.n) and self.n >= 1 and int(self.n) == self.n):
             raise MeshConfigError(f"n must be a positive integer, got {self.n!r}")
+        for name, val in (("outer_lo", olo), ("outer_hi", ohi), ("inner_lo", ilo), ("inner_hi", ihi)):
+            for axis in range(3):
+                if not math.isfinite(val[axis]):
+                    raise MeshConfigError(f"axis {axis}: {name} must be finite, got {val[axis]}")
         for axis in range(3):
             if not (olo[axis] < ilo[axis] < ihi[axis] < ohi[axis]):
                 raise MeshConfigError(
                     f"axis {axis}: need outer_lo < inner_lo < inner_hi < outer_hi, "
                     f"got {olo[axis]} {ilo[axis]} {ihi[axis]} {ohi[axis]}"
                 )
-        vertices = math.prod(int(cells) + 1 for cells in np.rint(self.n * (ohi - olo)))
+        with np.errstate(over="ignore"):
+            cells = self.n * (ohi - olo)
+        for axis in range(3):
+            if not math.isfinite(cells[axis]):
+                raise MeshConfigError(f"axis {axis}: n * (outer_hi - outer_lo) overflows float64")
+        vertices = math.prod(int(c) + 1 for c in np.rint(cells))
         if vertices**3 > np.iinfo(np.int64).max:
             raise MeshConfigError(
                 f"n = {self.n} gives {vertices} vertices; face keys need "
@@ -103,13 +112,15 @@ class Mesh:
 
     ``tri_normals[i]`` is the unit normal of boundary triangle ``i`` oriented
     outward from the fluid region (hence into the solid on interface faces).
+    `build_mesh` gives int32 ``tets`` and ``tris`` (`MeshConfig.validate`
+    caps the vertex count below 2**31) and int8 region and triangle tags.
     """
 
     vertices: np.ndarray          # (nv, 3) float64
-    tets: np.ndarray              # (nt, 4) vertex indices
-    tet_regions: np.ndarray       # (nt,) FLUID or SOLID
-    tris: np.ndarray              # (nb, 3) vertex indices
-    tri_tags: np.ndarray          # (nb,) GAMMA_F or 1..6
+    tets: np.ndarray              # (nt, 4) int32 vertex indices
+    tet_regions: np.ndarray       # (nt,) int8, FLUID or SOLID
+    tris: np.ndarray              # (nb, 3) int32 vertex indices
+    tri_tags: np.ndarray          # (nb,) int8, GAMMA_F or 1..6
     tri_normals: np.ndarray       # (nb, 3) float64
     config: MeshConfig | None = field(default=None)
 
@@ -139,18 +150,22 @@ def build_mesh(config: MeshConfig) -> Mesh:
     cells, ilo, ihi = config.grid_counts()
     h = 1.0 / config.n
     # Grid points and cells in C order: vertex id = ravel_multi_index(ijk, cells + 1).
-    vertices = np.asarray(config.outer_lo, float) + np.indices(cells + 1).reshape(3, -1).T * h
-    corner = np.indices(cells).reshape(3, -1).T          # low grid corner of each cell
+    # `MeshConfig.validate` keeps the vertex count below 2**31, so every
+    # index is int32 from the start: corners, strides, paths and tets.
+    grid = np.indices(cells + 1, dtype=np.int32).reshape(3, -1).T
+    vertices = np.asarray(config.outer_lo, float) + grid * h
+    corner = np.indices(cells, dtype=np.int32).reshape(3, -1).T    # low grid corner of each cell
     solid_cell = np.all((corner >= ilo) & (corner < ihi), axis=1)
 
     # Kuhn split: each tet is a monotone path of axis steps low corner -> high corner.
     # Row t of ``paths`` offsets the vertices of path tet t from its cell's
     # low corner; for positive orientation an odd path swaps its last two.
-    stride = np.array([(cells[1] + 1) * (cells[2] + 1), cells[2] + 1, 1])
-    paths = np.cumsum(np.c_[np.zeros(6, int), stride[np.array(_AXIS_PERMS)]], axis=1)
+    stride = np.array([(cells[1] + 1) * (cells[2] + 1), cells[2] + 1, 1], np.int32)
+    paths = np.cumsum(np.c_[np.zeros(6, np.int32), stride[np.array(_AXIS_PERMS)]], axis=1,
+                      dtype=np.int32)
     paths[_ODD_PERMS, 2:] = paths[_ODD_PERMS, :1:-1]
     tets = ((corner @ stride)[:, None, None] + paths).reshape(-1, 4)
-    regions = np.repeat(np.where(solid_cell, SOLID, FLUID), 6).astype(np.int8)
+    regions = np.repeat(np.where(solid_cell, np.int8(SOLID), np.int8(FLUID)), 6)
 
     # Outer-box faces, normal out of the fluid, then cube faces, normal into
     # the solid, tagged 1 + 2*axis + side. A group's box bounds both its
@@ -303,7 +318,7 @@ def load_mesh(path) -> Mesh:
         if len(data) < 10 * tets:           # a tets row is at least "0 1 2 3 0\n"
             raise ValueError(f"its mesh has {tets} tets, at least {10 * tets} bytes, "
                              f"but the file holds {len(data)} bytes")
-    except (ValueError, OverflowError) as exc:    # OverflowError: an infinite coordinate
+    except ValueError as exc:
         raise ValueError(f"config block, line 2: {exc}") from None
     mesh = build_mesh(config)
     buf = io.BytesIO()

@@ -146,6 +146,20 @@ def _hat_triple_integrals():
 
 
 _TRI_CUBIC = _hat_triple_integrals()
+# Tets per block of the per-element gathers in `multiplier_residual`.
+_BLOCK_TETS = 4096
+
+
+def _tet_gradients(tet, zv):
+    """The gradient of the nodal field ``zv`` on each tet of ``tet``, and its
+    conjugate's dot product with each vertex of the tet, formed over blocks
+    of `_BLOCK_TETS` tets. The last block's gathers are freed on return."""
+    grad_z = np.empty((tet.local.shape[0], 3), complex)
+    c_tet = np.empty((tet.local.shape[0], 4), complex)
+    for rows, grads, coords in tet.blocks(_BLOCK_TETS):
+        grad_z[rows] = np.einsum("tv,tvd->td", zv[tet.local[rows]], grads)
+        c_tet[rows] = np.einsum("tvd,td->tv", coords, grad_z[rows].conj())
+    return grad_z, c_tet
 
 
 def multiplier_residual(z, f, beta, sys) -> dict[str, MultiplierReport]:
@@ -155,6 +169,14 @@ def multiplier_residual(z, f, beta, sys) -> dict[str, MultiplierReport]:
     identity), key "unit_div" the equipartition identity with div m = 1
     (m = x/3, so the grad-div correction drops); both share one K_s z and
     one M_s z. ``f`` is the nodal right-hand side of -beta^2 z - Delta z = f.
+
+    The per-tet gradients of z and their products with the vertex
+    coordinates are formed over blocks of `_BLOCK_TETS` tets, each from
+    its own gathers: every output row is one tet's, so the bits are those
+    of one whole-table call. The gradients are dropped before ``term_d``,
+    whose whole-table gathers set this function's memory peak. ``term_d``
+    stays one einsum because it sums over all tets: split into blocks, it
+    would add in another order and change the result's last bits.
     """
     tet, tri = sys.solid_table, sys.surface_table
     zv = np.asarray(z, dtype=complex)
@@ -170,13 +192,15 @@ def multiplier_residual(z, f, beta, sys) -> dict[str, MultiplierReport]:
 
     # m(x) = x: LHS is the gradient energy; RHS collects the boundary flux
     # terms (with nu into the solid), the div-m volume term, and the load term.
-    grad_z = np.einsum("tv,tvd->td", zv[tet.local], tet.grads)
+    grad_z, c_tet = _tet_gradients(tet, zv)
+    g_adj = grad_z[sys.interface_owner]                # gradient on adjacent tet
+    del grad_z
+    term_d = np.einsum("tv,tvw,tw->", fv[tet.local], tet.mass, c_tet).real
 
     flux = interface_flux(zv, fv, beta, sys)
     lam = recover_flux_nodal(flux, sys)
     lam_tri = lam[tri.local]
 
-    g_adj = grad_z[sys.interface_owner]                # gradient on adjacent tet
     c_tri = np.einsum("tvd,td->tv", tri.coords, g_adj.conj())
     term_a = -np.einsum("tv,tvw,tw->", lam_tri, tri.mass, c_tri).real
 
@@ -186,9 +210,6 @@ def multiplier_residual(z, f, beta, sys) -> dict[str, MultiplierReport]:
     term_b = 0.5 * float((lam_sq.real * tri.measure).sum())
 
     term_c = 1.5 * div_lhs
-
-    c_tet = np.einsum("tvd,td->tv", tet.coords, grad_z.conj())
-    term_d = np.einsum("tv,tvw,tw->", fv[tet.local], tet.mass, c_tet).real
 
     rhs = float(term_a + term_b + term_c + term_d)
     return {"radial": MultiplierReport("radial", grad_sq, rhs, abs(grad_sq - rhs), sys.mesh_h),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mlfsi.assembly as assembly
+import mlfsi.identities as identities
 from mlfsi.assembly import State, build_system
 from mlfsi.geometry import SOLID, MeshConfig, build_mesh
 from mlfsi.identities import (
@@ -20,6 +21,7 @@ from mlfsi.resolvent import probe_state, solve_static
 import oracles
 from conftest import NON_CUBIC_CONFIG, level_systems
 from oracles import solid_face_owner_loop
+from test_assembly import _traced_peak_mib
 
 
 def solid_tet_dihedral_angles(mesh):
@@ -190,6 +192,37 @@ def test_manufactured_study_needs_an_interior_vertex():
     levels = (MeshConfig(inner_hi=(0.5, 0.5, 0.5), n=n) for n in (4, 8))
     with pytest.raises(ValueError, match="level n = 4: the cube has no interior vertex"):
         manufactured_study((build_system(build_mesh(c)) for c in levels), beta=2.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_blockwise_tet_gradients_match_one_whole_table_call():
+    # n = 24 has 10368 solid tets: two full blocks and a shorter third.
+    # Every output row is one tet's, so the blocks give one call's bits.
+    sys = build_system(build_mesh(MeshConfig(n=24)))
+    tet = sys.solid_table
+    assert tet.local.shape[0] // identities._BLOCK_TETS == 2
+    assert tet.local.shape[0] % identities._BLOCK_TETS
+    rng = np.random.default_rng(0)
+    n = sys.dof.n_i + sys.dof.n_s
+    zv = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    grad_z, c_tet = identities._tet_gradients(tet, zv)
+    ref_grad = np.einsum("tv,tvd->td", zv[tet.local], tet.grads)
+    ref_c = np.einsum("tvd,td->tv", tet.coords, ref_grad.conj())
+    assert np.array_equal(_bits(grad_z), _bits(ref_grad))
+    assert np.array_equal(_bits(c_tet), _bits(ref_c))
+
+
+def test_multiplier_residual_holds_no_whole_table_gathers():
+    # Tables, owners and the M_G LU built by a first call, the n = 32 pass
+    # gathers gradients and coordinates a block at a time and frees grad_z
+    # before term_d. Measured 6.7 MiB; whole-table gathers read 8.3.
+    sys = build_system(build_mesh(MeshConfig(n=32)))
+    z, f = manufactured_field(sys.mesh, sys.dof, 2.0)
+    multiplier_residual(z, f, 2.0, sys)
+    assert _traced_peak_mib(lambda: multiplier_residual(z, f, 2.0, sys)) <= 7.6
 
 
 def test_manufactured_residuals_converge():

@@ -35,6 +35,16 @@ def test_decay_gate_fails_when_dissipation_is_weakened(default_sys):
     assert trace.max_balance_residual() <= 1e-10 * trace.E[0]
 
 
+def test_simulate_stops_where_the_energy_overflows(default_sys):
+    # K_f negated: on criterion 5's data x^T M x overflows at step 393, while
+    # the state stays finite until step 776. A run to T = 7.75 (775 steps)
+    # must stop at the overflow, not return a trace that ends in nan.
+    flip = mutant(default_sys.mesh, K_f=-default_sys.K_f)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolverFailure, match=r"\(step 393\)"):
+        simulate(prepare_smooth_data(1, flip), 7.75, SIM_TAU, flip)
+
+
 def test_resolvent_norm_cannot_see_the_sign_of_the_dissipation(default_sys):
     # K_f negated feeds energy in: criterion 5's run overflows, and over
     # T = 2 the energy grows by about 1e154 while the midpoint balance holds
