@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .geometry import FLUID, GAMMA_F, SOLID, TET_FACES, Mesh, face_keys
+from .geometry import FLUID, GAMMA_F, SOLID, Mesh
 from .linalg import Factorization, nested_dissection
 
 
@@ -294,14 +294,13 @@ class KinematicSplit:
 
     def solve_generator(self, r):
         """x with A x = M r. The d rows give E v = r_d; the v rows then give
-        v[:n_fi] from K_ff (no solve when n_fi = 0) and P d from the rest.
-        They serve one solve per seed, so the LUs are not kept."""
+        v[:n_fi] from K_ff (an empty block when n_fi = 0) and P d from the
+        rest. They serve one solve per seed, so the LUs are not kept."""
         n_fi, w = self.n_fi, self.M_VV @ r[:self.n_v]
         v = np.zeros_like(w)
         v[n_fi:] = r[self.n_v:]
-        if n_fi:
-            K_ff = Factorization(self.K[:n_fi, :n_fi], nested_dissection(self.coords[:n_fi]))
-            v[:n_fi] = K_ff.solve(-(w + self.K @ v)[:n_fi])
+        K_ff = Factorization(self.K[:n_fi, :n_fi], nested_dissection(self.coords[:n_fi]))
+        v[:n_fi] = K_ff.solve(-(w + self.K @ v)[:n_fi])
         P = Factorization(self.P, nested_dissection(self.coords[n_fi:]))
         return np.concatenate([v, P.solve(-(w + self.K @ v)[n_fi:])])
 
@@ -318,20 +317,20 @@ def _face_owner(tets, tris, nv):
     """Row of ``tets`` having each row of ``tris`` as a face, both indexing
     the same nv points.
 
-    Only the faces whose three vertices all lie on ``tris`` can be one of them;
-    those and the triangles are keyed by ``face_keys``, and a sorted search
-    over those face keys finds each owner.
+    The triangle-by-tet product of the two int8 vertex incidences counts
+    the vertices each pair shares; a 3 marks a tet holding the whole
+    triangle. Raises ValueError unless each triangle has exactly one such
+    tet, as a boundary face of the tets has.
     """
-    on_tris = np.zeros(nv, dtype=bool)
-    on_tris[tris] = True
-    tet, face = np.nonzero(on_tris[tets][:, TET_FACES].all(axis=2))
-    face_key = face_keys(tets[tet[:, None], TET_FACES[face]], nv)
-    tri_key = face_keys(tris, nv)
-    order = np.argsort(face_key, kind="stable")
-    pos = np.searchsorted(face_key, tri_key, sorter=order)
-    if np.any(pos == order.size) or np.any(face_key[order[pos]] != tri_key):
-        raise ValueError("an interface triangle is not a face of any solid tetrahedron")
-    return tet[order[pos]]
+    def incidence(cells):
+        return sp.csr_matrix((np.ones(cells.size, np.int8), cells.ravel(),
+                              np.arange(0, cells.size + 1, cells.shape[1])), shape=(len(cells), nv))
+
+    shared = (incidence(tris) @ incidence(tets).T.tocsr()).tocoo()
+    tri, tet = shared.row[shared.data == 3], shared.col[shared.data == 3]
+    if not np.array_equal(tri, np.arange(len(tris))):
+        raise ValueError("an interface triangle is not a face of exactly one solid tetrahedron")
+    return tet
 
 
 class SystemMatrices:
@@ -391,8 +390,9 @@ class SystemMatrices:
 
     @cached_property
     def interface_owner(self) -> np.ndarray:
-        """Row of `solid_table` bounded by each row of `surface_table`; the
-        interface block leads the solid order, so both share local indices."""
+        """Row of `solid_table` bounded by each row of `surface_table`, by
+        `_face_owner`'s incidence product; the interface block leads the
+        solid order, so both share local indices."""
         return _face_owner(self.solid_table.local, self.surface_table.local,
                            self.dof.n_i + self.dof.n_s)
 

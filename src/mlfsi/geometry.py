@@ -39,9 +39,6 @@ _AXIS_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 # The odd permutations among them: their paths are negatively oriented.
 _ODD_PERMS = (1, 2, 5)
 
-# Local vertex triples of the 4 faces of a tet; face f omits vertex f.
-TET_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-
 
 class MeshConfigError(ValueError):
     """Invalid mesh configuration (misalignment, ordering, bad cell count)."""
@@ -286,7 +283,7 @@ def _write(fh, mesh):
     fh.write(_HEADER)
     if mesh.config is not None:
         c = mesh.config
-        fh.write((("config" + " %.17g" * 12 + " %s\n")
+        fh.write((("config" + " %.17g" * 12 + " %d\n")
                   % (*c.outer_lo, *c.outer_hi, *c.inner_lo, *c.inner_hi, c.n)).encode())
     _block(fh, "vertices", mesh.vertices)
     _block(fh, "tets", mesh.tets, mesh.tet_regions[:, None])

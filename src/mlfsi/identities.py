@@ -37,24 +37,19 @@ class DirichletMap:
 
     def __init__(self, sys):
         dof = sys.dof
-        n_i = dof.n_i
+        n_i = self.n_i = dof.n_i
         K = sys.K_s.tocsr()
-        self.n_s, self.n_i = dof.n_s, n_i
         self.K_GG, self.K_GI = K[:n_i, :n_i], K[:n_i, n_i:]
         self.K_IG = K[n_i:, :n_i]
         interior = sys.mesh.vertices[dof.solid_interior]
-        self.factor = Factorization(K[n_i:, n_i:], nested_dissection(interior)) if self.n_s else None
+        self.factor = Factorization(K[n_i:, n_i:], nested_dissection(interior))
 
     def extend(self, g):
         g = np.asarray(g)
-        if self.n_s == 0:
-            return g.copy()
         return np.concatenate([g, -self.factor.solve(self.K_IG @ g)])
 
     def neumann(self, g, ext=None):
         """Flux functional of g; ``ext`` is ``extend(g)`` when already solved."""
-        if self.n_s == 0:
-            return self.K_GG @ g
         if ext is None:
             ext = self.extend(g)
         return self.K_GI @ ext[self.n_i:] + self.K_GG @ g

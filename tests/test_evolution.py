@@ -155,8 +155,8 @@ def test_prepare_smooth_data(default_sys, n8_sys):
 
 @pytest.mark.parametrize("name", ["default_sys", "n8_sys"])
 def test_prepare_smooth_data_factors_only_K_ff_and_P(request, monkeypatch, name):
-    # The graph norm takes M^{-1} A x = r from the solve: no M_VV LU, and a
-    # K_ff LU only where there are fluid-interior unknowns.
+    # The graph norm takes M^{-1} A x = r from the solve: no M_VV LU, one
+    # K_ff LU (empty when there is no fluid-interior unknown) and one P LU.
     sys = request.getfixturevalue(name)
     split = sys.kinematic
     sizes = []
@@ -168,7 +168,7 @@ def test_prepare_smooth_data_factors_only_K_ff_and_P(request, monkeypatch, name)
 
     monkeypatch.setattr(assembly, "Factorization", Recording)
     prepare_smooth_data(11, sys)
-    assert sizes == [split.n_fi] * (split.n_fi > 0) + [split.P.shape[0]]
+    assert sizes == [split.n_fi, split.P.shape[0]]
 
 
 def test_prepare_smooth_data_rejects_a_wrong_solve(monkeypatch, default_sys):

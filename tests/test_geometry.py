@@ -193,20 +193,22 @@ def test_refinement_scaling():
 
 
 def test_roundtrip_bit_exact(tmp_path, default_mesh):
-    path = tmp_path / "mesh.txt"
-    save_mesh(default_mesh, path)
-    back = load_mesh(path)
-    assert np.array_equal(back.vertices, default_mesh.vertices)
-    assert np.array_equal(back.tets, default_mesh.tets)
-    assert np.array_equal(back.tet_regions, default_mesh.tet_regions)
-    assert np.array_equal(back.tris, default_mesh.tris)
-    assert np.array_equal(back.tri_tags, default_mesh.tri_tags)
-    assert np.array_equal(back.tri_normals, default_mesh.tri_normals)
-    assert back.config == default_mesh.config
-    # Writing the loaded mesh again reproduces the file byte for byte.
-    path2 = tmp_path / "mesh2.txt"
-    save_mesh(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    # A float n that validates (4.0) is written as the integer it equals.
+    for mesh in (default_mesh, build_mesh(MeshConfig(n=4.0))):
+        path = tmp_path / "mesh.txt"
+        save_mesh(mesh, path)
+        back = load_mesh(path)
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.tets, mesh.tets)
+        assert np.array_equal(back.tet_regions, mesh.tet_regions)
+        assert np.array_equal(back.tris, mesh.tris)
+        assert np.array_equal(back.tri_tags, mesh.tri_tags)
+        assert np.array_equal(back.tri_normals, mesh.tri_normals)
+        assert back.config == mesh.config
+        # Writing the loaded mesh again reproduces the file byte for byte.
+        path2 = tmp_path / "mesh2.txt"
+        save_mesh(back, path2)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_tiny_config_valid():

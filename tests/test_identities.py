@@ -120,6 +120,16 @@ def test_neumann_psd_kernel_constants(default_sys):
     assert w[1] > 1e-8
 
 
+def test_empty_interior_extends_by_the_data(tiny_sys, rng):
+    # The tiny mesh has no solid-interior vertex: the empty interior block
+    # factors like any other, so E g = g and the flux is K_s g.
+    assert tiny_sys.dof.n_s == 0
+    dmap = DirichletMap(tiny_sys)
+    g = rng.standard_normal(tiny_sys.dof.n_i)
+    assert np.array_equal(dmap.extend(g), g)
+    assert np.array_equal(dmap.neumann(g), tiny_sys.K_s @ g)
+
+
 def test_h1_ratio_monitor(default_sys, rng):
     dmap = DirichletMap(default_sys)
     vals = [
@@ -260,6 +270,15 @@ def test_interface_tet_adjacency_matches_dict_loop(config):
     mesh = build_mesh(config)
     got = build_system(mesh).interface_owner
     assert np.array_equal(got, solid_face_owner_loop(mesh))
+
+
+@pytest.mark.parametrize("tri", [[0, 1, 4], [1, 2, 3]], ids=["no-face", "shared-face"])
+def test_face_owner_needs_exactly_one_tet(tri):
+    # (0, 1, 4) bounds neither tet; (1, 2, 3) is the face both tets share,
+    # as (0, 1, n_i + n_s - 1) is for solid tets 4 and 5 at n=4.
+    tets = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
+    with pytest.raises(ValueError, match="exactly one"):
+        assembly._face_owner(tets, np.array([tri]), 5)
 
 
 def test_unit_div_identity_equals_weak_form_residual():

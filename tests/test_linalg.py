@@ -95,6 +95,16 @@ def test_solve_complex_singular_raises():
         Factorization(A, natural(A)).solve(np.array([1.0 + 0j, 0.0]))
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("trans", ["N", "T", "H"])
+def test_empty_matrix_solves_an_empty_rhs(dtype, trans):
+    # A block with no unknowns (no solid-interior or fluid-interior vertex)
+    # factors like any other and solves an empty right-hand side.
+    A = sp.csr_matrix((0, 0))
+    x = Factorization(A, nested_dissection(np.zeros((0, 3)))).solve(np.zeros(0, dtype), trans)
+    assert x.shape == (0,) and x.dtype == dtype
+
+
 def test_opnorm_identity(rng):
     G = random_spd(12, rng)
     eye = sp.eye(12, format="csr")

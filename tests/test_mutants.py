@@ -9,6 +9,7 @@ that blind spot.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mlfsi.evolution import SolverFailure, fit_decay, prepare_smooth_data, simulate
 from mlfsi.resolvent import OPNORM_TOL, PROBE_SEED, SOLVE_TOL, probe_state, sample_point
@@ -31,6 +32,37 @@ def test_decay_gate_fails_when_dissipation_is_weakened(default_sys):
     assert exponent < DECAY_BOUND
     assert trace.max_balance_residual() <= 1e-10 * trace.E[0]
     exponent, trace = decay_run(default_sys)
+    assert exponent >= DECAY_BOUND
+    assert trace.max_balance_residual() <= 1e-10 * trace.E[0]
+
+
+def cut_coupling(block, n_i):
+    """A solid block in [interface, interior] order with its two
+    interface–interior blocks zeroed."""
+    return sp.block_diag((block[:n_i, :n_i], block[n_i:, n_i:]), format="csr")
+
+
+def test_decay_gate_fails_when_the_thick_layer_is_cut_off(n8_sys):
+    # The interface–interior blocks of K_s and M_s zeroed at n=8: the decay
+    # exponent drops from about 1.79 to about 0.01, below the gate. At n=4
+    # the same cut still passes (about 1.04).
+    n_i = n8_sys.dof.n_i
+    cut = mutant(n8_sys.mesh, K_s=cut_coupling(n8_sys.K_s, n_i),
+                 M_s=cut_coupling(n8_sys.M_s, n_i))
+    exponent, trace = decay_run(cut)
+    assert exponent < DECAY_BOUND
+    assert trace.max_balance_residual() <= 1e-10 * trace.E[0]
+    exponent, trace = decay_run(n8_sys)
+    assert exponent >= DECAY_BOUND
+    assert trace.max_balance_residual() <= 1e-10 * trace.E[0]
+
+
+def test_decay_gate_cannot_see_a_stiffness_only_cut(n8_sys):
+    # Only K_s's interface–interior blocks zeroed: M_s still couples the
+    # interior to the interface, and the n=8 exponent reads about 0.45,
+    # which passes the gate.
+    cut = mutant(n8_sys.mesh, K_s=cut_coupling(n8_sys.K_s, n8_sys.dof.n_i))
+    exponent, trace = decay_run(cut)
     assert exponent >= DECAY_BOUND
     assert trace.max_balance_residual() <= 1e-10 * trace.E[0]
 
