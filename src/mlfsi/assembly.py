@@ -26,8 +26,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr
 
-from .geometry import FLUID, GAMMA_F, SOLID, Mesh
+from .geometry import FLUID, GAMMA_F, SOLID, Mesh, _tet_kernel, _tri_kernel
 from .linalg import Factorization, nested_dissection
 
 
@@ -37,40 +38,57 @@ _TET_MASS = (np.ones((4, 4)) + np.eye(4)) / 20.0
 _TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _tet_kernel(p):
-    """Volumes and constant barycentric gradients of affine tets with vertex
-    coordinates p, (m, 4, 3), one row per distinct shape, and the shape of
-    each tet.
+def _scatter(local, shape, n, tables):
+    """The (n, n) CSR matrices of ``tables``, each a flat-indexable
+    (shapes, k, k) array of element matrices, scattered through the block
+    indices ``local`` (m, k) of m simplices of int32 ``shape``. Every entry
+    touching a -1 of ``local`` is dropped.
 
-    LAPACK's det and inv run once per distinct edge matrix, keyed on its raw
-    bytes, and a tet's values are the row of its own: bit for bit as one
-    call per tet. On the structured grid 6 shapes serve all tets at dyadic
-    n; at n=24 there are 162 among the solid tets and 1296 among all tets.
+    Entry (i, j) of simplex t is entry shape[t] * k^2 + i * k + j of a flat
+    table. One pattern serves every table, and its bits are those of
+    ``coo_matrix((table.ravel()[entry], (rows, cols))).tocsr()``: scipy's
+    bucket by row (`coo_tocsr`) and column sort (`sort_indices`, which moves
+    an entry only on its column) run once, on the int32 entry indices, and
+    give each slot its duplicates in scipy's order. Each slot's sum then
+    adds them left to right as `csr_sum_duplicates` does, one vectorised
+    pass per position within a slot over the slots sorted longest first;
+    `np.add.reduceat` would add pairwise and change bits.
     """
-    d = p[:, 1:] - p[:, :1]                      # (m, 3, 3) edge matrix
-    _, first, shape = np.unique(d.reshape(len(d), -1).view(np.dtype((np.void, 72))).ravel(),
-                                return_index=True, return_inverse=True)
-    d = d[first]
-    vol = np.linalg.det(d) / 6.0
-    dinv = np.linalg.inv(d)                      # rows of dinv^T are grad(lambda_1..3)
-    grads = np.empty((d.shape[0], 4, 3))
-    grads[:, 1:, :] = np.transpose(dinv, (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return vol, grads, shape
+    k = local.shape[1]
+    rows = np.repeat(local, k, axis=1).ravel()
+    cols = np.tile(local, (1, k)).ravel()
+    entry = (shape[:, None] * np.int32(k * k) + np.arange(k * k, dtype=np.int32)).ravel()
+    if local.min() < 0:
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, entry = rows[keep], cols[keep], entry[keep]
+        del keep
+    indptr, indices, order = np.empty(n + 1, np.int32), np.empty_like(cols), np.empty_like(entry)
+    coo_tocsr(n, n, entry.size, rows, cols, entry, indptr, indices, order)
+    del rows, cols, entry
+    sp.csr_matrix((order, indices, indptr), shape=(n, n)).sort_indices()     # in place
 
-
-def _tri_kernel(pts):
-    """Areas and in-plane barycentric gradients of flat triangles embedded
-    in 3D, with vertex coordinates pts, (m, 3, 3): one shape per triangle."""
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    nrm = np.cross(e1, e2)
-    area2 = np.linalg.norm(nrm, axis=1)          # = 2 * area
-    nhat = nrm / area2[:, None]
-    # In-plane gradients: grad(lambda_i) = nhat x (opposite edge) / (2 area)
-    opp = np.stack([pts[:, 2] - pts[:, 1], pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 0]], axis=1)
-    grads = np.cross(nhat[:, None, :], opp) / area2[:, None, None]
-    return 0.5 * area2, grads, np.arange(len(pts))
+    # Slot bounds: each row start, and each change of column within a row.
+    bound = np.zeros(indices.size + 1, bool)
+    bound[indptr] = True
+    bound[1:-1] |= indices[1:] != indices[:-1]
+    bound = np.flatnonzero(bound)
+    runs = np.diff(bound)
+    longest_first = np.argsort(-runs, kind="stable")
+    heads = bound[:-1][longest_first]
+    longer = heads.size - np.cumsum(np.bincount(runs))     # slots with more than p entries
+    flat = [table.ravel() for table in tables]
+    sums = [f[order[heads]] for f in flat]
+    for p in range(1, longer.size - 1):
+        at = order[heads[:longer[p]] + p]
+        for s, f in zip(sums, flat):
+            s[:at.size] += f[at]
+    indptr, indices = np.searchsorted(bound, indptr).astype(np.int32), indices[bound[:-1]]
+    out = []
+    for s in sums:
+        data = np.empty_like(s)
+        data[longest_first] = s
+        out.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    return out
 
 
 class ElementTable:
@@ -84,8 +102,13 @@ class ElementTable:
     keeps only those per-shape values (volume or area, barycentric
     gradients, exact P1 mass and stiffness), each simplex's int32 ``shape``
     and the region's ``simplices``. ``M`` and ``K`` are the mass and
-    stiffness scattered straight from the per-shape tables into block order
-    as canonical CSR, every entry that touches a -1 dropped. ``measure``,
+    stiffness in block order as canonical CSR, every entry that touches a -1
+    dropped: `_scatter` buckets and sorts one pattern of entry indices once
+    and sums both matrices from it, each slot's duplicates gathered from the
+    flat per-shape tables and added in scipy's order, so they have the bytes
+    of `coo_matrix.tocsr()`. The pattern's row, column and entry arrays live
+    only inside `_scatter`. The kernels read the vertex columns of
+    ``simplices`` directly, with no per-element coordinate gather. ``measure``,
     ``grads``, ``mass`` and the vertex ``coords`` are per-element gathers,
     formed on each read; `blocks` forms ``grads`` and ``coords`` a run of
     simplices at a time.
@@ -99,22 +122,12 @@ class ElementTable:
         to_block = np.full(vertices.shape[0], -1, dtype=np.int32)
         to_block[block] = np.arange(block.size)
         self.local = to_block[simplices]
-        k, n = simplices.shape[1], block.size
-        kernel, unit_mass = (_tet_kernel, _TET_MASS) if k == 4 else (_tri_kernel, _TRI_MASS)
-        self._measure, self._grads, shape = kernel(self.coords)
-        self.shape = shape.astype(np.int32)
+        tets = simplices.shape[1] == 4
+        kernel, unit_mass = (_tet_kernel, _TET_MASS) if tets else (_tri_kernel, _TRI_MASS)
+        self._measure, self._grads, self.shape = kernel(vertices, simplices)
         self._mass = self._measure[:, None, None] * unit_mass
         stiff = np.einsum("tid,tjd,t->tij", self._grads, self._grads, self._measure)
-
-        # Entry (i, j) of simplex t is entry shape[t] * k^2 + i * k + j of the flat tables.
-        entry = (self.shape[:, None] * np.int32(k * k) + np.arange(k * k, dtype=np.int32)).ravel()
-        rows = np.repeat(self.local, k, axis=1).ravel()
-        cols = np.tile(self.local, (1, k)).ravel()
-        if self.local.min() < 0:
-            keep = (rows >= 0) & (cols >= 0)
-            rows, cols, entry = rows[keep], cols[keep], entry[keep]
-        self.M, self.K = (sp.coo_matrix((e.ravel()[entry], (rows, cols)), shape=(n, n)).tocsr()
-                          for e in (self._mass, stiff))
+        self.M, self.K = _scatter(self.local, self.shape, block.size, (self._mass, stiff))
 
     @property
     def coords(self):
@@ -373,11 +386,13 @@ class SystemMatrices:
 
         The longest squared length of each of the 6 edges, summed in
         `np.linalg.norm`'s order, then one sqrt: sqrt is monotone, so the
-        same bits as the max over all edge norms."""
-        c = self.solid_table.coords
+        same bits as the max over all edge norms. Each edge is the
+        difference of two gathered vertex columns; no (m, 4, 3) coordinate
+        gather is made."""
+        v, tets = self.mesh.vertices, self.solid_table.simplices
         longest = 0.0
         for i, j in itertools.combinations(range(4), 2):
-            e = c[:, i] - c[:, j]
+            e = v[tets[:, i]] - v[tets[:, j]]
             e *= e
             longest = max(longest, float((e[:, 0] + e[:, 1] + e[:, 2]).max()))
         return float(np.sqrt(longest))

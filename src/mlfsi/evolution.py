@@ -98,10 +98,13 @@ def _sample_times(first, last, tau):
 def simulate(x0: State, T, tau, sys: SystemMatrices) -> EnergyTrace:
     """Evolve x0 over [0, T]; ceil(T/tau) + 1 samples with balance audit.
 
-    Raises `SolverFailure` at the first step whose state or energy is not
-    finite."""
+    Raises ValueError, before anything is allocated, when ceil(T/tau)
+    exceeds MAX_STEPS, and `SolverFailure` at the first step whose state or
+    energy is not finite."""
     if T <= 0 or tau <= 0:
         raise ValueError("T and tau must be positive")
+    if T / tau > MAX_STEPS:         # ceil(T / tau) > MAX_STEPS, T / tau = inf included
+        raise ValueError(f"T / tau = {T / tau:g} steps, above MAX_STEPS = {MAX_STEPS}")
     if not np.all(np.isfinite(x0.vec)):
         raise ValueError("initial state is not finite")
     stepper = make_stepper(sys, tau)

@@ -298,6 +298,9 @@ def manufactured_study(systems, beta):
 
     ``systems`` yields one system per level, each on a mesh that keeps its
     configuration; a generator builds each level only when it is measured.
+    A level's system and fields are dropped once it is measured, so a
+    generator's next mesh and system are built with only the caller's
+    references to it left alive: one level at a time.
     Returns a list of per-resolution dicts and the fitted convergence orders
     (slope of log residual versus log h), which need at least two levels.
     A generator has no length, so fewer than two levels raise ``ValueError``
@@ -311,6 +314,7 @@ def manufactured_study(systems, beta):
                              "so the manufactured field is rounding noise")
         zv, fv = manufactured_field(sys.mesh, sys.dof, beta)
         rows.append({"n": sys.mesh.config.n, **multiplier_residual(zv, fv, beta, sys)})
+        del sys, zv, fv     # before the next level is built
     if len(rows) < 2:
         raise ValueError(f"the order fit needs at least 2 refinement levels, got {len(rows)}")
 

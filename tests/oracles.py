@@ -386,7 +386,7 @@ def extracted_split(dof, M, A):
 
 
 def tet_kernel_per_tet(p):
-    """`assembly._tet_kernel` one tet at a time: a LAPACK det and inv per tet."""
+    """`geometry._tet_kernel` one tet at a time: a LAPACK det and inv per tet."""
     vol, grads = np.empty(len(p)), np.empty((len(p), 4, 3))
     for t, q in enumerate(p):
         d = q[1:] - q[:1]
@@ -397,7 +397,7 @@ def tet_kernel_per_tet(p):
 
 
 def tri_kernel_per_tri(p):
-    """`assembly._tri_kernel` one triangle at a time, with its mass."""
+    """`geometry._tri_kernel` one triangle at a time, with its mass."""
     area, grads = np.empty(len(p)), np.empty((len(p), 3, 3))
     for t, q in enumerate(p):
         nrm = np.cross(q[1] - q[0], q[2] - q[0])
@@ -420,12 +420,34 @@ def element_table_per_element(vertices, simplices, block):
     kernel = tet_kernel_per_tet if k == 4 else tri_kernel_per_tri
     measure, grads, mass = kernel(vertices[simplices])
     stiff = np.einsum("tid,tjd,t->tij", grads, grads, measure)
+    M, K = coo_scatter(local, n, (mass, stiff))
+    return measure, grads, mass, M, K
+
+
+def coo_scatter(local, n, element_matrices):
+    """`assembly._scatter` as one COO to CSR conversion per matrix: each
+    (m, k, k) array of per-element matrices through the block indices
+    ``local`` (m, k) into an (n, n) matrix by `coo_matrix.tocsr`, which sums
+    duplicates; every entry touching a -1 of ``local`` is dropped."""
+    k = local.shape[1]
     rows = np.repeat(local, k, axis=1).ravel()
     cols = np.tile(local, (1, k)).ravel()
     keep = (rows >= 0) & (cols >= 0)
-    M, K = (sp.coo_matrix((e.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-            for e in (mass, stiff))
-    return measure, grads, mass, M, K
+    return [sp.coo_matrix((e.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+            for e in element_matrices]
+
+
+def tet_volumes_per_tet(mesh):
+    """`Mesh.tet_volumes` over the full coordinate gather: a det per tet."""
+    p = mesh.vertices[mesh.tets]
+    return np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
+
+
+def tri_areas_cross(mesh):
+    """`Mesh.tri_areas` over the full coordinate gather: half the norm of
+    each triangle's edge cross product."""
+    p = mesh.vertices[mesh.tris]
+    return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
 
 
 def max_solid_edge(mesh):

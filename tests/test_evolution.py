@@ -13,6 +13,7 @@ from mlfsi.assembly import (
     energy_norm,
 )
 from mlfsi.evolution import (
+    MAX_STEPS,
     fit_decay,
     make_stepper,
     prepare_smooth_data,
@@ -229,6 +230,14 @@ def test_fit_decay_window_errors():
         fit_decay(tr, (0.0, 1.0))
     with pytest.raises(ValueError):
         fit_decay(tr, (1.0, 1.05))    # too few samples
+
+
+def test_simulate_rejects_more_than_max_steps(tiny_sys, monkeypatch):
+    # 1e12 steps: the trace arrays alone would need 7.28 TiB, so the step
+    # count is checked before the stepper or any array is made.
+    monkeypatch.setattr("mlfsi.evolution.make_stepper", None)
+    with pytest.raises(ValueError, match=f"above MAX_STEPS = {MAX_STEPS}"):
+        simulate(State.zeros(tiny_sys.dof), 1e9, 1e-3, tiny_sys)
 
 
 def assert_aborts_at_step_3(sys, rng, monkeypatch, index):

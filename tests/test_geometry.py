@@ -28,7 +28,7 @@ from mlfsi.geometry import (
 )
 
 from conftest import NON_CUBIC_CONFIG, RICH_CONFIG, TINY_CONFIG
-from oracles import extract_boundary_lexsort, mesh_text_rows
+from oracles import extract_boundary_lexsort, mesh_text_rows, tet_volumes_per_tet, tri_areas_cross
 from test_assembly import _traced_peak_mib
 
 
@@ -100,6 +100,17 @@ def test_build_mesh_holds_no_int64_connectivity():
 def test_positive_volumes(default_mesh, tiny_mesh):
     assert np.all(default_mesh.tet_volumes() > 0)
     assert np.all(tiny_mesh.tet_volumes() > 0)
+
+
+@pytest.mark.parametrize("config", [MeshConfig(n=8), NON_CUBIC_CONFIG, RICH_CONFIG],
+                         ids=["n8", "non-cubic", "rich"])
+def test_volumes_and_areas_are_the_element_kernels_bit_for_bit(config):
+    # The mesh reads the element kernels: a det per tet shape and the
+    # triangle kernel's cross product give the per-element formulas' bits.
+    mesh = build_mesh(config)
+    for got, want in ((mesh.tet_volumes(), tet_volumes_per_tet(mesh)),
+                      (mesh.tri_areas(), tri_areas_cross(mesh))):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_interface_area_default(default_mesh):

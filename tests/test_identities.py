@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -250,9 +252,9 @@ def test_manufactured_study_never_assembles_fluid(monkeypatch):
     # the solid tets only, the triangle kernel on the interface triangles.
     calls = []
     for name in ("_tet_kernel", "_tri_kernel"):
-        def recording(p, name=name, kernel=getattr(assembly, name)):
-            calls.append((name, p.shape[0]))
-            return kernel(p)
+        def recording(vertices, simplices, name=name, kernel=getattr(assembly, name)):
+            calls.append((name, simplices.shape[0]))
+            return kernel(vertices, simplices)
 
         monkeypatch.setattr(assembly, name, recording)
     manufactured_study(level_systems((4, 8)), beta=2.0)
@@ -262,6 +264,24 @@ def test_manufactured_study_never_assembles_fluid(monkeypatch):
         expected += [("_tet_kernel", int(np.sum(mesh.tet_regions == SOLID))),
                      ("_tri_kernel", mesh.interface_tris().shape[0])]
     assert calls == expected
+
+
+def test_manufactured_study_holds_one_level_at_a_time():
+    # Each level's system is gone before the next level's mesh is built.
+    refs, alive = [], []
+
+    def mesh_of(n):
+        mesh = build_mesh(MeshConfig(n=n))
+        alive.append([ref() is not None for ref in refs])
+        return mesh
+
+    def system_of(mesh):
+        sys = build_system(mesh)
+        refs.append(weakref.ref(sys))
+        return sys
+
+    manufactured_study((system_of(mesh_of(n)) for n in (4, 8, 12)), beta=2.0)
+    assert alive == [[], [False], [False, False]]
 
 
 @pytest.mark.parametrize("config", [MeshConfig(n=4), MeshConfig(n=8), MeshConfig(n=12),
