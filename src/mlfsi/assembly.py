@@ -38,21 +38,18 @@ _TET_MASS = (np.ones((4, 4)) + np.eye(4)) / 20.0
 _TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _scatter(local, shape, n, tables):
-    """The (n, n) CSR matrices of ``tables``, each a flat-indexable
-    (shapes, k, k) array of element matrices, scattered through the block
-    indices ``local`` (m, k) of m simplices of int32 ``shape``. Every entry
-    touching a -1 of ``local`` is dropped.
+def _scatter(local, shape, n, mass, stiff):
+    """The (n, n) CSR mass and stiffness of the (shapes, k, k) per-shape
+    tables ``mass`` and ``stiff``, scattered through the block indices
+    ``local`` (m, k) of m simplices of int32 ``shape``. Every entry touching
+    a -1 of ``local`` is dropped.
 
     Entry (i, j) of simplex t is entry shape[t] * k^2 + i * k + j of a flat
-    table. One pattern serves every table, and its bits are those of
-    ``coo_matrix((table.ravel()[entry], (rows, cols))).tocsr()``: scipy's
-    bucket by row (`coo_tocsr`) and column sort (`sort_indices`, which moves
-    an entry only on its column) run once, on the int32 entry indices, and
-    give each slot its duplicates in scipy's order. Each slot's sum then
-    adds them left to right as `csr_sum_duplicates` does, one vectorised
-    pass per position within a slot over the slots sorted longest first;
-    `np.add.reduceat` would add pairwise and change bits.
+    table. scipy's bucket by row (`coo_tocsr`) and column sort
+    (`sort_indices`, which moves an entry only on its column) run once, on
+    the int32 entry indices; each matrix gathers its table in that order and
+    `sum_duplicates` sums it, so both have the bits of
+    ``coo_matrix((table.ravel()[entry], (rows, cols))).tocsr()``.
     """
     k = local.shape[1]
     rows = np.repeat(local, k, axis=1).ravel()
@@ -66,29 +63,12 @@ def _scatter(local, shape, n, tables):
     coo_tocsr(n, n, entry.size, rows, cols, entry, indptr, indices, order)
     del rows, cols, entry
     sp.csr_matrix((order, indices, indptr), shape=(n, n)).sort_indices()     # in place
-
-    # Slot bounds: each row start, and each change of column within a row.
-    bound = np.zeros(indices.size + 1, bool)
-    bound[indptr] = True
-    bound[1:-1] |= indices[1:] != indices[:-1]
-    bound = np.flatnonzero(bound)
-    runs = np.diff(bound)
-    longest_first = np.argsort(-runs, kind="stable")
-    heads = bound[:-1][longest_first]
-    longer = heads.size - np.cumsum(np.bincount(runs))     # slots with more than p entries
-    flat = [table.ravel() for table in tables]
-    sums = [f[order[heads]] for f in flat]
-    for p in range(1, longer.size - 1):
-        at = order[heads[:longer[p]] + p]
-        for s, f in zip(sums, flat):
-            s[:at.size] += f[at]
-    indptr, indices = np.searchsorted(bound, indptr).astype(np.int32), indices[bound[:-1]]
-    out = []
-    for s in sums:
-        data = np.empty_like(s)
-        data[longest_first] = s
-        out.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
-    return out
+    M = sp.csr_matrix((mass.ravel()[order], indices.copy(), indptr.copy()), shape=(n, n))
+    M.sum_duplicates()
+    K = sp.csr_matrix((stiff.ravel()[order], indices, indptr), shape=(n, n))
+    del order
+    K.sum_duplicates()
+    return M, K
 
 
 class ElementTable:
@@ -103,15 +83,14 @@ class ElementTable:
     gradients, exact P1 mass and stiffness), each simplex's int32 ``shape``
     and the region's ``simplices``. ``M`` and ``K`` are the mass and
     stiffness in block order as canonical CSR, every entry that touches a -1
-    dropped: `_scatter` buckets and sorts one pattern of entry indices once
-    and sums both matrices from it, each slot's duplicates gathered from the
-    flat per-shape tables and added in scipy's order, so they have the bytes
-    of `coo_matrix.tocsr()`. The pattern's row, column and entry arrays live
-    only inside `_scatter`. The kernels read the vertex columns of
-    ``simplices`` directly, with no per-element coordinate gather. ``measure``,
-    ``grads``, ``mass`` and the vertex ``coords`` are per-element gathers,
-    formed on each read; `blocks` forms ``grads`` and ``coords`` a run of
-    simplices at a time.
+    dropped: `_scatter` buckets and sorts one pattern of entry indices once,
+    gathers each flat per-shape table in its order and lets scipy's
+    `sum_duplicates` sum it, so both have the bytes of `coo_matrix.tocsr()`.
+    The pattern's row, column and entry arrays live only inside `_scatter`.
+    The kernels read the vertex columns of ``simplices`` directly, with no
+    per-element coordinate gather. ``measure``, ``grads``, ``mass`` and the
+    vertex ``coords`` are per-element gathers, formed on each read; `blocks`
+    forms ``grads`` and ``coords`` a run of simplices at a time.
     """
 
     def __init__(self, vertices, simplices, block):
@@ -127,7 +106,7 @@ class ElementTable:
         self._measure, self._grads, self.shape = kernel(vertices, simplices)
         self._mass = self._measure[:, None, None] * unit_mass
         stiff = np.einsum("tid,tjd,t->tij", self._grads, self._grads, self._measure)
-        self.M, self.K = _scatter(self.local, self.shape, block.size, (self._mass, stiff))
+        self.M, self.K = _scatter(self.local, self.shape, block.size, self._mass, stiff)
 
     @property
     def coords(self):
@@ -382,20 +361,12 @@ class SystemMatrices:
 
     @cached_property
     def mesh_h(self) -> float:
-        """Longest edge of the solid tets, the h of the multiplier identities.
-
-        The longest squared length of each of the 6 edges, summed in
-        `np.linalg.norm`'s order, then one sqrt: sqrt is monotone, so the
-        same bits as the max over all edge norms. Each edge is the
-        difference of two gathered vertex columns; no (m, 4, 3) coordinate
-        gather is made."""
+        """Longest edge of the solid tets, the h of the multiplier identities,
+        as the longest `np.linalg.norm` of each of the 6 edges; each edge is
+        the difference of two gathered vertex columns."""
         v, tets = self.mesh.vertices, self.solid_table.simplices
-        longest = 0.0
-        for i, j in itertools.combinations(range(4), 2):
-            e = v[tets[:, i]] - v[tets[:, j]]
-            e *= e
-            longest = max(longest, float((e[:, 0] + e[:, 1] + e[:, 2]).max()))
-        return float(np.sqrt(longest))
+        return float(max(np.linalg.norm(v[tets[:, i]] - v[tets[:, j]], axis=1).max()
+                         for i, j in itertools.combinations(range(4), 2)))
 
     @cached_property
     def surface_table(self) -> ElementTable:

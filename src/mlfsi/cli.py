@@ -96,8 +96,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, system: SystemMatrices):
 def cmd_sweep(cfg: RunConfig, out: Path, system: SystemMatrices, jobs):
     sw = cfg.sweep
     samples = resolvent.sweep(
-        sw.grid(), system, probe_seed=sw.probe_seed, opnorm_tol=sw.opnorm_tol,
-        solve_tol=cfg.solve_tol, jobs=jobs,
+        sw.grid(), system, probe_seed=sw.probe_seed, opnorm_tol=sw.opnorm_tol, jobs=jobs,
     )
     resolvent.write_sweep_csv(samples, out / "sweep.csv")
     fit = resolvent.fit_growth(samples)

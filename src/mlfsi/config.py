@@ -6,10 +6,10 @@ true/1/yes or false/0/no. Unknown and repeated keys are errors.
 
 The frozen dataclasses below (with ``geometry.MeshConfig``) are the schema:
 each field is one key, its type annotation says how the value parses, and its
-default is the only default. The probe seed and the two tolerances take
-theirs from the `resolvent` constants that `resolvent.sweep` and
-`resolvent.solve_static` default to. ``format_config`` prints a config in the
-same format, so ``DEFAULT_CONFIG_TEXT`` is ``format_config(RunConfig())``.
+default is the only default. The probe seed and the norm tolerance take
+theirs from the `resolvent` constants that `resolvent.sweep` defaults to.
+``format_config`` prints a config in the same format, so
+``DEFAULT_CONFIG_TEXT`` is ``format_config(RunConfig())``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .evolution import MAX_STEPS, check_fit_window
 from .geometry import MeshConfig, MeshConfigError
-from .resolvent import MAX_POINTS, OPNORM_TOL, PROBE_SEED, SOLVE_TOL, in_top_decade
+from .resolvent import MAX_POINTS, OPNORM_TOL, PROBE_SEED, in_top_decade
 
 
 class ConfigError(ValueError):
@@ -65,7 +65,6 @@ class RunConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     output_dir: str = "out"
-    solve_tol: float = SOLVE_TOL
 
     def validate(self):
         for key, hint in SCHEMA.items():
@@ -105,8 +104,8 @@ class RunConfig:
         if np.count_nonzero(in_top_decade(betas)) < 2:
             raise ConfigError(f"insufficient points: the growth-fit window [{betas.max() / 10:g}, "
                               f"{betas.max():g}] holds fewer than 2 of {w.points} frequencies")
-        if w.opnorm_tol <= 0 or self.solve_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if w.opnorm_tol <= 0:
+            raise ConfigError("sweep.opnorm_tol must be positive")
         if len(self.probe.refinements) < 2:
             raise ConfigError(f"probe.refinements needs at least 2 levels, got "
                               f"{len(self.probe.refinements)}: the order fit needs two h")

@@ -37,9 +37,10 @@ from .identities import flux_chain_monitor
 from .linalg import Factorization, SingularMatrixError, loglog_fit, opnorm_from_normal
 
 GROWTH_REFERENCE_EXPONENT = 11.0 / 2.0
-# The defaults of `sweep` and `solve_static`, and so of `config.RunConfig`.
+# The defaults of `sweep`, and so of `config.RunConfig`.
 PROBE_SEED = 2
 OPNORM_TOL = 1e-4
+# The largest relative residual `solve_static` accepts.
 SOLVE_TOL = 1e-10
 # The most frequencies a sweep takes; each factors its own shifted LU.
 MAX_POINTS = 10**6
@@ -163,8 +164,8 @@ class ShiftedFactor:
 
 
 def solve_static(beta, b: State, sys: SystemMatrices,
-                 shifted: ShiftedFactor | None = None, tol=SOLVE_TOL) -> State:
-    """Solve (i beta M - A) x = M b to relative residual <= tol.
+                 shifted: ShiftedFactor | None = None) -> State:
+    """Solve (i beta M - A) x = M b to relative residual <= SOLVE_TOL.
 
     The solve sets the thin kinematic row in closed form,
     h0 = (trace u + data trace) / (i beta), which `identities.build_z`
@@ -180,8 +181,8 @@ def solve_static(beta, b: State, sys: SystemMatrices,
     nb = np.linalg.norm(rhs)
     if nb > 0:
         res = np.linalg.norm(shifted.shift * (sys.M @ xvec) - sys.A @ xvec - rhs) / nb
-        if not np.isfinite(res) or res > tol:
-            raise FrequencySingularityError(beta, f"solve residual {res:g} exceeds {tol:g}")
+        if not np.isfinite(res) or res > SOLVE_TOL:
+            raise FrequencySingularityError(beta, f"solve residual {res:g} exceeds {SOLVE_TOL:g}")
     return x
 
 
@@ -219,7 +220,7 @@ def probe_state(sys: SystemMatrices, seed) -> State:
     return b
 
 
-def sample_point(beta, sys: SystemMatrices, b: State, *, opnorm_tol, solve_tol) -> ResolventSample:
+def sample_point(beta, sys: SystemMatrices, b: State, *, opnorm_tol) -> ResolventSample:
     """All per-frequency diagnostics for one beta and one probe vector.
 
     One shifted LU serves the static solve, the monitor pass and the
@@ -227,7 +228,7 @@ def sample_point(beta, sys: SystemMatrices, b: State, *, opnorm_tol, solve_tol) 
     ``iters`` (its normal-operator applications) at least 1.
     """
     shifted = ShiftedFactor(1j * beta, sys.kinematic)
-    x = solve_static(beta, b, sys, shifted=shifted, tol=solve_tol)
+    x = solve_static(beta, b, sys, shifted=shifted)
     diss = dissipation_residual(b, x, sys)
     monitors = flux_chain_monitor(x, b, beta, sys)
     opnorm, iters = resolvent_opnorm(beta, sys, tol=opnorm_tol, shifted=shifted)
@@ -237,7 +238,7 @@ def sample_point(beta, sys: SystemMatrices, b: State, *, opnorm_tol, solve_tol) 
 
 
 def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNORM_TOL,
-          solve_tol=SOLVE_TOL, jobs=1) -> list[ResolventSample]:
+          jobs=1) -> list[ResolventSample]:
     """Diagnostics along a frequency grid, every `sample_point` value
     included; results ordered by the grid.
 
@@ -264,13 +265,12 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNOR
     if betas[0] < 1.0:
         raise ValueError("frequency grid must start at beta >= 1")
     b = probe_state(sys, probe_seed)
-    options = dict(opnorm_tol=opnorm_tol, solve_tol=solve_tol)
     grid = [float(bb) for bb in betas]
     # Every thread samples at once: take no more than the CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(grid), cpus or 1)
     # cached_property takes no lock: no thread starts before the first sample built its pieces.
-    samples = [sample_point(grid[0], sys, b, **options)] + [None] * (len(grid) - 1)
+    samples = [sample_point(grid[0], sys, b, opnorm_tol=opnorm_tol)] + [None] * (len(grid) - 1)
     claims = iter(range(1, len(grid)))
     failures = {}                 # grid index -> the error its sample raised
     lock = threading.Lock()
@@ -285,7 +285,7 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNOR
     def drain():
         for i in iter(claim, None):
             try:
-                samples[i] = sample_point(grid[i], sys, b, **options)
+                samples[i] = sample_point(grid[i], sys, b, opnorm_tol=opnorm_tol)
             except BaseException as exc:
                 with lock:
                     failures[i] = exc
@@ -305,17 +305,17 @@ def in_top_decade(betas):
     return betas >= betas.max() / 10.0
 
 
-def fit_growth(samples, top_decade=True) -> GrowthFit:
+def fit_growth(samples) -> GrowthFit:
     """Log-log slope of the operator norm versus frequency.
 
-    By default the fit uses only the top decade of the grid, where the
-    growth regime is not contaminated by the order-one plateau at small beta.
+    The fit uses only the top decade of the grid, where the growth regime
+    is not contaminated by the order-one plateau at small beta.
     Every sample of a sweep carries a finite norm; fewer than 2 samples in
     the window raise `InsufficientPointsError`.
     """
     betas = np.array([s.beta for s in samples])
     opnorms = np.array([s.opnorm for s in samples])
-    if top_decade and betas.size:
+    if betas.size:
         keep = in_top_decade(betas)
         betas, opnorms = betas[keep], opnorms[keep]
     if betas.size < 2:

@@ -289,8 +289,8 @@ def _traced_peak_mib(build):
 def test_dofmap_and_element_tables_hold_no_per_element_copies():
     # The DofMap marks region vertices one tets column at a time, and a table
     # keeps its values per shape and scatters from them: no per-element copy
-    # of the tets, the coordinates, the mass or the stiffness. Measured 1.7,
-    # 10.1 and 15.2 MiB; copying them read 6.9, 18.5 and 24.6.
+    # of the tets, the coordinates, the mass or the stiffness. Measured 1.1,
+    # 7.9 and 8.8 MiB; copying them read 6.9, 18.5 and 24.6.
     n16_mesh, n32_mesh = build_mesh(MeshConfig(n=16)), build_mesh(MeshConfig(n=32))
     n32_sys = build_system(n32_mesh)
     peaks = {"build_dofmap n=32": _traced_peak_mib(lambda: build_dofmap(n32_mesh)),
@@ -301,11 +301,11 @@ def test_dofmap_and_element_tables_hold_no_per_element_copies():
 
 
 def test_element_tables_scatter_from_one_sorted_pattern():
-    # The table sorts one int32 pattern for both matrices and sums each
-    # slot from the per-shape tables, and the kernel reads its edge
-    # matrices off vertex columns. Measured 8.5, 7.9 and 2.9 MiB; one COO
-    # to CSR conversion per matrix over an (m, 4, 3) coordinate gather read
-    # 14.8, 9.8 and 7.9.
+    # The table sorts one int32 pattern for both matrices, each gathers its
+    # per-shape table in that order for scipy's sum_duplicates, and the
+    # kernel reads its edge matrices off vertex columns. Measured 7.9, 8.8
+    # and 2.9 MiB; one COO to CSR conversion per matrix over an (m, 4, 3)
+    # coordinate gather read 9.8, 14.8 and 7.9.
     n16_mesh, n32_mesh = build_mesh(MeshConfig(n=16)), build_mesh(MeshConfig(n=32))
     n32_sys = build_system(n32_mesh)
     solid_tets = region_tets(n32_mesh, SOLID)

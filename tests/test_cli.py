@@ -140,7 +140,6 @@ def valid_configs(draw):
                                   exclude_characters="#"), max_size=20)
             .filter(lambda s: s == s.strip())
         ),
-        solve_tol=draw(_floats(0, 1, exclude_min=True)),
     )
 
 
@@ -183,12 +182,13 @@ def test_library_defaults_are_the_config_defaults():
     sweep = inspect.signature(resolvent.sweep).parameters
     assert sweep["probe_seed"].default == cfg.sweep.probe_seed
     assert sweep["opnorm_tol"].default == cfg.sweep.opnorm_tol
-    assert sweep["solve_tol"].default == cfg.solve_tol
-    assert inspect.signature(resolvent.solve_static).parameters["tol"].default == cfg.solve_tol
+    # Every static solve checks its residual against the one SOLVE_TOL; no key or argument sets it.
+    assert "solve_tol" not in SCHEMA
+    assert "tol" not in inspect.signature(resolvent.solve_static).parameters
     # A sweep takes exactly the keywords cmd_sweep passes it: no switch that only tests set.
     assert {name for name, p in sweep.items() if p.kind is p.KEYWORD_ONLY} == {
-        "probe_seed", "opnorm_tol", "solve_tol", "jobs"}
-    for fn, names in ((resolvent.sample_point, ("opnorm_tol", "solve_tol")),
+        "probe_seed", "opnorm_tol", "jobs"}
+    for fn, names in ((resolvent.sample_point, ("opnorm_tol",)),
                       (resolvent.resolvent_opnorm, ("tol",)),
                       (linalg.opnorm_from_normal, ("tol", "seed"))):
         params = inspect.signature(fn).parameters
@@ -316,6 +316,8 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("simulate.T = 1e308", "simulate.T / simulate.tau = inf steps, above 100000000"),
     ("geometry.n = 4\ngeometry.n = 8", "line 2: key 'geometry.n' repeats line 1"),
     ("sweep.points = 10000000000000", "sweep.points = 10000000000000, above 1000000"),
+    ("sweep.opnorm_tol = 0", "sweep.opnorm_tol must be positive"),
+    ("solve_tol = 1e-10", "line 1: unknown key 'solve_tol'"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")
