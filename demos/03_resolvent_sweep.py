@@ -27,7 +27,7 @@ for s in samples[::4]:
     print(f"{s.beta:8.2f}  {s.opnorm:10.4g}  {s.iters:5d}  {s.poincare_ratio:9.3g}  {s.r_crux:9.3g}")
 
 fit = fit_growth(samples)
-print(f"\ngrowth fit over the top decade [{fit.window[0]:.0f}, {fit.window[1]:.0f}]: "
+print(f"\ngrowth fit over the top decade [{fit.beta_window[0]:.0f}, {fit.beta_window[1]:.0f}]: "
       f"slope {fit.slope:.3f} (theoretical ceiling {GROWTH_REFERENCE_EXPONENT})")
 
 with tempfile.TemporaryDirectory() as tmp:

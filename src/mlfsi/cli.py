@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache
 from pathlib import Path
 
@@ -100,7 +100,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, system: SystemMatrices, jobs):
     )
     resolvent.write_sweep_csv(samples, out / "sweep.csv")
     fit = resolvent.fit_growth(samples)
-    _dump_json(fit.as_dict(), out / "growth.json")
+    _dump_json(asdict(fit), out / "growth.json")
     print(
         f"sweep: {len(samples)} frequencies in [{sw.beta_min:g}, {sw.beta_max:g}], "
         f"growth slope {fit.slope:.6g} (reference {resolvent.GROWTH_REFERENCE_EXPONENT}) "
@@ -121,8 +121,8 @@ def cmd_probe(cfg: RunConfig, out: Path, system):
     payload = {
         "beta": pc.beta,
         "refinements": [r["n"] for r in rows],
-        "radial": [r["radial"].as_dict() for r in rows],
-        "unit_div": [r["unit_div"].as_dict() for r in rows],
+        "radial": [asdict(r["radial"]) for r in rows],
+        "unit_div": [asdict(r["unit_div"]) for r in rows],
         "orders": orders,
     }
     _dump_json(payload, out / "probe.json")

@@ -29,7 +29,7 @@ from .resolvent import ShiftedFactor
 
 # The fewest trace samples a decay fit takes.
 MIN_FIT_SAMPLES = 10
-# The most steps a run takes; its five trace arrays then hold 3.7 GiB.
+# The most steps a run takes; its four trace arrays then hold 3.0 GiB.
 MAX_STEPS = 10**8
 
 
@@ -41,13 +41,17 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class EnergyTrace:
-    """Per-sample records (t, E, dissipation, energy norm) plus balance audit."""
+    """Per-sample records (t, E, dissipation) plus balance audit."""
 
     t: np.ndarray
     E: np.ndarray
     dissipation: np.ndarray
-    norm_H: np.ndarray
     balance_residual: np.ndarray   # length len(t) - 1, one per step
+
+    @property
+    def norm_H(self):
+        """The energy norm sqrt(2 E) per sample."""
+        return np.sqrt(np.maximum(2.0 * self.E, 0.0))
 
     def log_slope(self):
         """Instantaneous d log|x| / d log t, centered differences, 0 where undefined.
@@ -66,12 +70,9 @@ class EnergyTrace:
         return float(np.max(self.balance_residual)) if self.balance_residual.size else 0.0
 
     def to_csv(self, path):
-        slope = self.log_slope()
-        with open(path, "w") as fh:
-            fh.write("t,E,dissipation,norm_H,log_slope\n")
-            for i in range(len(self.t)):
-                row = (self.t[i], self.E[i], self.dissipation[i], self.norm_H[i], slope[i])
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        rows = np.column_stack([self.t, self.E, self.dissipation, self.norm_H, self.log_slope()])
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+                   header="t,E,dissipation,norm_H,log_slope", comments="")
 
 
 @dataclass
@@ -85,8 +86,8 @@ class DecayFit:
 def make_stepper(sys: SystemMatrices, tau) -> ShiftedFactor:
     """The midpoint step of length tau: `ShiftedFactor.cayley` at s = 2 / tau,
     (M - tau/2 A)^{-1} (M + tau/2 A) = (s M - A)^{-1} (s M + A)."""
-    if tau <= 0:
-        raise ValueError("time step must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"time step must be positive and finite, got {tau}")
     return ShiftedFactor(2.0 / tau, sys.kinematic)
 
 
@@ -98,11 +99,11 @@ def _sample_times(first, last, tau):
 def simulate(x0: State, T, tau, sys: SystemMatrices) -> EnergyTrace:
     """Evolve x0 over [0, T]; ceil(T/tau) + 1 samples with balance audit.
 
-    Raises ValueError, before anything is allocated, when ceil(T/tau)
-    exceeds MAX_STEPS, and `SolverFailure` at the first step whose state or
-    energy is not finite."""
-    if T <= 0 or tau <= 0:
-        raise ValueError("T and tau must be positive")
+    Raises ValueError, before anything is allocated, when T or tau is not
+    positive and finite or ceil(T/tau) exceeds MAX_STEPS, and `SolverFailure`
+    at the first step whose state or energy is not finite."""
+    if not (0 < T < math.inf and 0 < tau < math.inf):
+        raise ValueError(f"T and tau must be positive and finite, got T = {T}, tau = {tau}")
     if T / tau > MAX_STEPS:         # ceil(T / tau) > MAX_STEPS, T / tau = inf included
         raise ValueError(f"T / tau = {T / tau:g} steps, above MAX_STEPS = {MAX_STEPS}")
     if not np.all(np.isfinite(x0.vec)):
@@ -116,14 +117,12 @@ def simulate(x0: State, T, tau, sys: SystemMatrices) -> EnergyTrace:
     t = _sample_times(0, nsteps, tau)
     E = np.empty(nsteps + 1)
     D = np.empty(nsteps + 1)
-    norm = np.empty(nsteps + 1)
     bal = np.empty(nsteps)
 
     x = x0.vec.astype(float)
     Mx, Ku = np.split(stacked @ x, [n])
     E[0] = 0.5 * float(x @ Mx)
     D[0] = float(x[:n_u] @ Ku)
-    norm[0] = math.sqrt(max(2.0 * E[0], 0.0))
     for k in range(nsteps):
         x_new = stepper.cayley(x, Mx)
         Mx, Ku_new = np.split(stacked @ x_new, [n])
@@ -138,8 +137,7 @@ def simulate(x0: State, T, tau, sys: SystemMatrices) -> EnergyTrace:
         x, Ku = x_new, Ku_new
         E[k + 1] = e_new
         D[k + 1] = float(x[:n_u] @ Ku)
-        norm[k + 1] = math.sqrt(max(2.0 * e_new, 0.0))
-    return EnergyTrace(t, E, D, norm, bal)
+    return EnergyTrace(t, E, D, bal)
 
 
 def prepare_smooth_data(seed, sys: SystemMatrices) -> State:

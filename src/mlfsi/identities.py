@@ -14,7 +14,7 @@ Orientation convention: nu points from the fluid into the solid everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,22 +111,16 @@ def recover_flux_nodal(flux_functional, sys) -> np.ndarray:
 
 @dataclass
 class MultiplierReport:
-    which: str
+    """One multiplier identity at one level; its fields are the keys of a
+    ``probe.json`` row."""
+
+    identity: str
     lhs: float
     rhs: float
     residual: float
     h: float
-
-    def as_dict(self):
-        return {
-            "identity": self.which,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "h": self.h,
-            "flux_method": "variational",
-            "quadrature": "exact-p1-products",
-        }
+    flux_method: str = field(default="variational", init=False)
+    quadrature: str = field(default="exact-p1-products", init=False)
 
 
 def _hat_triple_integrals():

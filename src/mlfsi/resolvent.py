@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -85,19 +85,13 @@ class ResolventSample:
 
 @dataclass
 class GrowthFit:
+    """The growth fit; its fields are the keys of ``growth.json``."""
+
     slope: float
     residual: float
-    window: tuple
+    beta_window: tuple
     points: int
-
-    def as_dict(self):
-        return {
-            "slope": self.slope,
-            "residual": self.residual,
-            "beta_window": [float(self.window[0]), float(self.window[1])],
-            "points": self.points,
-            "reference_exponent": GROWTH_REFERENCE_EXPONENT,
-        }
+    reference_exponent: float = field(default=GROWTH_REFERENCE_EXPONENT, init=False)
 
 
 # The sweep.csv columns, each a ResolventSample field, in file order.
@@ -260,6 +254,8 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNOR
     betas = np.asarray(betas, dtype=float)
     if betas.size < 1:
         raise InsufficientPointsError("empty frequency grid")
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("frequency grid must be finite")
     if np.any(np.diff(betas) <= 0):
         raise ValueError("frequency grid must be strictly increasing")
     if betas[0] < 1.0:
@@ -325,13 +321,11 @@ def fit_growth(samples) -> GrowthFit:
     return GrowthFit(
         slope=slope,
         residual=residual,
-        window=(float(betas.min()), float(betas.max())),
+        beta_window=(float(betas.min()), float(betas.max())),
         points=betas.size,
     )
 
 
 def write_sweep_csv(samples, path):
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for s in samples:
-            fh.write(",".join(format(getattr(s, c), ".17g") for c in CSV_COLUMNS) + "\n")
+    rows = [[getattr(s, c) for c in CSV_COLUMNS] for s in samples]
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=CSV_HEADER, comments="")

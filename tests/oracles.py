@@ -210,6 +210,46 @@ class DenseWeakForm:
         return A
 
 
+def prolongation(coarse_mesh, fine_mesh, coarse_idx, fine_idx):
+    """P1 interpolation of the coarse hats of the vertices ``coarse_idx`` at
+    the fine vertices ``fine_idx``: a sparse (fine_idx.size, coarse_idx.size)
+    matrix I, so that a coarse P1 field c reads I c at those fine vertices.
+
+    Both meshes are Kuhn splits of one box, the fine grid k times finer.
+    Every vertex is located by its integer grid index, read off its
+    coordinates, so neither mesh's vertex numbering is used. A fine vertex
+    at coarse-grid position y lies in cell c = floor(y) (the last cell on
+    the high side of the box) at local coordinates xi = y - c. Sorting xi
+    descending, xi_p0 >= xi_p1 >= xi_p2, gives the path tet c, c + e_p0,
+    c + e_p0 + e_p1, c + 1 that holds it, with barycentric weights 1 - xi_p0,
+    xi_p0 - xi_p1, xi_p1 - xi_p2 and xi_p2; the hats of coarse vertices
+    outside ``coarse_idx`` are dropped.
+    """
+    cc, fc = coarse_mesh.config, fine_mesh.config
+    k = fc.n // cc.n
+    assert fc.n == k * cc.n and (fc.outer_lo, fc.outer_hi) == (cc.outer_lo, cc.outer_hi)
+    lo = np.asarray(cc.outer_lo, float)
+    coarse_grid = np.rint((coarse_mesh.vertices - lo) * cc.n).astype(np.int64)
+    cells = coarse_grid.max(axis=0)
+    column = np.full(cells + 1, -1, dtype=np.int64)
+    column[tuple(coarse_grid[coarse_idx].T)] = np.arange(len(coarse_idx))
+
+    g = np.rint((fine_mesh.vertices[fine_idx] - lo) * fc.n).astype(np.int64)
+    corner = np.minimum(g // k, cells - 1)
+    xi = (g - k * corner) / k
+    order = np.argsort(-xi, axis=1, kind="stable")
+    xs = np.take_along_axis(xi, order, axis=1)
+    weights = np.column_stack([1.0 - xs[:, 0], xs[:, 0] - xs[:, 1], xs[:, 1] - xs[:, 2], xs[:, 2]])
+    # Path vertex j is the corner plus one step along each of the axes order[:, :j].
+    steps = np.cumsum(np.eye(3, dtype=np.int64)[order], axis=1)
+    path = corner[:, None, :] + np.concatenate([np.zeros_like(steps[:, :1]), steps], axis=1)
+    cols = column[tuple(path.reshape(-1, 3).T)]
+    rows = np.repeat(np.arange(len(g)), 4)
+    keep = (cols >= 0) & (weights.ravel() != 0.0)
+    return sp.csr_matrix((weights.ravel()[keep], (rows[keep], cols[keep])),
+                         shape=(len(fine_idx), len(coarse_idx)))
+
+
 def dense_gram(sys):
     return sys.M.toarray()
 

@@ -22,6 +22,7 @@ from oracles import (
     dense_gram_extreme_eigs,
     element_table_per_element,
     max_solid_edge,
+    prolongation,
     tet_element_quadrature,
     tet_kernel_per_tet,
 )
@@ -204,6 +205,33 @@ def test_surface_spectrum_stabilizes_under_refinement():
         assert w[0] == pytest.approx(0.0, abs=1e-10)
         lams[n] = w[1]
     assert abs(lams[16] - lams[8]) / lams[16] < 0.02
+
+
+# Each block with the DOF class that indexes it.
+CROSS_LEVEL_BLOCKS = {"M_f": "fluid_free", "K_f": "fluid_free", "M_s": "solid_all",
+                      "K_s": "solid_all", "M_G": "interface", "K_G": "interface"}
+CROSS_LEVEL_BOUND = 1e-13
+
+
+def cross_level_misfit(coarse, fine):
+    """max |I^T X_fine I - X_coarse| / max |X_coarse| per block X, with I the
+    prolongation of the block's DOF class from the coarse mesh to the fine."""
+    misfit = {}
+    for name, cls in CROSS_LEVEL_BLOCKS.items():
+        I = prolongation(coarse.mesh, fine.mesh, getattr(coarse.dof, cls), getattr(fine.dof, cls))
+        X = getattr(coarse, name)
+        misfit[name] = abs(I.T @ getattr(fine, name) @ I - X).max() / abs(X).max()
+    return misfit
+
+
+@pytest.mark.parametrize("coarse_n, fine_n", [(4, 8), (4, 12), (8, 16)])
+def test_blocks_are_galerkin_consistent_across_nested_meshes(coarse_n, fine_n):
+    # A Kuhn mesh refined k times is a union of tets of the kn mesh, so its
+    # P1 space is a subspace of the finer one and every Galerkin block
+    # restricts exactly: I^T X_kn I = X_n up to rounding (a few 1e-16).
+    coarse, fine = (build_system(build_mesh(MeshConfig(n=n))) for n in (coarse_n, fine_n))
+    misfit = cross_level_misfit(coarse, fine)
+    assert max(misfit.values()) <= CROSS_LEVEL_BOUND, misfit
 
 
 def test_dofmap_partitions(default_mesh):

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mlfsi.assembly import build_system
 from mlfsi.evolution import SolverFailure, fit_decay, prepare_smooth_data, simulate
-from mlfsi.resolvent import OPNORM_TOL, PROBE_SEED, probe_state, sample_point
+from mlfsi.geometry import MeshConfig, build_mesh
+from mlfsi.resolvent import OPNORM_TOL, PROBE_SEED, probe_state, sample_point, solve_static
 
 from mutants import mutant
 from test_acceptance import DECAY_BOUND, DECAY_WINDOW, SIM_T, SIM_TAU
+from test_assembly import CROSS_LEVEL_BOUND, cross_level_misfit
 
 
 def decay_run(sys):
@@ -93,3 +96,38 @@ def test_resolvent_norm_cannot_see_the_sign_of_the_dissipation(default_sys):
     real, flipped = (sample_point(10.0, sys, b, opnorm_tol=OPNORM_TOL).opnorm
                      for sys in (default_sys, flip))
     assert flipped == pytest.approx(real, rel=1e-10, abs=0)
+
+
+def test_dissipated_power_sees_the_sign_of_the_dissipation(default_sys):
+    # Where the norm is blind, the signed dissipated power of the sweep's
+    # probe is not: Re <b, x>_M = |grad u|^2 is positive on the real system
+    # (about 2.2e-1, 4.1e-2 and 8.6e-5) and, since the mutant generator is
+    # the M-adjoint of A negated, exactly its negative on the K_f -> -K_f one.
+    flip = mutant(default_sys.mesh, K_f=-default_sys.K_f)
+    b = probe_state(default_sys, PROBE_SEED)
+    for beta in (1.0, 10.0, 100.0):
+        real, flipped = (np.vdot(b.vec, sys.M @ solve_static(beta, b, sys).vec).real
+                         for sys in (default_sys, flip))
+        assert real > 0 > flipped
+        assert flipped == pytest.approx(-real, rel=1e-10, abs=0)
+
+
+def scaled_block_system(n, name, factor):
+    """The system at n with block ``name`` multiplied by factor(n)."""
+    mesh = build_mesh(MeshConfig(n=n))
+    return mutant(mesh, **{name: factor(n) * getattr(build_system(mesh), name)})
+
+
+@pytest.mark.parametrize("name, factor", [
+    pytest.param("M_G", lambda n: n / 4, id="M_G-over-h"),
+    pytest.param("K_f", lambda n: 1 / n, id="K_f-times-h"),
+])
+@pytest.mark.parametrize("coarse_n, fine_n", [(4, 8), (4, 12), (8, 16)])
+def test_cross_level_identity_fails_on_an_inconsistent_block(name, factor, coarse_n, fine_n):
+    # A block whose scale depends on the mesh (M_G / h, K_f h) is no
+    # Galerkin discretization of one form: I^T X_fine I misses X_coarse by
+    # the ratio of the two scales, far above the bound the real blocks meet.
+    coarse, fine = (scaled_block_system(n, name, factor) for n in (coarse_n, fine_n))
+    misfit = cross_level_misfit(coarse, fine)
+    assert misfit[name] > CROSS_LEVEL_BOUND
+    assert max(v for k, v in misfit.items() if k != name) <= CROSS_LEVEL_BOUND

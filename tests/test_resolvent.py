@@ -230,7 +230,7 @@ def test_fit_growth_synthetic_power_law():
     ]
     fit = fit_growth(samples)
     assert fit.slope == pytest.approx(2.0, abs=1e-10)
-    assert fit.window[0] >= betas[-1] / 10
+    assert fit.beta_window[0] >= betas[-1] / 10
     assert fit.points < len(betas)
     # The fit over every sample is the log-log fit itself.
     assert linalg.loglog_fit(betas, betas**2)[0] == pytest.approx(2.0, abs=1e-10)
@@ -290,6 +290,19 @@ def test_sweep_rejects_jobs_below_one_before_any_sample(monkeypatch, default_sys
     for jobs in (0, -3):
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             sweep(np.logspace(0, 1, 4), default_sys, jobs=jobs)
+
+
+@pytest.mark.parametrize("betas", [[np.nan], [1.0, np.inf], [np.nan, 2.0], [1.0, np.nan]])
+def test_sweep_rejects_a_grid_that_is_not_finite_before_any_sample(monkeypatch, default_sys,
+                                                                   betas):
+    # Every comparison with NaN is false, so the order checks alone let NaN
+    # through, and inf with it, into a singular shifted LU.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample ran")
+
+    monkeypatch.setattr(resolvent, "sample_point", refuse)
+    with pytest.raises(ValueError, match="frequency grid must be finite"):
+        sweep(betas, default_sys)
 
 
 def test_sweep_starts_one_thread_fewer_than_it_samples_on(monkeypatch, default_sys):
