@@ -25,7 +25,6 @@ from .config import (
     ConfigError,
     DEFAULT_CONFIG_TEXT,
     RunConfig,
-    default_config,
     load_config,
     with_overrides,
 )
@@ -158,7 +157,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            cfg = load_config(args.config) if args.config else default_config()
+            cfg = load_config(args.config) if args.config else RunConfig()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = with_overrides(cfg, seed=args.seed, output_dir=args.outdir)

@@ -209,10 +209,6 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
-def default_config() -> RunConfig:
-    return parse_config(DEFAULT_CONFIG_TEXT)
-
-
 def with_overrides(cfg: RunConfig, *, seed=None, output_dir=None) -> RunConfig:
     """``cfg`` with the command-line overrides applied, validated again."""
     if seed is not None:

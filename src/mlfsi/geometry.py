@@ -33,6 +33,11 @@ GAMMA_TAGS = (1, 2, 3, 4, 5, 6)
 
 _HEADER = b"mlfsi-mesh 1\n"   # format name and version
 
+# The most vertices `MeshConfig.validate` accepts, the largest count whose
+# cube fits int64 (n = 126 on the unit box, not 127); far below 2**31, so
+# every vertex id is int32.
+MAX_VERTICES = 2**21 - 1
+
 # The 6 tetrahedra of the corner-to-corner (Kuhn) split of a hex, as paths
 # of axis steps from the low corner to the high corner.
 _AXIS_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -79,11 +84,9 @@ class MeshConfig:
             if not math.isfinite(cells[axis]):
                 raise MeshConfigError(f"axis {axis}: n * (outer_hi - outer_lo) overflows float64")
         vertices = math.prod(int(c) + 1 for c in np.rint(cells))
-        if vertices**3 > np.iinfo(np.int64).max:
-            raise MeshConfigError(
-                f"n = {self.n} gives {vertices} vertices; face keys need "
-                f"vertices**3 to fit int64, so the grid is too large"
-            )
+        if vertices > MAX_VERTICES:
+            raise MeshConfigError(f"n = {self.n} gives {vertices} vertices, "
+                                  f"above MAX_VERTICES = {MAX_VERTICES}")
         for name, val in (("outer_hi", ohi - olo), ("inner_lo", ilo - olo), ("inner_hi", ihi - olo)):
             scaled = self.n * val
             for axis in range(3):
@@ -110,7 +113,7 @@ class Mesh:
     ``tri_normals[i]`` is the unit normal of boundary triangle ``i`` oriented
     outward from the fluid region (hence into the solid on interface faces).
     `build_mesh` gives int32 ``tets`` and ``tris`` (`MeshConfig.validate`
-    caps the vertex count below 2**31) and int8 region and triangle tags.
+    caps the vertex count at `MAX_VERTICES`) and int8 region and triangle tags.
     """
 
     vertices: np.ndarray          # (nv, 3) float64
@@ -195,7 +198,7 @@ def build_mesh(config: MeshConfig) -> Mesh:
     cells, ilo, ihi = config.grid_counts()
     h = 1.0 / config.n
     # Grid points and cells in C order: vertex id = ravel_multi_index(ijk, cells + 1).
-    # `MeshConfig.validate` keeps the vertex count below 2**31, so every
+    # `MeshConfig.validate` caps the vertex count at MAX_VERTICES, so every
     # index is int32 from the start: corners, strides, paths and tets.
     grid = np.indices(cells + 1, dtype=np.int32).reshape(3, -1).T
     vertices = np.asarray(config.outer_lo, float) + grid * h
@@ -230,8 +233,9 @@ def build_mesh(config: MeshConfig) -> Mesh:
 
 def _plane_faces(tets, cells, axis, plane, lo, hi):
     """The 2 triangles per square lo <= index < hi of grid ``plane`` normal to
-    ``axis``, in ``face_keys`` order, each as its lowest-index owner tet stores
-    it: the cell below the plane owns it, except on the plane at index 0."""
+    ``axis``, each as its lowest-index owner tet stores it: the cell below the
+    plane owns it, except on the plane at index 0. Faces are ordered by their
+    vertex triples sorted ascending, compared lexicographically."""
     span = [range(a, b) for a, b in zip(lo, hi)]
     span[axis] = [max(plane - 1, 0)]
     cell = np.ravel_multi_index(np.meshgrid(*span, indexing="ij"), cells).ravel()
@@ -242,18 +246,7 @@ def _plane_faces(tets, cells, axis, plane, lo, hi):
         elif plane == 0 and perm[2] == axis:  # last step along axis: v0, v1, v2 on the plane
             faces.append(tets[6 * cell + t][:, [0, 1, 3 if t in _ODD_PERMS else 2]])
     faces = np.concatenate(faces)
-    return faces[np.argsort(face_keys(faces, int(np.prod(cells + 1))), kind="stable")]
-
-
-def face_keys(faces, nv):
-    """One int64 key per row of ``faces``, a vertex triple in any order.
-
-    The key is the flat index of the sorted triple in an (nv, nv, nv) array,
-    so keys sort like the sorted triples do, lexicographically. Raises
-    ValueError when nv**3 overflows int64; `MeshConfig.validate` rejects
-    such grids (n >= 127 on the unit box) before any mesh is built.
-    """
-    return np.ravel_multi_index(np.sort(faces, axis=-1).reshape(-1, 3).T, (nv,) * 3)
+    return faces[np.lexsort(np.sort(faces, axis=1).T[::-1])]
 
 
 def interface_area(mesh: Mesh) -> float:

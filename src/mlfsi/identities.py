@@ -123,18 +123,13 @@ class MultiplierReport:
     quadrature: str = field(default="exact-p1-products", init=False)
 
 
-def _hat_triple_integrals():
-    """int lam_i lam_j lam_k over a triangle per unit area, 2 a! b! c! / (a+b+c+2)!,
-    where a, b, c count how often each vertex appears among (i, j, k)."""
-    T = np.zeros((3, 3, 3))
-    for i, j, k in np.ndindex(3, 3, 3):
-        expo = np.bincount([i, j, k], minlength=3)
-        num = np.prod([math.factorial(int(e)) for e in expo])
-        T[i, j, k] = 2.0 * num / math.factorial(5)
-    return T
+# Exact int lam_i lam_j lam_k per unit triangle area,
+# (1 + delta_ij + delta_jk + delta_ik + 2 delta_ijk) / 60: 1/60, 1/30 or 1/10
+# as i, j, k are distinct, two equal or all equal.
+_EYE = np.eye(3)
+_TRI_CUBIC = (1 + _EYE[:, :, None] + _EYE[None] + _EYE[:, None]
+              + 2 * np.einsum("ij,jk->ijk", _EYE, _EYE)) / 60.0
 
-
-_TRI_CUBIC = _hat_triple_integrals()
 # Tets per block of the per-element gathers in `multiplier_residual`.
 _BLOCK_TETS = 4096
 

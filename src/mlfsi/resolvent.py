@@ -101,8 +101,9 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 class ShiftedFactor:
-    """The map T: b -> x with (s M - A) x = M b at a nonzero shift s, its
-    M-adjoint, and the Cayley map of the pencil.
+    """The map T: b -> x with (s M - A) x = M b at a shift s, its
+    M-adjoint, and the Cayley map of the pencil. A shift that is not finite
+    and nonzero raises ValueError before any matrix is formed.
 
     The kinematic rows give the displacement unknowns in closed form,
     d = (E v + b_d) / s, so only the velocity unknowns v are factored
@@ -120,6 +121,8 @@ class ShiftedFactor:
     """
 
     def __init__(self, s, split: KinematicSplit):
+        if not (np.isfinite(s) and s != 0):
+            raise ValueError(f"shift must be finite and nonzero, got {s}")
         self.shift = s
         self.split = split
         reduced = s * split.M_VV + split.K + split.Q * (1.0 / s)

@@ -250,6 +250,31 @@ def prolongation(coarse_mesh, fine_mesh, coarse_idx, fine_idx):
                          shape=(len(fine_idx), len(coarse_idx)))
 
 
+def state_prolongation(coarse, fine):
+    """P1 interpolation of the coarse state at the fine one: a sparse
+    (fine.dof.total, coarse.dof.total) matrix I, from `prolongation` per DOF
+    class, for the systems ``coarse`` and ``fine`` of two nested meshes.
+
+    Fine u reads the coarse u through the ``fluid_free`` prolongation and
+    fine h0 the coarse h0 through the ``interface`` one. A coarse interface
+    hat is nonzero at fine solid-interior vertices, so fine w1 reads the
+    coarse (trace u, w1) and fine w0 the coarse (h0, w0), both through the
+    interior rows of the ``solid_all`` prolongation.
+    """
+    cd, fd = coarse.dof, fine.dof
+
+    def interp(cls):
+        return prolongation(coarse.mesh, fine.mesh, getattr(cd, cls), getattr(fd, cls))
+
+    interior = interp("solid_all")[fd.n_i:]
+    I = sp.lil_matrix((fd.total, cd.total))
+    I[:fd.n_u, :cd.n_u] = interp("fluid_free")
+    I[fd.n_u:fd.n_v, cd.n_fi:cd.n_v] = interior
+    I[fd.n_v:fd.n_v + fd.n_i, cd.n_v:cd.n_v + cd.n_i] = interp("interface")
+    I[fd.n_v + fd.n_i:, cd.n_v:] = interior
+    return I.tocsr()
+
+
 def dense_gram(sys):
     return sys.M.toarray()
 

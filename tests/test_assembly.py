@@ -23,6 +23,7 @@ from oracles import (
     element_table_per_element,
     max_solid_edge,
     prolongation,
+    state_prolongation,
     tet_element_quadrature,
     tet_kernel_per_tet,
 )
@@ -215,10 +216,14 @@ CROSS_LEVEL_BOUND = 1e-13
 
 def cross_level_misfit(coarse, fine):
     """max |I^T X_fine I - X_coarse| / max |X_coarse| per block X, with I the
-    prolongation of the block's DOF class from the coarse mesh to the fine."""
+    prolongation of the block's DOF class from the coarse mesh to the fine,
+    and for the composite M and A, with I the state prolongation."""
+    prolongations = {name: prolongation(coarse.mesh, fine.mesh, getattr(coarse.dof, cls),
+                                        getattr(fine.dof, cls))
+                     for name, cls in CROSS_LEVEL_BLOCKS.items()}
+    prolongations["M"] = prolongations["A"] = state_prolongation(coarse, fine)
     misfit = {}
-    for name, cls in CROSS_LEVEL_BLOCKS.items():
-        I = prolongation(coarse.mesh, fine.mesh, getattr(coarse.dof, cls), getattr(fine.dof, cls))
+    for name, I in prolongations.items():
         X = getattr(coarse, name)
         misfit[name] = abs(I.T @ getattr(fine, name) @ I - X).max() / abs(X).max()
     return misfit
@@ -227,8 +232,9 @@ def cross_level_misfit(coarse, fine):
 @pytest.mark.parametrize("coarse_n, fine_n", [(4, 8), (4, 12), (8, 16)])
 def test_blocks_are_galerkin_consistent_across_nested_meshes(coarse_n, fine_n):
     # A Kuhn mesh refined k times is a union of tets of the kn mesh, so its
-    # P1 space is a subspace of the finer one and every Galerkin block
-    # restricts exactly: I^T X_kn I = X_n up to rounding (a few 1e-16).
+    # P1 space is a subspace of the finer one and every Galerkin block, the
+    # six and the composite M and A, restricts exactly: I^T X_kn I = X_n up
+    # to rounding (a few 1e-16).
     coarse, fine = (build_system(build_mesh(MeshConfig(n=n))) for n in (coarse_n, fine_n))
     misfit = cross_level_misfit(coarse, fine)
     assert max(misfit.values()) <= CROSS_LEVEL_BOUND, misfit

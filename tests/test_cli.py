@@ -18,13 +18,13 @@ import mlfsi
 from mlfsi import linalg, resolvent
 from mlfsi.cli import main
 from mlfsi.config import (
+    DEFAULT_CONFIG_TEXT,
     SCHEMA,
     ConfigError,
     ProbeConfig,
     RunConfig,
     SimulateConfig,
     SweepConfig,
-    default_config,
     format_config,
     parse_config,
 )
@@ -61,8 +61,9 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 
 def test_default_config_parses_and_validates():
-    cfg = default_config()
+    cfg = parse_config(DEFAULT_CONFIG_TEXT)
     cfg.validate()
+    assert cfg == RunConfig()
     assert cfg.sweep.points == 25
     assert cfg.simulate.fit_window == (1.0, 50.0)
 

@@ -16,12 +16,12 @@ from mlfsi.geometry import (
     FLUID,
     GAMMA_F,
     GAMMA_TAGS,
+    MAX_VERTICES,
     SOLID,
     Mesh,
     MeshConfig,
     MeshConfigError,
     build_mesh,
-    face_keys,
     interface_area,
     load_mesh,
     save_mesh,
@@ -73,9 +73,9 @@ def test_non_finite_n_and_overflowing_extent_rejected():
 
 
 def test_largest_valid_unit_box_has_int32_vertex_ids():
-    # build_mesh stores vertex ids as int32, which the face-key cap of
-    # validate makes safe: bisect for the largest n it accepts on the unit
-    # box. validate only reads the config; no mesh is built.
+    # build_mesh stores vertex ids as int32, which validate's MAX_VERTICES
+    # cap makes safe: bisect for the largest n it accepts on the unit box.
+    # validate only reads the config; no mesh is built.
     def accepts(n):
         try:
             MeshConfig(inner_lo=(1 / n,) * 3, inner_hi=(1 - 1 / n,) * 3, n=n).validate()
@@ -273,21 +273,13 @@ def test_closed_form_mesh_matches_face_sort_and_orientation(config):
     assert np.allclose(6 * mesh.tet_volumes(), h3, rtol=1e-12, atol=0)
 
 
-def test_face_keys_order_and_overflow():
-    faces = np.array([[3, 1, 2], [2, 1, 3], [0, 4, 1], [4, 0, 2]])
-    keys = face_keys(faces, 5)
-    assert keys[0] == keys[1]
-    assert np.array_equal(np.argsort(keys, kind="stable"),
-                          np.lexsort(np.sort(faces, axis=1).T[::-1]))
-    # (n + 1)**3 vertices on the unit box: n = 126 fits int64 keys, n = 127 does not.
-    assert face_keys(faces, 127**3).dtype == np.int64
-    with pytest.raises(ValueError):
-        face_keys(faces, 128**3)
-
-
-def test_mesh_config_rejects_grid_too_large_for_face_keys():
-    # (n + 1)**3 vertices on the unit box, with a cube on the grid at either n.
+def test_mesh_config_rejects_more_than_max_vertices():
+    # (n + 1)**3 vertices on the unit box, with a cube on the grid at either n:
+    # 127**3 <= MAX_VERTICES < 128**3, the largest count whose cube fits int64.
     # validate only reads the config; neither mesh is built.
+    assert 127**3 <= MAX_VERTICES < 128**3
+    assert MAX_VERTICES**3 <= np.iinfo(np.int64).max < (MAX_VERTICES + 1)**3
+
     def unit_box(n):
         return MeshConfig(inner_lo=(1 / n,) * 3, inner_hi=(1 - 1 / n,) * 3, n=n)
 

@@ -1,3 +1,4 @@
+import itertools
 import weakref
 
 import numpy as np
@@ -24,6 +25,18 @@ import oracles
 from conftest import NON_CUBIC_CONFIG, level_systems
 from oracles import solid_face_owner_loop
 from test_assembly import _traced_peak_mib
+
+
+def test_cubic_hat_table_is_the_exact_triangle_integral():
+    # int lam_i lam_j lam_k per unit area: summed over k (sum_k lam_k = 1) it
+    # is the mass table, it is symmetric in i, j, k, and it reads 1/60, 1/30
+    # or 1/10 as i, j, k are distinct, two equal or all equal.
+    table = identities._TRI_CUBIC
+    assert abs(table.sum(axis=2) - assembly._TRI_MASS).max() <= 1e-15
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(table.transpose(perm), table)
+    exact = {3: 1 / 60, 2: 1 / 30, 1: 1 / 10}      # by the count of distinct indices
+    assert all(table[ijk] == exact[len(set(ijk))] for ijk in np.ndindex(table.shape))
 
 
 def solid_tet_dihedral_angles(mesh):

@@ -305,6 +305,30 @@ def test_sweep_rejects_a_grid_that_is_not_finite_before_any_sample(monkeypatch, 
         sweep(betas, default_sys)
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("function", ["solve_static", "sample_point"])
+def test_frequency_not_finite_and_nonzero_is_rejected_before_any_lu(monkeypatch, default_sys,
+                                                                    function, beta):
+    # The public per-frequency functions check no grid: the shift i beta
+    # itself is checked, so nan and inf never reach SuperLU (where they read
+    # as a singular matrix) and 0 never divides.
+    b = probe_state(default_sys, 2)
+    built = []
+    init = linalg.Factorization.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", recorded)
+    with pytest.raises(ValueError, match="shift must be finite and nonzero"):
+        if function == "solve_static":
+            solve_static(beta, b, default_sys)
+        else:
+            sample_point(beta, default_sys, b, opnorm_tol=resolvent.OPNORM_TOL)
+    assert not built
+
+
 def test_sweep_starts_one_thread_fewer_than_it_samples_on(monkeypatch, default_sys):
     # The calling thread samples its share: a one-job sweep starts no
     # thread, and a four-job sweep on 2 usable CPUs starts one.
