@@ -33,7 +33,7 @@ for t_mark in (1.0, 10.0, 50.0):
     print(f"  |x({t_mark:5.1f})|_H = {trace.norm_H[k]:.6e}")
 
 fit = fit_decay(trace, (1.0, 50.0))
-print(f"fitted decay exponent over [1, 50]: {fit.exponent:.4f} "
+print(f"fitted decay exponent over [1, 50]: {fit.fitted_exponent:.4f} "
       f"(reference lower bound {DECAY_REFERENCE_EXPONENT:.4f})")
 
 with tempfile.TemporaryDirectory() as tmp:

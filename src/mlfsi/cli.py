@@ -1,7 +1,7 @@
 """Command-line front end: mesh, simulate, sweep, probe, all.
 
 Every command is deterministic given (config, seed) and writes CSV/JSON
-artifacts into the output directory. `main` creates that directory once,
+artifacts into the ``--outdir`` directory. `main` creates it once,
 and builds the mesh and then the system on first use, at most once per call:
 `all` shares one of each between its steps, `probe` measures them at its
 level n = geometry.n, and a command that needs neither builds neither. Exit
@@ -38,8 +38,8 @@ EXIT_TIME_SOLVER = 3
 EXIT_FREQ_SINGULAR = 4
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.output_dir)
+def _outdir(path) -> Path:
+    path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -70,20 +70,15 @@ def cmd_simulate(cfg: RunConfig, out: Path, system: SystemMatrices):
         x0 = evolution.prepare_smooth_data(sc.seed, system)
     trace = evolution.simulate(x0, sc.T, sc.tau, system)
     trace.to_csv(out / "energy.csv")
-    payload = {
-        "window": list(sc.fit_window),
-        "reference_exponent": evolution.DECAY_REFERENCE_EXPONENT,
-        "max_balance_residual": trace.max_balance_residual(),
-        "initial_energy": float(trace.E[0]),
-    }
     if sc.initial == "zero":
-        payload.update(fitted_exponent=0.0, amplitude=0.0, fit_residual=0.0, note="zero data")
+        # Nothing decays: a zero fit over no samples, and a note that says why.
+        payload = asdict(evolution.DecayFit(0.0, 0.0, 0.0, 0, sc.fit_window))
+        del payload["samples"]
+        payload["note"] = "zero data"
     else:
-        fit = evolution.fit_decay(trace, sc.fit_window)
-        payload.update(
-            fitted_exponent=fit.exponent, amplitude=fit.amplitude,
-            fit_residual=fit.residual, samples=fit.n_samples,
-        )
+        payload = asdict(evolution.fit_decay(trace, sc.fit_window))
+    payload.update(max_balance_residual=trace.max_balance_residual(),
+                   initial_energy=float(trace.E[0]))
     _dump_json(payload, out / "decay.json")
     print(
         f"simulate: {len(trace.t) - 1} steps, fitted decay exponent "
@@ -145,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=[*PIPELINE, "all"])
     parser.add_argument("--config", help="path to a key-value config file")
-    parser.add_argument("--outdir", help="output directory (overrides config)")
+    parser.add_argument("--outdir", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, help="seed override for simulate and sweep probes")
     parser.add_argument("--jobs", type=int, default=1,
                         help="sweep threads counting the calling one, so 1 starts none; at most"
@@ -160,10 +155,10 @@ def main(argv=None) -> int:
             cfg = load_config(args.config) if args.config else RunConfig()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        cfg = with_overrides(cfg, seed=args.seed, output_dir=args.outdir)
+        cfg = with_overrides(cfg, seed=args.seed)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        out = _outdir(cfg)
+        out = _outdir(args.outdir)
 
         @cache
         def mesh():

@@ -64,7 +64,6 @@ class RunConfig:
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-    output_dir: str = "out"
 
     def validate(self):
         for key, hint in SCHEMA.items():
@@ -134,7 +133,7 @@ def _schema(cls, prefix=""):
             yield prefix + f.name, hints[f.name]
 
 
-# key ("section.field" or a top-level field) -> type annotation
+# key ("section.field") -> type annotation
 SCHEMA = dict(_schema(RunConfig))
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -181,22 +180,18 @@ def parse_config(text: str) -> RunConfig:
             parsed = _parse_value(SCHEMA[key], value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-        section, _, name = key.rpartition(".")
+        section, _, name = key.partition(".")
         sections.setdefault(section, {})[name] = parsed
 
     cfg = RunConfig()
-    nested = {s: replace(getattr(cfg, s), **kv) for s, kv in sections.items() if s}
-    cfg = replace(cfg, **nested, **sections.get("", {}))
+    cfg = replace(cfg, **{s: replace(getattr(cfg, s), **kv) for s, kv in sections.items()})
     cfg.validate()
     return cfg
 
 
 def format_config(cfg: RunConfig) -> str:
-    """``cfg`` as ``parse_config`` text, every key in schema order, one per line.
-
-    ``parse_config`` reads it back to ``cfg`` whenever ``cfg`` is valid and
-    ``output_dir`` holds no ``#`` or line break and no surrounding whitespace.
-    """
+    """``cfg`` as ``parse_config`` text, every key in schema order, one per line;
+    ``parse_config`` reads it back to ``cfg`` whenever ``cfg`` is valid."""
     values = (reduce(getattr, key.split("."), cfg) for key in SCHEMA)
     return "".join(f"{key} = {_format_value(value)}\n" for key, value in zip(SCHEMA, values))
 
@@ -209,12 +204,10 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
-def with_overrides(cfg: RunConfig, *, seed=None, output_dir=None) -> RunConfig:
-    """``cfg`` with the command-line overrides applied, validated again."""
+def with_overrides(cfg: RunConfig, *, seed=None) -> RunConfig:
+    """``cfg`` with the command-line seed override applied, validated again."""
     if seed is not None:
         cfg = replace(cfg, simulate=replace(cfg.simulate, seed=seed),
                       sweep=replace(cfg.sweep, probe_seed=seed))
-    if output_dir is not None:
-        cfg = replace(cfg, output_dir=output_dir)
     cfg.validate()
     return cfg

@@ -17,16 +17,17 @@ and one sparse product per step, whose M x the next step reuses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import State, SystemMatrices, energy_norm
 from .linalg import SingularMatrixError, loglog_fit
-from .resolvent import ShiftedFactor
+from .resolvent import GROWTH_REFERENCE_EXPONENT, SOLVE_TOL, ShiftedFactor
 
-
+# Resolvent growth beta^(11/2) gives decay t^(-2/11) (Borichev-Tomilov).
+DECAY_REFERENCE_EXPONENT = 1 / GROWTH_REFERENCE_EXPONENT
 # The fewest trace samples a decay fit takes.
 MIN_FIT_SAMPLES = 10
 # The most steps a run takes; its four trace arrays then hold 3.0 GiB.
@@ -77,10 +78,14 @@ class EnergyTrace:
 
 @dataclass
 class DecayFit:
-    exponent: float
+    """The decay fit; its fields are the keys of ``decay.json``."""
+
+    fitted_exponent: float
     amplitude: float
-    residual: float
-    n_samples: int
+    fit_residual: float
+    samples: int
+    window: tuple
+    reference_exponent: float = field(default=DECAY_REFERENCE_EXPONENT, init=False)
 
 
 def make_stepper(sys: SystemMatrices, tau) -> ShiftedFactor:
@@ -146,7 +151,8 @@ def prepare_smooth_data(seed, sys: SystemMatrices) -> State:
     Solves A x0 = M r for seeded random r on the kinematic split, then scales
     so that the graph norm |x0|_M + |M^{-1} A x0|_M = |x0|_M + |r|_M is one.
     Raises if the generator is singular: when a factorization fails, or when
-    the solve misses A x0 = M r by a relative residual above 1e-10 (a few 1e-16 here).
+    the solve misses A x0 = M r by a relative residual above
+    `resolvent.SOLVE_TOL` (a few 1e-16 here).
     """
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(sys.dof.total)
@@ -158,7 +164,7 @@ def prepare_smooth_data(seed, sys: SystemMatrices) -> State:
             f"generator is singular on the discrete space: {exc}"
         ) from exc
     res = np.linalg.norm(sys.A @ x - rhs) / np.linalg.norm(rhs)
-    if not res <= 1e-10:
+    if not res <= SOLVE_TOL:
         raise SingularMatrixError(
             f"generator is numerically singular (relative residual {res:.3g} of A x = M r)"
         )
@@ -180,10 +186,11 @@ def fit_decay(trace: EnergyTrace, window) -> DecayFit:
         raise ValueError("trace is not positive on the window")
     slope, intercept, residual = loglog_fit(tt, nn)
     return DecayFit(
-        exponent=float(-slope),
+        fitted_exponent=float(-slope),
         amplitude=float(np.exp(intercept)),
-        residual=residual,
-        n_samples=int(tt.size),
+        fit_residual=residual,
+        samples=int(tt.size),
+        window=tuple(window),
     )
 
 
@@ -210,6 +217,3 @@ def check_fit_window(T, tau, window):
     first = max(0, math.floor(window[0] / tau) - 1)
     last = min(math.ceil(T / tau), first + MIN_FIT_SAMPLES + 2)
     _fit_window_mask(_sample_times(first, last, tau), window)
-
-
-DECAY_REFERENCE_EXPONENT = 2.0 / 11.0

@@ -46,15 +46,16 @@ class Factorization:
             raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
 
     def solve(self, b, trans="N"):
+        """x with A x = b (A^T x = b, A^H x = b for trans "T", "H"); b is (N,) or (N, k)."""
         b = np.asarray(b)
-        if np.iscomplexobj(b) and self.real:
-            # One two-column solve; SuperLU gives each column the bits of its own solve.
-            x = self._solve(np.column_stack([b.real, b.imag]), trans)
-            return x[:, 0] + 1j * x[:, 1]
-        return self._solve(b, trans)
-
-    def _solve(self, b, trans):
-        return self.lu.solve(b[self.order], trans=trans)[self.inverse]
+        split = np.iscomplexobj(b) and self.real
+        # A complex b on a real LU: its real and imaginary columns side by side, in one real solve.
+        rhs = np.column_stack([b.real, b.imag]) if split else b
+        x = self.lu.solve(rhs[self.order], trans=trans)[self.inverse]
+        if not split:
+            return x
+        re, im = np.hsplit(x, 2)
+        return (re + 1j * im).reshape(b.shape)
 
 
 # Diagonal pivot threshold of every factorization. SuperLU's default
@@ -121,7 +122,7 @@ class OpnormInfo:
 LANCZOS_NCV = 6
 
 
-def opnorm_from_normal(normal, gram, dim, tol, seed) -> OpnormInfo:
+def opnorm_from_normal(normal, gram, tol, seed) -> OpnormInfo:
     """Gram-metric norm of T from its normal operator N = G^{-1} T^H G T.
 
     N is self-adjoint and positive semidefinite in the G inner product, and
@@ -131,8 +132,10 @@ def opnorm_from_normal(normal, gram, dim, tol, seed) -> OpnormInfo:
     self-adjoint operator is Lanczos with full reorthogonalization). A Ritz
     value never exceeds the top eigenvalue, so the estimate approaches the
     norm from below; ARPACK's eigenvalue tolerance is 1e-2 * tol. Raises
-    ``ArpackNoConvergence`` if ARPACK gives up. Needs dim >= 3.
+    ``ArpackNoConvergence`` if ARPACK gives up. Needs a gram matrix of
+    dimension 3 or more.
     """
+    dim = gram.shape[0]
     applications = 0
 
     def counted(v):

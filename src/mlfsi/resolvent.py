@@ -42,7 +42,8 @@ PROBE_SEED = 2
 OPNORM_TOL = 1e-4
 # The largest relative residual `solve_static` accepts.
 SOLVE_TOL = 1e-10
-# The most frequencies a sweep takes; each factors its own shifted LU.
+# The most frequencies `config.RunConfig.validate` lets a sweep take; each
+# factors its own shifted LU.
 MAX_POINTS = 10**6
 
 
@@ -80,7 +81,7 @@ class ResolventSample:
     r_s3: float
     r_I1: float
     dtn_norm: float
-    z_boundary: float = 0.0     # diagnostic only, not a CSV column
+    z_boundary: float           # diagnostic only, not a CSV column
 
 
 @dataclass
@@ -190,23 +191,23 @@ def dissipation_residual(b: State, x: State, sys: SystemMatrices) -> float:
     return float(abs(grad_sq - pairing))
 
 
-def resolvent_opnorm(beta, sys: SystemMatrices, tol, shifted: ShiftedFactor):
+def resolvent_opnorm(shifted: ShiftedFactor, tol):
     """Operator norm of b -> x in the energy metric; returns (value, applications).
 
-    With R = (i beta M - A)^{-1} the map is T = R M, and its M-normal
-    operator M^{-1} T^H M T = R^H M R M is `ShiftedFactor.solve` followed by
-    `ShiftedFactor.solve_adjoint` on ``shifted``, the factor at s = i beta:
-    two solves on the velocity LU and no mass solve. ``applications`` counts
-    how often it was applied.
+    ``shifted`` is the factor at s = i beta, and its split holds the Gram
+    matrix M. With R = (i beta M - A)^{-1} the map is T = R M, and its
+    M-normal operator M^{-1} T^H M T = R^H M R M is `ShiftedFactor.solve`
+    followed by `ShiftedFactor.solve_adjoint`: two solves on the velocity LU
+    and no mass solve. ``applications`` counts how often it was applied.
     """
 
     def normal(v):
         return shifted.solve_adjoint(shifted.solve(v))
 
     try:
-        info = opnorm_from_normal(normal, sys.M, sys.dof.total, tol=tol, seed=0)
+        info = opnorm_from_normal(normal, shifted.split.M, tol=tol, seed=0)
     except ArpackNoConvergence as exc:
-        raise OpnormConvergenceError(beta, str(exc)) from exc
+        raise OpnormConvergenceError(shifted.shift.imag, str(exc)) from exc
     return info.sigma, info.iterations
 
 
@@ -228,7 +229,7 @@ def sample_point(beta, sys: SystemMatrices, b: State, *, opnorm_tol) -> Resolven
     x = solve_static(beta, b, sys, shifted=shifted)
     diss = dissipation_residual(b, x, sys)
     monitors = flux_chain_monitor(x, b, beta, sys)
-    opnorm, iters = resolvent_opnorm(beta, sys, tol=opnorm_tol, shifted=shifted)
+    opnorm, iters = resolvent_opnorm(shifted, tol=opnorm_tol)
     return ResolventSample(beta=float(beta), opnorm=opnorm,
                            dissipation_residual=diss / energy_norm(b, sys) ** 2,
                            iters=iters, **monitors)

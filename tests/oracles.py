@@ -2,11 +2,13 @@
 
 Everything here recomputes quantities through a different code path than the
 package: element integrals by reference-element quadrature instead of closed
-forms, the composite system by evaluating the weak form on basis states, and
-operator norms by dense factorizations. Oracle values are never produced by
-the functions under test. The one exception, `gram_opnorm`, is a driver, not
-an oracle: it builds the gram-normal operator of a generic map so that the
-tests can run `mlfsi.linalg.opnorm_from_normal` on it. The functions from
+forms, the composite system by evaluating the weak form on basis states,
+operator norms by dense factorizations, and the eigenvalues of a flat-layer
+analog of the system by a complex root search (`slab_eigenvalue`). Oracle
+values are never produced by the functions under test. The one exception,
+`gram_opnorm`, is a driver, not an oracle: it builds the gram-normal
+operator of a generic map so that the tests can run
+`mlfsi.linalg.opnorm_from_normal` on it. The functions from
 `shared_trace_pair` on are earlier versions of package code: the composition
 of (M, A) on the state layout and the extraction of its kinematic split, loop
 and lexsort kernels, the stand-alone ratio monitors that recomputed their
@@ -19,6 +21,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import newton
 
 from mlfsi.assembly import energy_norm, fluid_gradient_norm
 from mlfsi.geometry import FLUID, GAMMA_F, SOLID
@@ -306,6 +309,26 @@ def dense_gram_opnorm(T, G):
     return np.linalg.svd(S, compute_uv=False)[0]
 
 
+def slab_characteristic(lam, xi):
+    """g(lam) = (lam^2 + xi^2 + lam mu coth mu) sinh kappa + kappa cosh kappa,
+    mu^2 = lam + xi^2, kappa^2 = lam^2 + xi^2.
+
+    Its zeros are the eigenvalues of the flat-layer analog (fluid in
+    (-1, 0) in z, the thin layer at z = 0, the solid in (0, 1)) on its
+    lateral sine mode of wavenumber xi. g is even in mu and odd in kappa, so
+    the branch of either square root moves no zero.
+    """
+    mu = np.sqrt(lam + xi**2)
+    kappa = np.sqrt(lam**2 + xi**2)
+    return (lam**2 + xi**2 + lam * mu / np.tanh(mu)) * np.sinh(kappa) + kappa * np.cosh(kappa)
+
+
+def slab_eigenvalue(xi, guess):
+    """The zero of `slab_characteristic` at wavenumber xi reached from the
+    complex start ``guess`` by scipy's secant iteration."""
+    return complex(newton(slab_characteristic, complex(guess), args=(xi,), tol=1e-14, maxiter=200))
+
+
 def _as_matvec_pair(apply):
     if isinstance(apply, tuple):
         return apply
@@ -316,7 +339,7 @@ def _as_matvec_pair(apply):
     raise TypeError("apply must expose matvec/rmatvec or be a (matvec, rmatvec) pair")
 
 
-def gram_opnorm(apply, gram, dim, tol=1e-4, seed=0):
+def gram_opnorm(apply, gram, tol=1e-4, seed=0):
     """Largest singular value of ``apply`` in the gram norm on both sides.
 
     ``apply`` is a (matvec, rmatvec) pair, an object exposing both, or a
@@ -331,7 +354,7 @@ def gram_opnorm(apply, gram, dim, tol=1e-4, seed=0):
         return lu.solve(np.ascontiguousarray(r.real)) + 1j * lu.solve(np.ascontiguousarray(r.imag))
 
     return opnorm_from_normal(
-        lambda v: gram_solve(rmatvec(gram @ matvec(v))), gram, dim, tol=tol, seed=seed
+        lambda v: gram_solve(rmatvec(gram @ matvec(v))), gram, tol=tol, seed=seed
     )
 
 

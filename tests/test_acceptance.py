@@ -137,7 +137,7 @@ def test_criterion_5_decay_rate_bound(systems):
     for n, sys in systems.items():
         x0 = prepare_smooth_data(1, sys)
         trace = simulate(x0, SIM_T, SIM_TAU, sys)
-        exponents[n] = fit_decay(trace, DECAY_WINDOW).exponent
+        exponents[n] = fit_decay(trace, DECAY_WINDOW).fitted_exponent
     ok = all(p >= DECAY_BOUND for p in exponents.values())
     report(5, ok, f"decay exponents on [1,50]: n=4 {exponents[4]:.3f}, n=8 {exponents[8]:.3f}; "
                   f"both >= 2/11 - 0.02 = {DECAY_BOUND:.4f} ({time.time() - t0:.1f}s)")

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlfsi
-from mlfsi import linalg, resolvent
+from mlfsi import evolution, linalg, resolvent
 from mlfsi.cli import main
 from mlfsi.config import (
     DEFAULT_CONFIG_TEXT,
@@ -136,11 +136,6 @@ def valid_configs(draw):
                 st.lists(st.integers(k_min, 8), min_size=2, max_size=5, unique=True))),
             beta=draw(_floats(-1e6, 1e6)),
         ),
-        output_dir=draw(
-            st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"),
-                                  exclude_characters="#"), max_size=20)
-            .filter(lambda s: s == s.strip())
-        ),
     )
 
 
@@ -195,7 +190,19 @@ def test_library_defaults_are_the_config_defaults():
         params = inspect.signature(fn).parameters
         for name in names:
             assert params[name].default is inspect.Parameter.empty, (fn.__name__, name)
-    assert "seed" not in inspect.signature(resolvent.resolvent_opnorm).parameters
+    # The norm estimate reads beta, M and the dimension off the factor, so no
+    # argument can disagree with it.
+    assert list(inspect.signature(resolvent.resolvent_opnorm).parameters) == ["shifted", "tol"]
+    assert "dim" not in inspect.signature(linalg.opnorm_from_normal).parameters
+
+
+def test_output_directory_comes_from_outdir_alone(tmp_path, monkeypatch):
+    # No config key names it (a config that sets output_dir is rejected with
+    # the other unknown keys below); without --outdir it is ./out.
+    assert len(SCHEMA) == 18 and all("." in key for key in SCHEMA)
+    monkeypatch.chdir(tmp_path)
+    assert main(["mesh", "--config", write_config(tmp_path, SMALL_GEOMETRY)]) == 0
+    assert load_mesh(tmp_path / "out" / "mesh.txt").vertices.shape[0] == 125
 
 
 def test_cmd_mesh_writes_dump(tmp_path, capsys):
@@ -248,7 +255,18 @@ def test_cmd_simulate_zero_initial_data(tmp_path):
     data = np.array([[float(v) for v in r.split(",")] for r in rows])
     assert np.all(data[:, 1:] == 0.0)
     payload = json.loads((out / "decay.json").read_text())
-    assert payload["fitted_exponent"] == 0.0
+    assert payload == {"fitted_exponent": 0.0, "amplitude": 0.0, "fit_residual": 0.0,
+                       "window": [0.5, 2.0], "reference_exponent": 2 / 11, "note": "zero data",
+                       "max_balance_residual": 0.0, "initial_energy": 0.0}
+
+
+def test_decay_json_keys_are_the_decay_fit_fields(tmp_path):
+    cfg = write_config(tmp_path, FAST_SIMULATE)
+    assert main(["simulate", "--config", cfg, "--outdir", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "decay.json").read_text())
+    keys = {f.name for f in fields(evolution.DecayFit)}
+    assert set(payload) == keys | {"max_balance_residual", "initial_energy"}
+    assert payload["window"] == [0.5, 2.0] and payload["reference_exponent"] == 2 / 11
 
 
 def test_cmd_simulate_deterministic_bytes(tmp_path):
@@ -319,6 +337,7 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("sweep.points = 10000000000000", "sweep.points = 10000000000000, above 1000000"),
     ("sweep.opnorm_tol = 0", "sweep.opnorm_tol must be positive"),
     ("solve_tol = 1e-10", "line 1: unknown key 'solve_tol'"),
+    ("output_dir = x", "line 1: unknown key 'output_dir'"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")

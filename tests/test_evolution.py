@@ -39,6 +39,18 @@ def test_step_zero_state(default_sys):
     assert np.all(out == 0)
 
 
+def test_cayley_maps_a_complex_block_column_by_column(n8_sys, rng):
+    # The real midpoint LU steps a complex (N, 2) block of states, each column
+    # as its own step to rounding.
+    stepper = make_stepper(n8_sys, 0.01)
+    X = rng.standard_normal((n8_sys.dof.total, 2)) + 1j * rng.standard_normal((n8_sys.dof.total, 2))
+    Y = stepper.cayley(X)
+    assert Y.shape == X.shape
+    for j in range(2):
+        y = stepper.cayley(X[:, j])
+        assert np.linalg.norm(Y[:, j] - y) <= 1e-13 * np.linalg.norm(y)
+
+
 def test_scalar_model_closed_form():
     # 1x1 system M=1, A=-1: midpoint step is (1 - tau/2) / (1 + tau/2).
     M = sp.csr_matrix(np.array([[1.0]]))
@@ -135,7 +147,7 @@ def test_decay_exponent_not_decreasing_under_refinement(default_sys, n8_sys):
     for name, sys in (("n4", default_sys), ("n8", n8_sys)):
         x0 = prepare_smooth_data(1, sys)
         tr = simulate(x0, 60.0, 0.01, sys)
-        exponents[name] = fit_decay(tr, (1.0, 50.0)).exponent
+        exponents[name] = fit_decay(tr, (1.0, 50.0)).fitted_exponent
     assert exponents["n4"] >= 2.0 / 11.0
     assert exponents["n8"] >= exponents["n4"] - 1e-6
 
@@ -211,8 +223,8 @@ def test_fit_decay_synthetic_power_law():
     norm = t ** (-0.5)
     tr = EnergyTrace(t, 0.5 * norm**2, np.zeros_like(t), np.zeros(len(t) - 1))
     fit = fit_decay(tr, (1.0, 15.0))
-    assert fit.exponent == pytest.approx(0.5, abs=1e-12)
-    assert fit.residual == pytest.approx(0.0, abs=1e-12)
+    assert fit.fitted_exponent == pytest.approx(0.5, abs=1e-12)
+    assert fit.fit_residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_decay_constant_trace():
@@ -220,7 +232,7 @@ def test_fit_decay_constant_trace():
     norm = np.full_like(t, 3.0)
     tr = EnergyTrace(t, 0.5 * norm**2, np.zeros_like(t), np.zeros(len(t) - 1))
     fit = fit_decay(tr, (1.0, 15.0))
-    assert fit.exponent == pytest.approx(0.0, abs=1e-14)
+    assert fit.fitted_exponent == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fit_decay_window_errors():

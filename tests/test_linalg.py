@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import mlfsi.assembly as assembly
 from mlfsi.linalg import Factorization, SingularMatrixError, loglog_fit, nested_dissection
 
-from oracles import dense_gram_opnorm, gram_opnorm
+from oracles import dense_gram_opnorm, gram_opnorm, slab_characteristic, slab_eigenvalue
 
 
 def random_spd(n, rng, scale=1.0):
@@ -108,14 +108,14 @@ def test_empty_matrix_solves_an_empty_rhs(dtype, trans):
 def test_opnorm_identity(rng):
     G = random_spd(12, rng)
     eye = sp.eye(12, format="csr")
-    val = gram_opnorm(eye, G, 12, tol=1e-8).sigma
+    val = gram_opnorm(eye, G, tol=1e-8).sigma
     assert val == pytest.approx(1.0, rel=1e-6)
 
 
 def test_opnorm_scalar_multiple(rng):
     G = random_spd(9, rng)
     c = -2.5
-    val = gram_opnorm(sp.csr_matrix(c * np.eye(9)), G, 9, tol=1e-8).sigma
+    val = gram_opnorm(sp.csr_matrix(c * np.eye(9)), G, tol=1e-8).sigma
     assert val == pytest.approx(abs(c), rel=1e-6)
 
 
@@ -123,7 +123,7 @@ def test_opnorm_matches_dense_oracle(rng):
     n = 30
     T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     G = random_spd(n, rng)
-    val = gram_opnorm(sp.csr_matrix(T), G, n, tol=1e-8).sigma
+    val = gram_opnorm(sp.csr_matrix(T), G, tol=1e-8).sigma
     ref = dense_gram_opnorm(T, G.toarray())
     assert abs(val - ref) / ref < 1e-6
 
@@ -139,9 +139,9 @@ def test_opnorm_invariant_under_gram_orthogonal_conjugation(rng):
     W = np.linalg.solve(L.T, Q @ L.T)
     assert np.allclose(W.T @ G @ W, G)
     tol = 1e-7
-    v1 = gram_opnorm(sp.csr_matrix(T), sp.csr_matrix(G), n, tol=tol).sigma
+    v1 = gram_opnorm(sp.csr_matrix(T), sp.csr_matrix(G), tol=tol).sigma
     v2 = gram_opnorm(
-        sp.csr_matrix(np.linalg.solve(W, T @ W)), sp.csr_matrix(G), n, tol=tol
+        sp.csr_matrix(np.linalg.solve(W, T @ W)), sp.csr_matrix(G), tol=tol
     ).sigma
     assert abs(v1 - v2) / v1 < 1e-5
 
@@ -149,7 +149,7 @@ def test_opnorm_invariant_under_gram_orthogonal_conjugation(rng):
 def test_gram_opnorm_info_converged(rng):
     G = sp.eye(10, format="csr")
     T = sp.diags(np.arange(1.0, 11.0))
-    info = gram_opnorm(T, G, 10, tol=1e-8)
+    info = gram_opnorm(T, G, tol=1e-8)
     assert info.sigma == pytest.approx(10.0, rel=1e-6)
 
 
@@ -224,10 +224,27 @@ def test_real_lu_solves_a_complex_rhs_as_two_real_solves(n8_sys, rng, piece, tra
     assert fact.real
     n = fact.order.size
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    two = fact._solve(b.real, trans) + 1j * fact._solve(b.imag, trans)
+    two = fact.solve(b.real, trans) + 1j * fact.solve(b.imag, trans)
     x = fact.solve(b, trans=trans)
     assert x.dtype == two.dtype and x.shape == two.shape
     assert np.array_equal(x.view(np.uint64), two.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_real_lu_solves_a_complex_block_column_by_column(n8_sys, rng, k):
+    # A complex (N, k) block on a real LU keeps its shape, and each column is
+    # its own solve. SuperLU's block solve need not give a column the bits of
+    # its single-column solve, so the match is to rounding.
+    split = n8_sys.kinematic
+    fact = Factorization(reduced_matrix(split, "reduced-stepper"), order=split.order)
+    assert fact.real
+    n = fact.order.size
+    B = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    X = fact.solve(B)
+    assert X.shape == (n, k) and X.dtype == np.complex128
+    for j in range(k):
+        x = fact.solve(B[:, j])
+        assert np.linalg.norm(X[:, j] - x) <= 1e-13 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("case", ["reduced-shifted-200", "reduced-stepper"])
@@ -271,3 +288,28 @@ def test_loglog_fit_matches_polyfit():
             misfit = np.log(y) - (slope * np.log(x) + intercept)
             assert rms == pytest.approx(np.sqrt(np.mean(misfit**2)), abs=1e-12)
     assert loglog_fit([1.0, 10.0, 100.0], [2.0, 20.0, 200.0])[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_loglog_fit_recovers_the_flat_layer_rate():
+    # The flat-layer analog has a known rate. Its grazing modes (xi^2 = beta^2
+    # - pi^2) have -Re lam ~ pi^2 / beta^3, so 1 / |Re lam| grows like beta^3;
+    # its xi = 0 modes, near i k pi, grow only like beta^(3/2).
+    def grazing(beta):
+        xi = np.sqrt(beta**2 - np.pi**2)
+        lam = slab_eigenvalue(xi, 1j * beta - np.pi**2 / beta**3)
+        assert abs(slab_characteristic(lam, xi)) <= 1e-6
+        return lam
+
+    assert -grazing(10.0).real * 10.0**3 / np.pi**2 == pytest.approx(1.0325, abs=1e-4)
+    betas = np.array([20.0, 40.0, 80.0, 160.0])
+    slope = loglog_fit(betas, [1 / abs(grazing(b).real) for b in betas])[0]
+    assert abs(slope - 3) <= 0.05
+
+    # k pi in [75, 600]. A start at i beta instead can land on a far point
+    # that is no zero, so each root starts at its own i k pi.
+    roots = [slab_eigenvalue(0.0, 1j * k * np.pi) for k in np.rint(np.geomspace(24, 190, 8))]
+    assert max(abs(slab_characteristic(lam, 0.0)) for lam in roots) <= 1e-6
+    slope = loglog_fit([lam.imag for lam in roots], [1 / abs(lam.real) for lam in roots])[0]
+    assert abs(slope - 1.5) <= 0.1
+    # A fit that misses the grazing family must fail the alpha = 3 gate.
+    assert abs(slope - 3) > 0.05

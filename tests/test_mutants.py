@@ -24,7 +24,7 @@ from test_assembly import CROSS_LEVEL_BOUND, cross_level_misfit
 def decay_run(sys):
     """Criterion 5's run: its fitted exponent and the energy trace."""
     trace = simulate(prepare_smooth_data(1, sys), SIM_T, SIM_TAU, sys)
-    return fit_decay(trace, DECAY_WINDOW).exponent, trace
+    return fit_decay(trace, DECAY_WINDOW).fitted_exponent, trace
 
 
 def test_decay_gate_fails_when_dissipation_is_weakened(default_sys):

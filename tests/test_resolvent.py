@@ -162,12 +162,11 @@ def test_poincare_requires_beta_at_least_one(default_sys):
 def test_opnorm_diagonal_surrogate():
     # Normal operator with known spectrum: norm is max_k 1 / |i beta - lam_k|.
     lam = np.array([-0.5 + 2j, -0.1 + 5j, -2.0 - 1j, -0.05 + 9.5j])
-    n = lam.size
-    M = sp.eye(n, format="csr")
+    M = sp.eye(lam.size, format="csr")
     beta = 10.0
     f = spla.splu(sp.diags(1j * beta - lam).tocsc())
     val = gram_opnorm(
-        ((lambda v: f.solve(v)), (lambda v: f.solve(v, trans="H"))), M, n, tol=1e-8
+        ((lambda v: f.solve(v)), (lambda v: f.solve(v, trans="H"))), M, tol=1e-8
     ).sigma
     ref = np.max(1.0 / np.abs(1j * beta - lam))
     assert val == pytest.approx(ref, rel=1e-6)
@@ -175,7 +174,7 @@ def test_opnorm_diagonal_surrogate():
 
 def norm_estimate(beta, sys, tol):
     """`resolvent_opnorm` on a shifted factor of its own, as `sample_point` calls it."""
-    return resolvent_opnorm(beta, sys, tol, ShiftedFactor(1j * beta, sys.kinematic))
+    return resolvent_opnorm(ShiftedFactor(1j * beta, sys.kinematic), tol)
 
 
 def test_resolvent_norm_matches_dense_svd(tiny_sys):
@@ -226,7 +225,7 @@ def test_sweep_rejects_bad_grids(default_sys):
 def test_fit_growth_synthetic_power_law():
     betas = np.logspace(0, 2, 20)
     samples = [
-        ResolventSample(b, b**2, 0, 0, 0, 0, 0, 0, 0, 0, 0) for b in betas
+        ResolventSample(b, b**2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) for b in betas
     ]
     fit = fit_growth(samples)
     assert fit.slope == pytest.approx(2.0, abs=1e-10)
