@@ -38,6 +38,17 @@ _TET_MASS = (np.ones((4, 4)) + np.eye(4)) / 20.0
 _TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
+def _csr_pattern(n, rows, cols, entry):
+    """The (n, n) CSR pattern of int32 entries (rows, cols) as scipy builds it:
+    ``indptr``, ``indices`` and ``entry`` in their order. `coo_tocsr` buckets
+    by row and `sort_indices` sorts each row by column, moving an entry only
+    within its row; duplicates stay, side by side."""
+    indptr, indices, order = np.empty(n + 1, np.int32), np.empty_like(cols), np.empty_like(entry)
+    coo_tocsr(n, n, entry.size, rows, cols, entry, indptr, indices, order)
+    sp.csr_matrix((order, indices, indptr), shape=(n, n)).sort_indices()     # in place
+    return indptr, indices, order
+
+
 def _scatter(local, shape, n, mass, stiff):
     """The (n, n) CSR mass and stiffness of the (shapes, k, k) per-shape
     tables ``mass`` and ``stiff``, scattered through the block indices
@@ -45,11 +56,9 @@ def _scatter(local, shape, n, mass, stiff):
     a -1 of ``local`` is dropped.
 
     Entry (i, j) of simplex t is entry shape[t] * k^2 + i * k + j of a flat
-    table. scipy's bucket by row (`coo_tocsr`) and column sort
-    (`sort_indices`, which moves an entry only on its column) run once, on
-    the int32 entry indices; each matrix gathers its table in that order and
-    `sum_duplicates` sums it, so both have the bits of
-    ``coo_matrix((table.ravel()[entry], (rows, cols))).tocsr()``.
+    table. `_csr_pattern` orders the int32 entry indices once; each matrix
+    gathers its table in that order and `sum_duplicates` sums it, so both
+    have the bits of ``coo_matrix((table.ravel()[entry], (rows, cols))).tocsr()``.
     """
     k = local.shape[1]
     rows = np.repeat(local, k, axis=1).ravel()
@@ -59,10 +68,8 @@ def _scatter(local, shape, n, mass, stiff):
         keep = (rows >= 0) & (cols >= 0)
         rows, cols, entry = rows[keep], cols[keep], entry[keep]
         del keep
-    indptr, indices, order = np.empty(n + 1, np.int32), np.empty_like(cols), np.empty_like(entry)
-    coo_tocsr(n, n, entry.size, rows, cols, entry, indptr, indices, order)
+    indptr, indices, order = _csr_pattern(n, rows, cols, entry)
     del rows, cols, entry
-    sp.csr_matrix((order, indices, indptr), shape=(n, n)).sort_indices()     # in place
     M = sp.csr_matrix((mass.ravel()[order], indices.copy(), indptr.copy()), shape=(n, n))
     M.sum_duplicates()
     K = sp.csr_matrix((stiff.ravel()[order], indices, indptr), shape=(n, n))
@@ -256,6 +263,48 @@ def _placed(block, offset, n):
                           sp.csr_matrix((n - offset - block.shape[0],) * 2)), format="csr")
 
 
+class ShiftPattern:
+    """The ordered structure that the shifted matrices s M_VV + K + Q / s share.
+
+    ``indptr`` and ``indices`` are the canonical int32 CSC pattern of the
+    union of the stored entries of ``blocks`` (here M_VV, K and Q), permuted
+    symmetrically to ``order``: row and column p hold unknown order[p].
+    ``slots[b][e]`` is the position in that pattern of stored entry e of
+    block b, and ``inverse`` is the inverse permutation of ``order``. The
+    blocks must be canonical CSR, else ValueError: scipy sorts a
+    non-canonical matrix in place on many reads (``abs`` among them), which
+    would move its entries away from their slots.
+
+    The CSC pattern is the CSR pattern of the transpose: `_csr_pattern`
+    buckets every entry of every block by its ordered column and sorts by
+    row once, and the first entry at each position opens a slot. None of it
+    depends on the shift; the arrays are read-only, since every shifted
+    matrix shares them.
+    """
+
+    def __init__(self, blocks, order):
+        if not all(b.has_canonical_format for b in blocks):
+            raise ValueError("shift pattern blocks must be canonical CSR")
+        n = order.size
+        self.inverse = np.argsort(order).astype(np.int32)
+        rows = np.concatenate([np.repeat(self.inverse, np.diff(b.indptr)) for b in blocks])
+        cols = np.concatenate([self.inverse[b.indices] for b in blocks])
+        indptr, indices, entry = _csr_pattern(n, cols, rows, np.arange(rows.size, dtype=np.int32))
+        del rows, cols
+        # An entry opens a slot unless it repeats the row of the one before it in its column.
+        first = np.ones(indices.size, bool)
+        first[1:] = indices[1:] != indices[:-1]
+        first[indptr[:-1][np.diff(indptr) > 0]] = True
+        count = np.cumsum(first, dtype=np.int32)
+        slots = np.empty_like(entry)
+        slots[entry] = count - 1
+        self.slots = tuple(np.split(slots, np.cumsum([b.indices.size for b in blocks[:-1]])))
+        self.indptr = np.insert(count, 0, 0)[indptr]
+        self.indices = indices[first]
+        for array in (self.inverse, slots, self.indptr, self.indices):
+            array.flags.writeable = False
+
+
 class KinematicSplit:
     """M x' = A x on velocity unknowns v = x[:n_v] and kinematic displacement
     unknowns d = x[n_v:].
@@ -271,7 +320,10 @@ class KinematicSplit:
     around LUs of K_ff = K[:n_fi, :n_fi] and P, each built per call and not kept.
     ``coords`` holds the vertex of each v unknown (d unknown j sits on that
     of v unknown n_fi + j); each LU takes the nested-dissection order of its
-    unknowns' vertices, ``order`` on v.
+    unknowns' vertices, ``order`` on v. `shift_pattern` is the one
+    shift-independent piece of the shifted LUs, built on first use and
+    kept: the pattern of M_VV, K and Q in ``order``, into which a shift only
+    writes values.
     """
 
     def __init__(self, M_VV, K, P, coords):
@@ -281,6 +333,7 @@ class KinematicSplit:
         E = sp.eye(P.shape[0], self.n_v, k=self.n_fi, format="csr")
         self.EtP = (E.T @ P).tocsr()
         self.Q = (self.EtP @ E).tocsr()
+        self.Q.sort_indices()           # scipy's product leaves each row unsorted
         self.coords = np.asarray(coords, dtype=float)
         self.order = nested_dissection(self.coords)
 
@@ -295,6 +348,10 @@ class KinematicSplit:
         v[:n_fi] = K_ff.solve(-(w + self.K @ v)[:n_fi])
         P = Factorization(self.P, nested_dissection(self.coords[n_fi:]))
         return np.concatenate([v, P.solve(-(w + self.K @ v)[n_fi:])])
+
+    @cached_property
+    def shift_pattern(self) -> ShiftPattern:
+        return ShiftPattern((self.M_VV, self.K, self.Q), self.order)
 
     @cached_property
     def M(self):

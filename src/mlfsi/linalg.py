@@ -30,17 +30,21 @@ class Factorization:
     nested-dissection order from `nested_dissection`. SuperLU factors
     A[order][:, order] as given (``permc_spec="NATURAL"``) in symmetric mode
     with diagonal pivot threshold `ORDERED_PIVOT_THRESHOLD`, and `solve`
-    permutes in and out.
+    permutes in and out. Given ``inverse``, the inverse permutation of
+    ``order``, A is that ordered matrix already, as canonical CSC, and goes
+    to SuperLU with no conversion or permutation (`assembly.ShiftPattern`
+    builds such matrices).
     """
 
-    def __init__(self, A, order):
-        A = sp.csc_matrix(A)
-        self.real = A.dtype.kind != "c"
+    def __init__(self, A, order, inverse=None):
         self.order = np.asarray(order, dtype=np.int64)
-        self.inverse = np.argsort(self.order)
+        if inverse is None:
+            A = sp.csc_matrix(A)[self.order][:, self.order]
+            inverse = np.argsort(self.order)
+        self.real = A.dtype.kind != "c"
+        self.inverse = inverse
         try:
-            self.lu = spla.splu(A[self.order][:, self.order], permc_spec="NATURAL",
-                                diag_pivot_thresh=ORDERED_PIVOT_THRESHOLD,
+            self.lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=ORDERED_PIVOT_THRESHOLD,
                                 options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc

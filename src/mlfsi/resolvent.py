@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .assembly import KinematicSplit, State, SystemMatrices, energy_norm
@@ -113,8 +114,15 @@ class ShiftedFactor:
         (s M_VV + K + Q / s) v = M_VV b_V - E^T P b_d / s.
 
     The LU is taken once, in the split's nested-dissection order; at a real
-    s it and every vector stay real. At s = i beta, T = R M is the resolvent
-    map of frequency beta, R = (i beta M - A)^{-1}. At s = 2 / tau, `cayley`
+    s it and every vector stay real. The ordered pattern of M_VV, K and Q is
+    built once per split (`assembly.ShiftPattern`), and a shift only writes
+    values into it: s M_VV, then K added, then Q / s, in the order of
+    scipy's sparse sum, so SuperLU receives the bytes of
+    (s M_VV + K + Q / s)[order][:, order]. An entry that sums to exactly
+    zero, which scipy's sum would drop, stays stored.
+
+    At s = i beta, T = R M is the resolvent map of frequency beta,
+    R = (i beta M - A)^{-1}. At s = 2 / tau, `cayley`
     is one implicit midpoint step (`evolution.make_stepper`), one LU solve
     given the M x that `evolution.simulate` carries between steps. The M-adjoint
     T* = R_s^H M, R_s = (s M - A)^{-1}, solves with the conjugate transpose
@@ -126,9 +134,14 @@ class ShiftedFactor:
             raise ValueError(f"shift must be finite and nonzero, got {s}")
         self.shift = s
         self.split = split
-        reduced = s * split.M_VV + split.K + split.Q * (1.0 / s)
+        pattern = split.shift_pattern
+        data = np.zeros(pattern.indices.size, np.result_type(split.M_VV.data, s))
+        data[pattern.slots[0]] = split.M_VV.data * s
+        data[pattern.slots[1]] += split.K.data
+        data[pattern.slots[2]] += split.Q.data * (1.0 / s)
+        ordered = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(split.n_v,) * 2)
         try:
-            self.factor = Factorization(reduced, order=split.order)
+            self.factor = Factorization(ordered, split.order, pattern.inverse)
         except SingularMatrixError as exc:
             if s.real == 0:
                 raise FrequencySingularityError(s.imag, str(exc)) from exc

@@ -8,6 +8,8 @@ the Dirichlet map, the monitors and the time stepper.
 
 from functools import cached_property
 
+import scipy.sparse as sp
+
 from mlfsi.assembly import SystemMatrices, build_system
 
 
@@ -20,3 +22,9 @@ def mutant(mesh, **blocks):
         assert isinstance(vars(SystemMatrices).get(name), cached_property), f"{name} is no block"
         setattr(sys, name, block)
     return sys
+
+
+def cut_coupling(block, n_i):
+    """A solid block in [interface, interior] order with its two
+    interface–interior blocks zeroed."""
+    return sp.block_diag((block[:n_i, :n_i], block[n_i:, n_i:]), format="csr")

@@ -393,6 +393,15 @@ def full_shifted_lu(s, sys):
     return spla.splu(sp.csc_matrix(C), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
+def ordered_shifted_matrix(s, split):
+    """(s M_VV + K + Q / s)[order][:, order] of a kinematic split by scipy's
+    sparse sum and fancy indexing, in the canonical CSC form SuperLU takes:
+    the velocity matrix a shifted solve at s factors."""
+    A = sp.csc_matrix(s * split.M_VV + split.K + split.Q * (1.0 / s))[split.order][:, split.order]
+    A.sum_duplicates()
+    return A
+
+
 def full_midpoint_steps(sys, tau, x, steps):
     """``steps`` implicit midpoint steps of M x' = A x on the full state, each
     a solve with one scipy LU of M - tau/2 A."""
@@ -453,8 +462,8 @@ def extracted_split(dof, M, A):
     """The kinematic pieces of a shared-trace pair, by fancy indexing of M and
     A: d = (h0, w0), v = (u, w1), E the selection (E v)_k = v[e[k]] of u on
     the interface and w1 as a sparse matrix, P = M[d, d], and the dict of
-    M_VV = M[V, V], K = -A[V, V], EtP = E^T P and Q = E^T P E, plus the
-    entry counts where the four kinematic identities fail."""
+    M_VV = M[V, V], K = -A[V, V], EtP = E^T P and Q = E^T P E (its indices
+    sorted), plus the entry counts where the four kinematic identities fail."""
     M, A = sp.csr_matrix(M), sp.csr_matrix(A)
     v = np.arange(dof.n_v)
     d = np.arange(dof.n_v, dof.total)
@@ -469,7 +478,7 @@ def extracted_split(dof, M, A):
         "M[V, d] = M[d, V]^T = 0": (abs(M[v][:, d]) + abs(M[d][:, v].T)).count_nonzero(),
     }
     blocks = {"M_VV": M[v][:, v].tocsr(), "K": (-A[v][:, v]).tocsr(), "EtP": EtP,
-              "Q": (EtP @ E).tocsr()}
+              "Q": (EtP @ E).tocsr().sorted_indices()}
     return blocks, mismatches
 
 

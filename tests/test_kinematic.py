@@ -9,14 +9,17 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import mlfsi.linalg as linalg
 from mlfsi.assembly import State, build_system
 from mlfsi.evolution import make_stepper
 from mlfsi.geometry import MeshConfig, build_mesh
 from mlfsi.linalg import DISSECTION_LEAF, Factorization, coordinate_bisection
 from mlfsi.resolvent import ShiftedFactor
 
-from mutants import mutant
-from oracles import extracted_split, full_midpoint_steps, full_shifted_lu, shared_trace_pair
+from conftest import NON_CUBIC_CONFIG
+from mutants import cut_coupling, mutant
+from oracles import (extracted_split, full_midpoint_steps, full_shifted_lu, ordered_shifted_matrix,
+                     shared_trace_pair)
 
 # A box that is not a cube, around an off-center brick.
 BRICK_CONFIG = MeshConfig(
@@ -184,3 +187,46 @@ def test_reduced_shifted_fill_below_full_system_fill(n8_sys):
     full = full_shifted_lu(200j, n8_sys).nnz
     assert reduced <= 0.7 * full
 
+
+def mass_coupling_cut(mesh):
+    """The system of ``mesh`` with only M_s's interface–interior blocks cut:
+    K_s keeps them, so Q = E^T P E has entries outside M_VV's pattern."""
+    sys = build_system(mesh)
+    return mutant(mesh, M_s=cut_coupling(sys.M_s, sys.dof.n_i))
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param(lambda: build_system(build_mesh(MeshConfig(n=4))), id="n4"),
+    pytest.param(lambda: build_system(build_mesh(MeshConfig(n=8))), id="n8"),
+    pytest.param(lambda: build_system(build_mesh(MeshConfig(n=16))), id="n16"),
+    pytest.param(lambda: build_system(build_mesh(NON_CUBIC_CONFIG)), id="non-cubic"),
+    pytest.param(lambda: mass_coupling_cut(build_mesh(MeshConfig(n=8))), id="n8-M_s-cut"),
+])
+def test_shifted_lu_factors_the_bytes_of_the_sparse_sum(monkeypatch, system):
+    # A shift writes s M_VV, K and Q / s into the split's cached ordered
+    # pattern; SuperLU must get the pattern and bytes of scipy's sum, ordered,
+    # at the midpoint shift 2 / tau (tau = 0.01) and at s = i beta. On the
+    # cut system a pattern taken from M_VV alone would put Q's extra entries
+    # in wrong slots.
+    split = system().kinematic
+    handed = []
+    splu = linalg.spla.splu
+
+    def recording(A, **kwargs):
+        handed.append(A)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", recording)
+    for s in (2.0 / 0.01, 1j, 30j, 200j):
+        ShiftedFactor(s, split)
+        assert_same_bytes(handed.pop(), ordered_shifted_matrix(s, split))
+    assert handed == []
+
+
+def test_shift_pattern_is_the_union_of_the_three_patterns(n8_sys):
+    # M_VV's pattern holds K's and Q's on the real system, not on the cut one.
+    for sys, extra in ((n8_sys, False), (mass_coupling_cut(n8_sys.mesh), True)):
+        split = sys.kinematic
+        union = (abs(split.M_VV) + abs(split.K) + abs(split.Q)).nnz
+        assert split.shift_pattern.indices.size == union
+        assert (union > split.M_VV.nnz) == extra

@@ -9,14 +9,13 @@ that blind spot.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from mlfsi.assembly import build_system
 from mlfsi.evolution import SolverFailure, fit_decay, prepare_smooth_data, simulate
 from mlfsi.geometry import MeshConfig, build_mesh
 from mlfsi.resolvent import OPNORM_TOL, PROBE_SEED, probe_state, sample_point, solve_static
 
-from mutants import mutant
+from mutants import cut_coupling, mutant
 from test_acceptance import DECAY_BOUND, DECAY_WINDOW, SIM_T, SIM_TAU
 from test_assembly import CROSS_LEVEL_BOUND, cross_level_misfit
 
@@ -37,12 +36,6 @@ def test_decay_gate_fails_when_dissipation_is_weakened(default_sys):
     exponent, trace = decay_run(default_sys)
     assert exponent >= DECAY_BOUND
     assert trace.max_balance_residual() <= 1e-10 * trace.E[0]
-
-
-def cut_coupling(block, n_i):
-    """A solid block in [interface, interior] order with its two
-    interface–interior blocks zeroed."""
-    return sp.block_diag((block[:n_i, :n_i], block[n_i:, n_i:]), format="csr")
 
 
 def test_decay_gate_fails_when_the_thick_layer_is_cut_off(n8_sys):

@@ -434,12 +434,14 @@ def test_sweep_builds_dirichlet_map_once(monkeypatch):
 
 def test_jobs_sweep_builds_eigenbasis_and_dirichlet_map_once(monkeypatch):
     # Each build records the thread that ran it: the calling thread builds
-    # both pieces before the pool starts, and the sweep threads share them.
+    # the pieces before the pool starts, and the sweep threads share them.
+    # The ordered pattern of the shifted LUs is one of them.
     sys = build_system(build_mesh(MeshConfig()))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     builds = []
     for cls, name in ((identities.DirichletMap, "dirichlet-map"),
-                      (assembly.SurfaceSpectral, "surface-eigenbasis")):
+                      (assembly.SurfaceSpectral, "surface-eigenbasis"),
+                      (assembly.ShiftPattern, "shift-pattern")):
         def logged(self, *args, init=cls.__init__, name=name, **kwargs):
             init(self, *args, **kwargs)
             builds.append((name, threading.current_thread()))
@@ -449,7 +451,7 @@ def test_jobs_sweep_builds_eigenbasis_and_dirichlet_map_once(monkeypatch):
     samples = sweep(np.logspace(0, 1, 4), sys, probe_seed=2, jobs=2)
     assert len(samples) == 4
     main = threading.main_thread()
-    assert sorted(builds, key=lambda b: b[0]) == [("dirichlet-map", main),
+    assert sorted(builds, key=lambda b: b[0]) == [("dirichlet-map", main), ("shift-pattern", main),
                                                   ("surface-eigenbasis", main)]
 
 
