@@ -263,48 +263,6 @@ def _placed(block, offset, n):
                           sp.csr_matrix((n - offset - block.shape[0],) * 2)), format="csr")
 
 
-class ShiftPattern:
-    """The ordered structure that the shifted matrices s M_VV + K + Q / s share.
-
-    ``indptr`` and ``indices`` are the canonical int32 CSC pattern of the
-    union of the stored entries of ``blocks`` (here M_VV, K and Q), permuted
-    symmetrically to ``order``: row and column p hold unknown order[p].
-    ``slots[b][e]`` is the position in that pattern of stored entry e of
-    block b, and ``inverse`` is the inverse permutation of ``order``. The
-    blocks must be canonical CSR, else ValueError: scipy sorts a
-    non-canonical matrix in place on many reads (``abs`` among them), which
-    would move its entries away from their slots.
-
-    The CSC pattern is the CSR pattern of the transpose: `_csr_pattern`
-    buckets every entry of every block by its ordered column and sorts by
-    row once, and the first entry at each position opens a slot. None of it
-    depends on the shift; the arrays are read-only, since every shifted
-    matrix shares them.
-    """
-
-    def __init__(self, blocks, order):
-        if not all(b.has_canonical_format for b in blocks):
-            raise ValueError("shift pattern blocks must be canonical CSR")
-        n = order.size
-        self.inverse = np.argsort(order).astype(np.int32)
-        rows = np.concatenate([np.repeat(self.inverse, np.diff(b.indptr)) for b in blocks])
-        cols = np.concatenate([self.inverse[b.indices] for b in blocks])
-        indptr, indices, entry = _csr_pattern(n, cols, rows, np.arange(rows.size, dtype=np.int32))
-        del rows, cols
-        # An entry opens a slot unless it repeats the row of the one before it in its column.
-        first = np.ones(indices.size, bool)
-        first[1:] = indices[1:] != indices[:-1]
-        first[indptr[:-1][np.diff(indptr) > 0]] = True
-        count = np.cumsum(first, dtype=np.int32)
-        slots = np.empty_like(entry)
-        slots[entry] = count - 1
-        self.slots = tuple(np.split(slots, np.cumsum([b.indices.size for b in blocks[:-1]])))
-        self.indptr = np.insert(count, 0, 0)[indptr]
-        self.indices = indices[first]
-        for array in (self.inverse, slots, self.indptr, self.indices):
-            array.flags.writeable = False
-
-
 class KinematicSplit:
     """M x' = A x on velocity unknowns v = x[:n_v] and kinematic displacement
     unknowns d = x[n_v:].
@@ -315,27 +273,28 @@ class KinematicSplit:
     M_VV v' = -K v - E^T P d. `M` and `A` are diag(M_VV, P) and
     [[-K, -E^T P], [P E, 0]], with P E = (E^T P)^T. Its one shifted solve
     (`resolvent.ShiftedFactor`, the midpoint step among its uses) eliminates
-    d in closed form and factors a matrix on v alone from M_VV, K,
-    ``EtP`` = E^T P and Q = E^T P E; `solve_generator` applies A^{-1} M
-    around LUs of K_ff = K[:n_fi, :n_fi] and P, each built per call and not kept.
-    ``coords`` holds the vertex of each v unknown (d unknown j sits on that
-    of v unknown n_fi + j); each LU takes the nested-dissection order of its
-    unknowns' vertices, ``order`` on v. `shift_pattern` is the one
-    shift-independent piece of the shifted LUs, built on first use and
-    kept: the pattern of M_VV, K and Q in ``order``, into which a shift only
-    writes values.
+    d in closed form and factors `shifted`, a matrix on v alone from M_VV,
+    K and Q = E^T P E; ``EtP`` = E^T P is P below n_fi zero rows and Q is P
+    on the diagonal from row and column n_fi, both placed, not multiplied.
+    `solve_generator` applies A^{-1} M around LUs of K_ff = K[:n_fi, :n_fi]
+    and P, each built per call and not kept. ``coords`` holds the vertex of
+    each v unknown (d unknown j sits on that of v unknown n_fi + j); each LU
+    takes the nested-dissection order of its unknowns' vertices, ``order``
+    on v, with ``inverse`` its inverse permutation. The ordered pattern of
+    M_VV, K and Q is the one shift-independent piece of the shifted LUs,
+    built on first use and kept; a shift only writes values into it.
     """
 
     def __init__(self, M_VV, K, P, coords):
         self.M_VV, self.K, self.P = M_VV, K, P
-        self.n_v = M_VV.shape[0]
-        self.n_fi = self.n_v - P.shape[0]
-        E = sp.eye(P.shape[0], self.n_v, k=self.n_fi, format="csr")
-        self.EtP = (E.T @ P).tocsr()
-        self.Q = (self.EtP @ E).tocsr()
-        self.Q.sort_indices()           # scipy's product leaves each row unsorted
+        self.n_v, n_d = M_VV.shape[0], P.shape[0]
+        self.n_fi = self.n_v - n_d
+        self.EtP = sp.vstack([sp.csr_matrix((self.n_fi, n_d)), P], format="csr")
+        self.Q = _placed(P, self.n_fi, self.n_v)
         self.coords = np.asarray(coords, dtype=float)
         self.order = nested_dissection(self.coords)
+        self.inverse = np.argsort(self.order).astype(np.int32)
+        self.inverse.flags.writeable = False
 
     def solve_generator(self, r):
         """x with A x = M r. The d rows give E v = r_d; the v rows then give
@@ -349,9 +308,48 @@ class KinematicSplit:
         P = Factorization(self.P, nested_dissection(self.coords[n_fi:]))
         return np.concatenate([v, P.solve(-(w + self.K @ v)[n_fi:])])
 
+    def shifted(self, s):
+        """(s M_VV + K + Q / s)[order][:, order] as canonical CSC: s M_VV,
+        then K added, then Q / s, written into the cached `_pattern` in the
+        order of scipy's sparse sum, so it has that sum's bytes. An entry
+        that sums to exactly zero, which scipy's sum would drop, stays stored."""
+        indptr, indices, slots = self._pattern
+        data = np.zeros(indices.size, np.result_type(self.M_VV.data, s))
+        data[slots[0]] = self.M_VV.data * s
+        data[slots[1]] += self.K.data
+        data[slots[2]] += self.Q.data * (1.0 / s)
+        return sp.csc_matrix((data, indices, indptr), shape=(self.n_v,) * 2)
+
     @cached_property
-    def shift_pattern(self) -> ShiftPattern:
-        return ShiftPattern((self.M_VV, self.K, self.Q), self.order)
+    def _pattern(self):
+        """The canonical int32 CSC ``indptr`` and ``indices`` of the union of
+        M_VV, K and Q in ``order``, and ``slots[b][e]``, the position there of
+        stored entry e of block b. The CSC pattern is the CSR pattern of the
+        transpose: `_csr_pattern` buckets every entry by its ordered column
+        and sorts by row once, and the first entry at each position opens a
+        slot. The blocks must be canonical CSR, else ValueError: scipy sorts
+        a non-canonical matrix in place on many reads (``abs`` among them),
+        away from its slots. The arrays are read-only; every shift shares them.
+        """
+        blocks = (self.M_VV, self.K, self.Q)
+        if not all(b.has_canonical_format for b in blocks):
+            raise ValueError("shifted matrix blocks must be canonical CSR")
+        rows = np.concatenate([np.repeat(self.inverse, np.diff(b.indptr)) for b in blocks])
+        cols = np.concatenate([self.inverse[b.indices] for b in blocks])
+        entry = np.arange(rows.size, dtype=np.int32)
+        indptr, indices, entry = _csr_pattern(self.n_v, cols, rows, entry)
+        del rows, cols
+        # An entry opens a slot unless it repeats the row of the one before it in its column.
+        first = np.ones(indices.size, bool)
+        first[1:] = indices[1:] != indices[:-1]
+        first[indptr[:-1][np.diff(indptr) > 0]] = True
+        count = np.cumsum(first, dtype=np.int32)
+        slots = np.empty_like(entry)
+        slots[entry] = count - 1
+        indptr, indices = np.insert(count, 0, 0)[indptr], indices[first]
+        for array in (slots, indptr, indices):
+            array.flags.writeable = False
+        return indptr, indices, np.split(slots, np.cumsum([b.indices.size for b in blocks[:-1]]))
 
     @cached_property
     def M(self):

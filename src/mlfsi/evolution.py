@@ -105,12 +105,15 @@ def simulate(x0: State, T, tau, sys: SystemMatrices) -> EnergyTrace:
     """Evolve x0 over [0, T]; ceil(T/tau) + 1 samples with balance audit.
 
     Raises ValueError, before anything is allocated, when T or tau is not
-    positive and finite or ceil(T/tau) exceeds MAX_STEPS, and `SolverFailure`
-    at the first step whose state or energy is not finite."""
+    positive and finite, ceil(T/tau) exceeds MAX_STEPS or x0 is complex or
+    not finite, and `SolverFailure` at the first step whose state or energy
+    is not finite."""
     if not (0 < T < math.inf and 0 < tau < math.inf):
         raise ValueError(f"T and tau must be positive and finite, got T = {T}, tau = {tau}")
     if T / tau > MAX_STEPS:         # ceil(T / tau) > MAX_STEPS, T / tau = inf included
         raise ValueError(f"T / tau = {T / tau:g} steps, above MAX_STEPS = {MAX_STEPS}")
+    if np.iscomplexobj(x0.vec):
+        raise ValueError("initial state is complex; the midpoint step evolves real states")
     if not np.all(np.isfinite(x0.vec)):
         raise ValueError("initial state is not finite")
     stepper = make_stepper(sys, tau)

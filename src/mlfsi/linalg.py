@@ -32,8 +32,8 @@ class Factorization:
     with diagonal pivot threshold `ORDERED_PIVOT_THRESHOLD`, and `solve`
     permutes in and out. Given ``inverse``, the inverse permutation of
     ``order``, A is that ordered matrix already, as canonical CSC, and goes
-    to SuperLU with no conversion or permutation (`assembly.ShiftPattern`
-    builds such matrices).
+    to SuperLU with no conversion or permutation
+    (`assembly.KinematicSplit.shifted` builds such matrices).
     """
 
     def __init__(self, A, order, inverse=None):

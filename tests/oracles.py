@@ -396,8 +396,13 @@ def full_shifted_lu(s, sys):
 def ordered_shifted_matrix(s, split):
     """(s M_VV + K + Q / s)[order][:, order] of a kinematic split by scipy's
     sparse sum and fancy indexing, in the canonical CSC form SuperLU takes:
-    the velocity matrix a shifted solve at s factors."""
-    A = sp.csc_matrix(s * split.M_VV + split.K + split.Q * (1.0 / s))[split.order][:, split.order]
+    the velocity matrix a shifted solve at s factors. Q = E^T P E is formed
+    from the split's P by the selection product, E v = v[n_fi:], with its
+    indices sorted, not read off the split."""
+    E = sp.eye(split.P.shape[0], split.n_v, k=split.n_fi, format="csr")
+    Q = (E.T @ split.P @ E).tocsr()
+    Q.sort_indices()
+    A = sp.csc_matrix(s * split.M_VV + split.K + Q * (1.0 / s))[split.order][:, split.order]
     A.sum_duplicates()
     return A
 

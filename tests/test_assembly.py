@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import mlfsi.assembly as assembly
 from mlfsi.assembly import (
     ElementTable,
-    ShiftPattern,
+    KinematicSplit,
     State,
     _tet_kernel,
     build_dofmap,
@@ -25,6 +25,7 @@ from oracles import (
     dense_gram_extreme_eigs,
     element_table_per_element,
     max_solid_edge,
+    ordered_shifted_matrix,
     prolongation,
     state_prolongation,
     tet_element_quadrature,
@@ -277,13 +278,14 @@ def test_dofmap_needs_interface(default_mesh):
 @pytest.mark.parametrize("name", ["default_sys", "n8_sys"])
 def test_blocks_are_canonical_csr(name, request):
     # Each block is scattered straight into block order: sorted indices, no
-    # duplicate, so every csr sum over the blocks stays canonical too. Q, a
-    # product, is sorted: the shift pattern's slots index the blocks' entries.
+    # duplicate, so every csr sum over the blocks stays canonical too. Q and
+    # E^T P are P placed, canonical as built: the ordered pattern of the
+    # shifted matrices slots the entries of M_VV, K and Q as stored.
     sys = request.getfixturevalue(name)
     split = sys.kinematic
     blocks = {"M_f": sys.M_f, "K_f": sys.K_f, "M_s": sys.M_s, "K_s": sys.K_s,
               "M_G": sys.M_G, "K_G": sys.K_G, "M_VV": split.M_VV, "P": split.P, "K": split.K,
-              "Q": split.Q}
+              "Q": split.Q, "EtP": split.EtP}
     assert [k for k, mat in blocks.items() if not mat.has_canonical_format] == []
 
 
@@ -357,39 +359,37 @@ def test_element_tables_scatter_from_one_sorted_pattern():
     assert {k: v for k, v in peaks.items() if v >= bounds[k]} == {}
 
 
-def assert_slots_give_the_ordered_sum(blocks, order):
-    """Values written through a `ShiftPattern`'s slots, first assigned and
-    then added, have the bytes of scipy's sum of the blocks in ``order``."""
-    n = order.size
-    pattern = ShiftPattern(blocks, order)
-    data = np.zeros(pattern.indices.size)
-    data[pattern.slots[0]] = blocks[0].data
-    for block, slots in zip(blocks[1:], pattern.slots[1:]):
-        data[slots] += block.data
-    want = sp.csc_matrix(sum(blocks[1:], blocks[0]))[order][:, order]
-    want.sum_duplicates()
-    got = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
-    for attr in ("indptr", "indices", "data"):
-        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
-    assert np.array_equal(order[pattern.inverse], np.arange(n))
+def assert_shifted_is_the_ordered_sum(split):
+    """`KinematicSplit.shifted` has the bytes of scipy's ordered sum at a
+    real, an imaginary and a complex shift."""
+    for s in (200.0, 30j, 3 - 5j):
+        got, want = split.shifted(s), ordered_shifted_matrix(s, split)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (s, attr)
+    assert np.array_equal(split.order[split.inverse], np.arange(split.n_v))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_shift_pattern_slots_every_entry_of_any_blocks(seed):
-    # Unsymmetric random blocks with empty rows and columns, in a random
-    # order. A lone row puts one entry in every column, all on one row, so
-    # the end of each column and the start of the next share a row index.
+    # Splits of unsymmetric random blocks with empty rows and columns, in
+    # the nested-dissection order of random points. A lone row of K, alone
+    # in its split, puts one entry in every column, all on one row, so the
+    # end of each column and the start of the next share a row index.
     rng = np.random.default_rng(seed)
-    n = 12
-    order = rng.permutation(n)
-    blocks = [sp.random(n, n, density=d, format="csr", random_state=rng) for d in (0.3, 0.1, 0.05)]
-    assert_slots_give_the_ordered_sum(blocks, order)
-    row = sp.csr_matrix((rng.random(n), (np.full(n, seed), np.arange(n))), shape=(n, n))
-    assert_slots_give_the_ordered_sum([row], order)
+    n_v, n_d = 40, 15
+    coords = rng.random((n_v, 3))
+    M_VV, K = (sp.random(n_v, n_v, density=d, format="csr", random_state=rng) for d in (0.3, 0.1))
+    P = sp.random(n_d, n_d, density=0.2, format="csr", random_state=rng)
+    split = KinematicSplit(M_VV, K, P, coords)
+    assert not np.array_equal(split.order, np.arange(n_v))
+    assert_shifted_is_the_ordered_sum(split)
+    row = sp.csr_matrix((rng.random(n_v), (np.full(n_v, seed), np.arange(n_v))), shape=(n_v, n_v))
+    assert_shifted_is_the_ordered_sum(
+        KinematicSplit(sp.csr_matrix((n_v, n_v)), row, sp.csr_matrix((n_d, n_d)), coords))
     # scipy would sort an unsorted block in place on a later read, away from its slots.
-    unsorted = sp.csr_matrix((row.data[::-1], row.indices[::-1], row.indptr), shape=(n, n))
+    unsorted = sp.csr_matrix((row.data[::-1], row.indices[::-1], row.indptr), shape=(n_v, n_v))
     with pytest.raises(ValueError, match="canonical"):
-        ShiftPattern([blocks[0], unsorted], order)
+        KinematicSplit(M_VV, unsorted, P, coords).shifted(1.0)
 
 
 def test_shifted_factor_writes_into_the_cached_pattern():
@@ -398,7 +398,7 @@ def test_shifted_factor_writes_into_the_cached_pattern():
     # per shift. Measured 1.51 and 0.76 MiB at n=16; building the sum and
     # permuting it per shift read 3.67 and 2.25.
     split = build_system(build_mesh(MeshConfig(n=16))).kinematic
-    split.shift_pattern
+    split.shifted(1.0)
     peaks = {s: _traced_peak_mib(lambda: ShiftedFactor(s, split)) for s in (30j, 200.0)}
     bounds = {30j: 2.5, 200.0: 1.5}
     assert {s: v for s, v in peaks.items() if v >= bounds[s]} == {}

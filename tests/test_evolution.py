@@ -21,7 +21,7 @@ from mlfsi.evolution import (
     EnergyTrace,
 )
 from mlfsi.linalg import Factorization, SingularMatrixError
-from mlfsi.resolvent import FrequencySingularityError, ShiftedFactor
+from mlfsi.resolvent import FrequencySingularityError, ShiftedFactor, probe_state, solve_static
 
 from mutants import mutant
 from oracles import log_slope_loop
@@ -263,6 +263,19 @@ def test_simulate_rejects_a_time_that_is_not_positive_and_finite(tiny_sys, monke
     monkeypatch.setattr("mlfsi.evolution.make_stepper", None)
     with pytest.raises(ValueError, match="T and tau must be positive and finite"):
         simulate(State.zeros(tiny_sys.dof), T, tau, tiny_sys)
+
+
+def test_simulate_rejects_a_complex_or_nonfinite_initial_state(default_sys, monkeypatch):
+    # A resolvent solution is complex; casting it to the real state the
+    # midpoint step evolves would drop its imaginary part (at n=4 and beta =
+    # 3, E[0] read 0.013856 against 1/2 x^H M x = 0.022547).
+    x0 = solve_static(3.0, probe_state(default_sys, 2), default_sys)
+    nan = State(default_sys.dof, np.where(np.arange(default_sys.dof.total) == 5, np.nan, 0.0))
+    monkeypatch.setattr("mlfsi.evolution.make_stepper", None)
+    with pytest.raises(ValueError, match="initial state is complex"):
+        simulate(x0, 0.1, 0.01, default_sys)
+    with pytest.raises(ValueError, match="initial state is not finite"):
+        simulate(nan, 0.1, 0.01, default_sys)
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0])

@@ -228,5 +228,5 @@ def test_shift_pattern_is_the_union_of_the_three_patterns(n8_sys):
     for sys, extra in ((n8_sys, False), (mass_coupling_cut(n8_sys.mesh), True)):
         split = sys.kinematic
         union = (abs(split.M_VV) + abs(split.K) + abs(split.Q)).nnz
-        assert split.shift_pattern.indices.size == union
+        assert split.shifted(1.0).indices.size == union
         assert (union > split.M_VV.nnz) == extra

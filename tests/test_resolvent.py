@@ -440,13 +440,20 @@ def test_jobs_sweep_builds_eigenbasis_and_dirichlet_map_once(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     builds = []
     for cls, name in ((identities.DirichletMap, "dirichlet-map"),
-                      (assembly.SurfaceSpectral, "surface-eigenbasis"),
-                      (assembly.ShiftPattern, "shift-pattern")):
+                      (assembly.SurfaceSpectral, "surface-eigenbasis")):
         def logged(self, *args, init=cls.__init__, name=name, **kwargs):
             init(self, *args, **kwargs)
             builds.append((name, threading.current_thread()))
 
         monkeypatch.setattr(cls, "__init__", logged)
+
+    def logged_pattern(self, build=assembly.KinematicSplit._pattern.func):
+        builds.append(("shift-pattern", threading.current_thread()))
+        return build(self)
+
+    pattern = functools.cached_property(logged_pattern)
+    pattern.__set_name__(assembly.KinematicSplit, "_pattern")
+    monkeypatch.setattr(assembly.KinematicSplit, "_pattern", pattern)
 
     samples = sweep(np.logspace(0, 1, 4), sys, probe_seed=2, jobs=2)
     assert len(samples) == 4
