@@ -86,18 +86,17 @@ class ElementTable:
     outer boundary). The element kernel runs once, on every simplex, and
     returns its values per distinct shape: on the structured grid 6 tet
     shapes at dyadic n, 162 solid and 1296 over all tets at n=24. The table
-    keeps only those per-shape values (volume or area, barycentric
-    gradients, exact P1 mass and stiffness), each simplex's int32 ``shape``
-    and the region's ``simplices``. ``M`` and ``K`` are the mass and
-    stiffness in block order as canonical CSR, every entry that touches a -1
-    dropped: `_scatter` buckets and sorts one pattern of entry indices once,
-    gathers each flat per-shape table in its order and lets scipy's
-    `sum_duplicates` sum it, so both have the bytes of `coo_matrix.tocsr()`.
-    The pattern's row, column and entry arrays live only inside `_scatter`.
-    The kernels read the vertex columns of ``simplices`` directly, with no
-    per-element coordinate gather. ``measure``, ``grads``, ``mass`` and the
-    vertex ``coords`` are per-element gathers, formed on each read; `blocks`
-    forms ``grads`` and ``coords`` a run of simplices at a time.
+    keeps only those per-shape values, one row per shape: ``measure``
+    (volume or area), ``grads`` (barycentric gradients) and ``mass`` (exact
+    P1 mass), with each simplex's int32 index ``shape`` into them and the
+    region's ``simplices``, so ``grads[shape]`` is the per-element table.
+    ``M`` and ``K`` are the mass and stiffness in block order as canonical
+    CSR, every entry that touches a -1 dropped: `_scatter` buckets and sorts
+    one pattern of entry indices once, gathers each flat per-shape table in
+    its order and lets scipy's `sum_duplicates` sum it, so both have the
+    bytes of `coo_matrix.tocsr()`. The pattern's row, column and entry
+    arrays live only inside `_scatter`. The kernels read the vertex columns
+    of ``simplices`` directly, with no per-element coordinate gather.
     """
 
     def __init__(self, vertices, simplices, block):
@@ -110,34 +109,10 @@ class ElementTable:
         self.local = to_block[simplices]
         tets = simplices.shape[1] == 4
         kernel, unit_mass = (_tet_kernel, _TET_MASS) if tets else (_tri_kernel, _TRI_MASS)
-        self._measure, self._grads, self.shape = kernel(vertices, simplices)
-        self._mass = self._measure[:, None, None] * unit_mass
-        stiff = np.einsum("tid,tjd,t->tij", self._grads, self._grads, self._measure)
-        self.M, self.K = _scatter(self.local, self.shape, block.size, self._mass, stiff)
-
-    @property
-    def coords(self):
-        return self.vertices[self.simplices]
-
-    @property
-    def measure(self):
-        return self._measure[self.shape]
-
-    @property
-    def grads(self):
-        return self._grads[self.shape]
-
-    @property
-    def mass(self):
-        return self._mass[self.shape]
-
-    def blocks(self, size):
-        """(rows, grads, coords) of each run of ``size`` simplices, in order:
-        ``rows`` is the run's slice, ``grads`` and ``coords`` its own
-        per-element gathers. The last run may be shorter."""
-        for start in range(0, self.shape.size, size):
-            rows = slice(start, start + size)
-            yield rows, self._grads[self.shape[rows]], self.vertices[self.simplices[rows]]
+        self.measure, self.grads, self.shape = kernel(vertices, simplices)
+        self.mass = self.measure[:, None, None] * unit_mass
+        stiff = np.einsum("tid,tjd,t->tij", self.grads, self.grads, self.measure)
+        self.M, self.K = _scatter(self.local, self.shape, block.size, self.mass, stiff)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .evolution import MAX_STEPS, check_fit_window
 from .geometry import MeshConfig, MeshConfigError
-from .resolvent import MAX_POINTS, OPNORM_TOL, PROBE_SEED, in_top_decade
+from .resolvent import MAX_BETA, MAX_POINTS, OPNORM_TOL, PROBE_SEED, in_top_decade
 
 
 class ConfigError(ValueError):
@@ -94,17 +94,24 @@ class RunConfig:
             raise ConfigError("sweep.beta_min must be >= 1")
         if w.beta_max <= w.beta_min:
             raise ConfigError("sweep.beta_max must exceed sweep.beta_min")
+        if w.beta_max > MAX_BETA:
+            raise ConfigError(f"sweep.beta_max = {w.beta_max:g}, above {MAX_BETA:g}")
         if w.points < 2:
             raise ConfigError(f"insufficient points: a growth fit needs at least 2 frequencies, "
                               f"got sweep.points = {w.points}")
         if w.points > MAX_POINTS:
             raise ConfigError(f"sweep.points = {w.points}, above {MAX_POINTS}")
         betas = w.grid()
+        if np.any(np.diff(betas) <= 0):
+            raise ConfigError(f"sweep grid on [{w.beta_min}, {w.beta_max}] with {w.points} "
+                              "points is not strictly increasing")
         if np.count_nonzero(in_top_decade(betas)) < 2:
             raise ConfigError(f"insufficient points: the growth-fit window [{betas.max() / 10:g}, "
                               f"{betas.max():g}] holds fewer than 2 of {w.points} frequencies")
         if w.opnorm_tol <= 0:
             raise ConfigError("sweep.opnorm_tol must be positive")
+        if abs(self.probe.beta) > MAX_BETA:
+            raise ConfigError(f"|probe.beta| = {abs(self.probe.beta):g}, above {MAX_BETA:g}")
         if len(self.probe.refinements) < 2:
             raise ConfigError(f"probe.refinements needs at least 2 levels, got "
                               f"{len(self.probe.refinements)}: the order fit needs two h")

@@ -130,19 +130,19 @@ _EYE = np.eye(3)
 _TRI_CUBIC = (1 + _EYE[:, :, None] + _EYE[None] + _EYE[:, None]
               + 2 * np.einsum("ij,jk->ijk", _EYE, _EYE)) / 60.0
 
-# Tets per block of the per-element gathers in `multiplier_residual`.
-_BLOCK_TETS = 4096
-
 
 def _tet_gradients(tet, zv):
     """The gradient of the nodal field ``zv`` on each tet of ``tet``, and its
-    conjugate's dot product with each vertex of the tet, formed over blocks
-    of `_BLOCK_TETS` tets. The last block's gathers are freed on return."""
-    grad_z = np.empty((tet.local.shape[0], 3), complex)
-    c_tet = np.empty((tet.local.shape[0], 4), complex)
-    for rows, grads, coords in tet.blocks(_BLOCK_TETS):
-        grad_z[rows] = np.einsum("tv,tvd->td", zv[tet.local[rows]], grads)
-        c_tet[rows] = np.einsum("tvd,td->tv", coords, grad_z[rows].conj())
+    conjugate's dot product with each vertex of the tet. Both are summed one
+    vertex column at a time from the per-shape gradients, so no per-tet
+    (m, 4, 3) table of gradients or coordinates is formed."""
+    shape, local, simplices = tet.shape, tet.local, tet.simplices
+    grad_z = np.zeros((local.shape[0], 3), complex)
+    for v in range(4):
+        grad_z += zv[local[:, v], None] * tet.grads[shape, v]
+    c_tet, grad_conj = np.empty((local.shape[0], 4), complex), grad_z.conj()
+    for v in range(4):
+        c_tet[:, v] = np.einsum("td,td->t", tet.vertices[simplices[:, v]], grad_conj)
     return grad_z, c_tet
 
 
@@ -155,12 +155,13 @@ def multiplier_residual(z, f, beta, sys) -> dict[str, MultiplierReport]:
     one M_s z. ``f`` is the nodal right-hand side of -beta^2 z - Delta z = f.
 
     The per-tet gradients of z and their products with the vertex
-    coordinates are formed over blocks of `_BLOCK_TETS` tets, each from
-    its own gathers: every output row is one tet's, so the bits are those
-    of one whole-table call. The gradients are dropped before ``term_d``,
-    whose whole-table gathers set this function's memory peak. ``term_d``
-    stays one einsum because it sums over all tets: split into blocks, it
-    would add in another order and change the result's last bits.
+    coordinates are summed one vertex column at a time (`_tet_gradients`),
+    with the bits of one whole-table einsum. The gradients are dropped
+    before ``term_d``, whose whole-table gathers of the per-shape mass set
+    this function's memory peak. ``term_d`` stays one einsum because it
+    sums over all tets: split into blocks, it would add in another order
+    and change the result's last bits. The surface triangles' vertex
+    coordinates are gathered once, for ``term_a`` and ``term_b``.
     """
     tet, tri = sys.solid_table, sys.surface_table
     zv = np.asarray(z, dtype=complex)
@@ -179,19 +180,20 @@ def multiplier_residual(z, f, beta, sys) -> dict[str, MultiplierReport]:
     grad_z, c_tet = _tet_gradients(tet, zv)
     g_adj = grad_z[sys.interface_owner]                # gradient on adjacent tet
     del grad_z
-    term_d = np.einsum("tv,tvw,tw->", fv[tet.local], tet.mass, c_tet).real
+    term_d = np.einsum("tv,tvw,tw->", fv[tet.local], tet.mass[tet.shape], c_tet).real
 
     flux = interface_flux(zv, fv, beta, sys)
     lam = recover_flux_nodal(flux, sys)
     lam_tri = lam[tri.local]
 
-    c_tri = np.einsum("tvd,td->tv", tri.coords, g_adj.conj())
-    term_a = -np.einsum("tv,tvw,tw->", lam_tri, tri.mass, c_tri).real
+    tri_coords = tri.vertices[tri.simplices]
+    c_tri = np.einsum("tvd,td->tv", tri_coords, g_adj.conj())
+    term_a = -np.einsum("tv,tvw,tw->", lam_tri, tri.mass[tri.shape], c_tri).real
 
     normals = sys.mesh.tri_normals[sys.mesh.tri_tags != GAMMA_F]
-    s_tri = np.einsum("tvd,td->tv", tri.coords, normals)
+    s_tri = np.einsum("tvd,td->tv", tri_coords, normals)
     lam_sq = np.einsum("tv,vij,ti,tj->t", s_tri, _TRI_CUBIC, lam_tri.conj(), lam_tri)
-    term_b = 0.5 * float((lam_sq.real * tri.measure).sum())
+    term_b = 0.5 * float((lam_sq.real * tri.measure[tri.shape]).sum())
 
     term_c = 1.5 * div_lhs
 

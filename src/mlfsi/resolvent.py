@@ -45,6 +45,9 @@ SOLVE_TOL = 1e-10
 # The most frequencies `config.RunConfig.validate` lets a sweep take; each
 # factors its own shifted LU.
 MAX_POINTS = 10**6
+# The largest frequency a sweep or `config.RunConfig.validate` accepts: far
+# above it the monitors' powers of beta overflow and the norm estimate fails.
+MAX_BETA = 1e8
 
 
 class FrequencySingularityError(RuntimeError):
@@ -262,6 +265,8 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNOR
         raise InsufficientPointsError("empty frequency grid")
     if not np.all(np.isfinite(betas)):
         raise ValueError("frequency grid must be finite")
+    if betas.max() > MAX_BETA:
+        raise ValueError(f"frequency grid exceeds MAX_BETA = {MAX_BETA:g}, got {betas.max():g}")
     if np.any(np.diff(betas) <= 0):
         raise ValueError("frequency grid must be strictly increasing")
     if betas[0] < 1.0:

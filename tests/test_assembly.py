@@ -135,8 +135,9 @@ def test_element_table_matches_per_element_oracle_bit_for_bit(config, region):
     args = _region_table_args(config, region)
     table = ElementTable(*args)
     measure, grads, mass, M, K = element_table_per_element(*args)
+    assert all(len(a) == table.shape.max() + 1 for a in (table.measure, table.grads, table.mass))
     for got, want in ((table.measure, measure), (table.grads, grads), (table.mass, mass)):
-        assert _same_bits(got, want)
+        assert _same_bits(got[table.shape], want)
     for got, want in ((table.M, M), (table.K, K)):
         assert all(_same_bits(getattr(got, a), getattr(want, a))
                    for a in ("data", "indices", "indptr"))
@@ -146,8 +147,9 @@ def _assert_scatter_matches_coo_tocsr(table):
     # One bucket-and-sort of the entry indices, then each slot's duplicates
     # added left to right: the indptr, indices and data bytes of scipy's
     # COO to CSR conversion of the per-element matrices.
-    stiff = np.einsum("tid,tjd,t->tij", table.grads, table.grads, table.measure)
-    want = coo_scatter(table.local, table.M.shape[0], (table.mass, stiff))
+    measure, grads = table.measure[table.shape], table.grads[table.shape]
+    stiff = np.einsum("tid,tjd,t->tij", grads, grads, measure)
+    want = coo_scatter(table.local, table.M.shape[0], (table.mass[table.shape], stiff))
     for got, ref in zip((table.M, table.K), want):
         assert all(_same_bits(getattr(got, a), getattr(ref, a))
                    for a in ("indptr", "indices", "data"))

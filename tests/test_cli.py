@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mlfsi
@@ -97,8 +97,9 @@ def valid_configs(draw):
     """Configs that pass ``validate``: corners on grid planes at n and at every
     refinement (a multiple of n, where the cube is at least 2 cells wide),
     ordered windows (for smooth data, starting after t = 0 and at least 12
-    steps long), at most MAX_STEPS / 2 time steps, and a sweep grid with at
-    least 2 points in its top decade (fewer than 0.99 decades between points)."""
+    steps long), at most MAX_STEPS / 2 time steps, and a strictly increasing
+    sweep grid with at least 2 points in its top decade (fewer than 0.99
+    decades between points): a range a few ulps wide can repeat a frequency."""
     n = draw(st.integers(1, 8))
     olo = tuple(draw(_floats(-10, 10)) for _ in range(3))
     steps = [sorted(draw(st.sets(st.integers(1, 12), min_size=3, max_size=3))) for _ in range(3)]
@@ -119,7 +120,7 @@ def valid_configs(draw):
     beta_min = draw(_floats(1, 1e6))
     beta_max = draw(_floats(beta_min, 1e7, exclude_min=True))
     decades = math.log10(beta_max / beta_min)
-    return RunConfig(
+    cfg = RunConfig(
         geometry=MeshConfig(olo, ohi, ilo, ihi, n),
         simulate=SimulateConfig(
             T=T, tau=tau, seed=draw(st.integers(0, 2**32)), fit_window=(ta, tb), initial=initial,
@@ -137,6 +138,8 @@ def valid_configs(draw):
             beta=draw(_floats(-1e6, 1e6)),
         ),
     )
+    assume(np.all(np.diff(cfg.sweep.grid()) > 0))
+    return cfg
 
 
 def test_validate_bounds_the_step_count():
@@ -338,6 +341,13 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("sweep.opnorm_tol = 0", "sweep.opnorm_tol must be positive"),
     ("solve_tol = 1e-10", "line 1: unknown key 'solve_tol'"),
     ("output_dir = x", "line 1: unknown key 'output_dir'"),
+    ("sweep.beta_min = 100\nsweep.beta_max = 100.00000000000003\nsweep.points = 3",
+     "sweep grid on [100.0, 100.00000000000003] with 3 points is not strictly increasing"),
+    ("sweep.beta_min = 1e119\nsweep.beta_max = 1e120\nsweep.points = 3",
+     "sweep.beta_max = 1e+120, above 1e+08"),
+    ("sweep.beta_min = 1e94\nsweep.beta_max = 1e95\nsweep.points = 3",
+     "sweep.beta_max = 1e+95, above 1e+08"),
+    ("probe.beta = 1e200", "|probe.beta| = 1e+200, above 1e+08"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")

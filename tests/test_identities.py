@@ -223,27 +223,27 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def test_blockwise_tet_gradients_match_one_whole_table_call():
-    # n = 24 has 10368 solid tets: two full blocks and a shorter third.
-    # Every output row is one tet's, so the blocks give one call's bits.
+def test_per_column_tet_gradients_match_one_whole_table_call():
+    # Summed one vertex column at a time from the per-shape gradients, the
+    # 10368 solid tets at n = 24 give the bits of one whole-table einsum.
     sys = build_system(build_mesh(MeshConfig(n=24)))
     tet = sys.solid_table
-    assert tet.local.shape[0] // identities._BLOCK_TETS == 2
-    assert tet.local.shape[0] % identities._BLOCK_TETS
     rng = np.random.default_rng(0)
     n = sys.dof.n_i + sys.dof.n_s
     zv = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     grad_z, c_tet = identities._tet_gradients(tet, zv)
-    ref_grad = np.einsum("tv,tvd->td", zv[tet.local], tet.grads)
-    ref_c = np.einsum("tvd,td->tv", tet.coords, ref_grad.conj())
+    ref_grad = np.einsum("tv,tvd->td", zv[tet.local], tet.grads[tet.shape])
+    ref_c = np.einsum("tvd,td->tv", tet.vertices[tet.simplices], ref_grad.conj())
     assert np.array_equal(_bits(grad_z), _bits(ref_grad))
     assert np.array_equal(_bits(c_tet), _bits(ref_c))
 
 
 def test_multiplier_residual_holds_no_whole_table_gathers():
     # Tables, owners and the M_G LU built by a first call, the n = 32 pass
-    # gathers gradients and coordinates a block at a time and frees grad_z
-    # before term_d. Measured 6.7 MiB; whole-table gathers read 8.3.
+    # gathers gradients and coordinates one vertex column at a time and frees
+    # grad_z before term_d, whose whole-table gathers set the peak. Measured
+    # 6.7 MiB (whole-table gradient and coordinate gathers stay below term_d's
+    # and read the same); keeping grad_z through term_d reads 7.8.
     sys = build_system(build_mesh(MeshConfig(n=32)))
     z, f = manufactured_field(sys.mesh, sys.dof, 2.0)
     multiplier_residual(z, f, 2.0, sys)

@@ -304,6 +304,17 @@ def test_sweep_rejects_a_grid_that_is_not_finite_before_any_sample(monkeypatch, 
         sweep(betas, default_sys)
 
 
+def test_sweep_rejects_a_grid_above_max_beta_before_any_sample(monkeypatch, default_sys):
+    # Far above MAX_BETA the monitors' powers of beta overflow and ARPACK
+    # gets a zero starting vector; the sweep refuses such a grid up front.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample ran")
+
+    monkeypatch.setattr(resolvent, "sample_point", refuse)
+    with pytest.raises(ValueError, match="frequency grid exceeds MAX_BETA = 1e\\+08, got 1e\\+95"):
+        sweep([1e94, 3e94, 1e95], default_sys)
+
+
 @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, 0.0])
 @pytest.mark.parametrize("function", ["solve_static", "sample_point"])
 def test_frequency_not_finite_and_nonzero_is_rejected_before_any_lu(monkeypatch, default_sys,
