@@ -56,18 +56,20 @@ def _scatter(local, shape, n, mass, stiff):
     a -1 of ``local`` is dropped.
 
     Entry (i, j) of simplex t is entry shape[t] * k^2 + i * k + j of a flat
-    table. `_csr_pattern` orders the int32 entry indices once; each matrix
-    gathers its table in that order and `sum_duplicates` sums it, so both
-    have the bits of ``coo_matrix((table.ravel()[entry], (rows, cols))).tocsr()``.
+    table. One mask ``keep`` of the m k^2 entries filters the row, column
+    and entry arrays each as it is formed, so at most one unfiltered array
+    is alive beside the kept ones. `_csr_pattern` orders the int32 entry
+    indices once; each matrix gathers its table in that order and
+    `sum_duplicates` sums it, so both have the bits of
+    ``coo_matrix((table.ravel()[entry], (rows, cols))).tocsr()``.
     """
     k = local.shape[1]
-    rows = np.repeat(local, k, axis=1).ravel()
-    cols = np.tile(local, (1, k)).ravel()
-    entry = (shape[:, None] * np.int32(k * k) + np.arange(k * k, dtype=np.int32)).ravel()
-    if local.min() < 0:
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols, entry = rows[keep], cols[keep], entry[keep]
-        del keep
+    valid = local >= 0
+    keep = (np.repeat(valid, k, axis=1) & np.tile(valid, (1, k))).ravel()
+    rows = np.repeat(local, k, axis=1).ravel()[keep]
+    cols = np.tile(local, (1, k)).ravel()[keep]
+    entry = (shape[:, None] * np.int32(k * k) + np.arange(k * k, dtype=np.int32)).ravel()[keep]
+    del valid, keep
     indptr, indices, order = _csr_pattern(n, rows, cols, entry)
     del rows, cols, entry
     M = sp.csr_matrix((mass.ravel()[order], indices.copy(), indptr.copy()), shape=(n, n))
@@ -95,8 +97,10 @@ class ElementTable:
     one pattern of entry indices once, gathers each flat per-shape table in
     its order and lets scipy's `sum_duplicates` sum it, so both have the
     bytes of `coo_matrix.tocsr()`. The pattern's row, column and entry
-    arrays live only inside `_scatter`. The kernels read the vertex columns
-    of ``simplices`` directly, with no per-element coordinate gather.
+    arrays live only inside `_scatter`, which filters each as it is formed,
+    so the fluid table never holds the full triples beside filtered copies.
+    The kernels read the vertex columns of ``simplices`` directly, with no
+    per-element coordinate gather.
     """
 
     def __init__(self, vertices, simplices, block):
@@ -485,10 +489,15 @@ class SurfaceSpectral:
     v_k M_G-orthonormal, a nodal surface function g has
     |g|_{1/2}^2 = sum_k omega_k^{1/2} |(V^T M_G g)_k|^2, and a load vector f
     (f_i = <F, phi_i>) has dual norm |F|_{-1/2}^2 = sum_k omega_k^{-1/2} |(V^T f)_k|^2.
+    The dense pencil is factored in place: LAPACK's sygvd overwrites the
+    Fortran-ordered dense copies of H1_G and M_G, V in the first, so no
+    other dense copy is made, and the values are those of
+    `scipy.linalg.eigh` on fresh copies.
     """
 
     def __init__(self, H1_G, M_G):
-        omega, V = scipy.linalg.eigh(H1_G.toarray(), M_G.toarray())
+        omega, V = scipy.linalg.eigh(H1_G.toarray(order="F"), M_G.toarray(order="F"),
+                                     overwrite_a=True, overwrite_b=True)
         omega = np.maximum(omega, 1e-14)
         self.weight, self.dual_weight = omega ** 0.5, omega ** -0.5
         self.V = V

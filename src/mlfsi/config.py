@@ -22,6 +22,7 @@ import numpy as np
 
 from .evolution import MAX_STEPS, check_fit_window
 from .geometry import MeshConfig, MeshConfigError
+from .identities import MAX_PROBE_BETA
 from .resolvent import MAX_BETA, MAX_POINTS, OPNORM_TOL, PROBE_SEED, in_top_decade
 
 
@@ -112,6 +113,9 @@ class RunConfig:
             raise ConfigError("sweep.opnorm_tol must be positive")
         if abs(self.probe.beta) > MAX_BETA:
             raise ConfigError(f"|probe.beta| = {abs(self.probe.beta):g}, above {MAX_BETA:g}")
+        if abs(self.probe.beta) > MAX_PROBE_BETA:
+            raise ConfigError(f"|probe.beta| = {abs(self.probe.beta):g}, above MAX_PROBE_BETA = "
+                              f"{MAX_PROBE_BETA:g}: rounding would set the residual orders")
         if len(self.probe.refinements) < 2:
             raise ConfigError(f"probe.refinements needs at least 2 levels, got "
                               f"{len(self.probe.refinements)}: the order fit needs two h")

@@ -18,8 +18,8 @@ ratios and the flux-chain monitors. A sweep samples its first frequency in
 the calling thread; that thread and jobs - 1 more then share out the rest
 of the grid, so a one-job sweep starts no thread. The threads share the one
 system and every factorization built from it; only the shifted LU of each
-frequency is the thread's own, so memory grows by one such LU per extra
-thread.
+frequency is the thread's own, held until the norm estimate is done, so
+memory grows by at most one such LU per extra thread.
 """
 
 from __future__ import annotations
@@ -226,15 +226,21 @@ def probe_state(sys: SystemMatrices, seed) -> State:
 def sample_point(beta, sys: SystemMatrices, b: State, *, opnorm_tol) -> ResolventSample:
     """All per-frequency diagnostics for one beta and one probe vector.
 
-    One shifted LU serves the static solve, the monitor pass and the
-    resolvent-norm estimate, so ``opnorm`` is always the ARPACK estimate and
-    ``iters`` (its normal-operator applications) at least 1.
+    One shifted LU serves the static solve and the resolvent-norm estimate,
+    so ``opnorm`` is always the ARPACK estimate and ``iters`` (its
+    normal-operator applications) at least 1. The dissipation residual and
+    the monitor pass read only the solution x, so the LU is released before
+    them: a sample never holds it beside the monitors' temporaries (or, in
+    a sweep's first sample, beside the surface eigenbasis and Dirichlet map
+    they build). A frequency where both the norm estimate and the monitors
+    fail raises the norm's `OpnormConvergenceError`.
     """
     shifted = ShiftedFactor(1j * beta, sys.kinematic)
     x = solve_static(beta, b, sys, shifted=shifted)
+    opnorm, iters = resolvent_opnorm(shifted, tol=opnorm_tol)
+    del shifted
     diss = dissipation_residual(b, x, sys)
     monitors = flux_chain_monitor(x, b, beta, sys)
-    opnorm, iters = resolvent_opnorm(shifted, tol=opnorm_tol)
     return ResolventSample(beta=float(beta), opnorm=opnorm,
                            dissipation_residual=diss / energy_norm(b, sys) ** 2,
                            iters=iters, **monitors)
@@ -250,13 +256,14 @@ def sweep(betas, sys: SystemMatrices, *, probe_seed=PROBE_SEED, opnorm_tol=OPNOR
     The calling thread and up to jobs - 1 pool threads, min(jobs, grid
     points, usable CPUs) in all, then claim the rest of the grid point by
     point: jobs=1 starts no thread. The threads share the one system and its
-    factorizations; each holds the shifted LU of the frequency it samples,
-    so memory grows by one such LU per thread past the first. Results are
-    kept in grid order, so output does not depend on jobs. A failing sample
-    stops further claims, and the error raised is that of the lowest failing
-    grid point, as in a serial sweep. SuperLU and ARPACK release the
-    interpreter lock, so the threads' solves overlap; the BLAS thread count
-    is whatever the caller's process set.
+    factorizations; each holds the shifted LU of the frequency it samples
+    through its static solve and norm estimate and releases it before the
+    monitor pass, so memory grows by at most one such LU per thread past
+    the first. Results are kept in grid order, so output does not depend on
+    jobs. A failing sample stops further claims, and the error raised is
+    that of the lowest failing grid point, as in a serial sweep. SuperLU and
+    ARPACK release the interpreter lock, so the threads' solves overlap; the
+    BLAS thread count is whatever the caller's process set.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

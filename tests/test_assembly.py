@@ -10,6 +10,7 @@ from mlfsi.assembly import (
     ElementTable,
     KinematicSplit,
     State,
+    SurfaceSpectral,
     _tet_kernel,
     build_dofmap,
     build_system,
@@ -359,6 +360,28 @@ def test_element_tables_scatter_from_one_sorted_pattern():
                  lambda: _tet_kernel(n32_mesh.vertices, solid_tets))}
     bounds = {"K_f n=16": 9.0, "solid_table n=32": 10.0, "_tet_kernel n=32 solid": 5.0}
     assert {k: v for k, v in peaks.items() if v >= bounds[k]} == {}
+
+
+def test_fluid_scatter_and_surface_pencil_hold_no_transient_copies():
+    # The fluid scatter filters each array of its triples as it is formed,
+    # never holding the full triples beside filtered copies, and sygvd
+    # overwrites the pencil's dense copies in place. Measured 5.7 and 4.6 MiB at n=16; filtering full triples and
+    # factoring fresh copies of the pencil read 7.9 and 6.9.
+    mesh = build_mesh(MeshConfig(n=16))
+    sys = build_system(mesh)
+    H1_G, M_G = sys.H1_G, sys.M_G
+    peaks = {"K_f n=16": _traced_peak_mib(lambda: build_system(mesh).K_f),
+             "SurfaceSpectral n=16": _traced_peak_mib(lambda: SurfaceSpectral(H1_G, M_G))}
+    bounds = {"K_f n=16": 6.5, "SurfaceSpectral n=16": 5.5}
+    assert {k: v for k, v in peaks.items() if v >= bounds[k]} == {}
+
+
+def test_surface_pencil_factored_in_place_has_the_bits_of_fresh_copies():
+    sys = build_system(build_mesh(MeshConfig(n=16)))
+    spectral = SurfaceSpectral(sys.H1_G, sys.M_G)
+    omega, V = scipy.linalg.eigh(sys.H1_G.toarray(), sys.M_G.toarray())
+    assert np.array_equal(spectral.weight, np.maximum(omega, 1e-14) ** 0.5)
+    assert np.array_equal(spectral.V, V)
 
 
 def assert_shifted_is_the_ordered_sum(split):

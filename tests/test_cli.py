@@ -30,6 +30,7 @@ from mlfsi.config import (
 )
 from mlfsi.evolution import MAX_STEPS
 from mlfsi.geometry import MeshConfig, load_mesh
+from mlfsi.identities import MAX_PROBE_BETA
 
 SMALL_GEOMETRY = """
 geometry.outer_lo = 0 0 0
@@ -99,7 +100,8 @@ def valid_configs(draw):
     ordered windows (for smooth data, starting after t = 0 and at least 12
     steps long), at most MAX_STEPS / 2 time steps, and a strictly increasing
     sweep grid with at least 2 points in its top decade (fewer than 0.99
-    decades between points): a range a few ulps wide can repeat a frequency."""
+    decades between points): a range a few ulps wide can repeat a frequency;
+    |probe.beta| at most MAX_PROBE_BETA."""
     n = draw(st.integers(1, 8))
     olo = tuple(draw(_floats(-10, 10)) for _ in range(3))
     steps = [sorted(draw(st.sets(st.integers(1, 12), min_size=3, max_size=3))) for _ in range(3)]
@@ -135,7 +137,7 @@ def valid_configs(draw):
             manufactured=draw(st.booleans()),
             refinements=tuple(n * k for k in draw(
                 st.lists(st.integers(k_min, 8), min_size=2, max_size=5, unique=True))),
-            beta=draw(_floats(-1e6, 1e6)),
+            beta=draw(_floats(-MAX_PROBE_BETA, MAX_PROBE_BETA)),
         ),
     )
     assume(np.all(np.diff(cfg.sweep.grid()) > 0))
@@ -348,6 +350,8 @@ def test_cmd_sweep_one_point_exit_2(tmp_path, capsys):
     ("sweep.beta_min = 1e94\nsweep.beta_max = 1e95\nsweep.points = 3",
      "sweep.beta_max = 1e+95, above 1e+08"),
     ("probe.beta = 1e200", "|probe.beta| = 1e+200, above 1e+08"),
+    ("probe.beta = -3e5", "|probe.beta| = 300000, above MAX_PROBE_BETA = 100000: rounding"),
+    ("probe.beta = 1e8", "|probe.beta| = 1e+08, above MAX_PROBE_BETA = 100000: rounding"),
 ])
 def test_cmd_all_rejects_config_before_any_artifact(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, line + "\n")

@@ -250,6 +250,17 @@ def test_multiplier_residual_holds_no_whole_table_gathers():
     assert _traced_peak_mib(lambda: multiplier_residual(z, f, 2.0, sys)) <= 7.6
 
 
+def test_tet_gradients_hold_no_whole_table_gathers():
+    # The per-column sums alone, at n = 32: term_d sets the peak of a whole
+    # multiplier_residual call, so only this bound sees the gradient pass.
+    # Measured 4.9 MiB; whole-table einsums over grads[shape] and
+    # vertices[simplices] read 6.0, and a broadcast product over them 9.3.
+    sys = build_system(build_mesh(MeshConfig(n=32)))
+    tet = sys.solid_table
+    zv = manufactured_field(sys.mesh, sys.dof, 2.0)[0].astype(complex)
+    assert _traced_peak_mib(lambda: identities._tet_gradients(tet, zv)) < 5.5
+
+
 def test_manufactured_residuals_converge():
     rows, orders = manufactured_study(level_systems((4, 8, 16)), beta=2.0)
     res_div = [r["unit_div"].residual for r in rows]

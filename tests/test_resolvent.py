@@ -3,6 +3,7 @@ import os
 import subprocess
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -256,6 +257,43 @@ def test_sample_point_and_csv(tmp_path, default_sys):
     for s in samples:
         assert np.isfinite(s.opnorm) and s.iters > 0
         assert s.dissipation_residual <= 1e-9
+
+
+def test_sample_point_releases_its_lu_before_the_monitor_pass(monkeypatch, default_sys):
+    # The monitors read the solution, not the LU: no ShiftedFactor is alive
+    # while flux_chain_monitor runs, so a sample never holds both.
+    alive, created, seen = weakref.WeakSet(), [], []
+    init = ShiftedFactor.__init__
+
+    def registered(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+        created.append(1)
+
+    def monitored(*args, **kwargs):
+        seen.append(len(alive))
+        return flux_chain_monitor(*args, **kwargs)
+
+    monkeypatch.setattr(ShiftedFactor, "__init__", registered)
+    monkeypatch.setattr(resolvent, "flux_chain_monitor", monitored)
+    sample = sample_point(3.0, default_sys, probe_state(default_sys, 2), opnorm_tol=1e-3)
+    assert (len(created), seen) == (1, [0])
+    assert np.isfinite(sample.opnorm) and sample.r_crux > 0
+
+
+def test_sample_point_raises_the_norm_error_before_a_monitor_error(monkeypatch, default_sys):
+    # The norm estimate runs on the LU before the monitor pass, so at a
+    # frequency where both fail its error (exit 4) is the one raised.
+    def no_convergence(shifted, tol):
+        raise OpnormConvergenceError(shifted.shift.imag, "forced")
+
+    def monitors_fail(*args, **kwargs):
+        raise ValueError("monitor pass reached")
+
+    monkeypatch.setattr(resolvent, "resolvent_opnorm", no_convergence)
+    monkeypatch.setattr(resolvent, "flux_chain_monitor", monitors_fail)
+    with pytest.raises(OpnormConvergenceError, match="forced"):
+        sample_point(3.0, default_sys, probe_state(default_sys, 2), opnorm_tol=1e-3)
 
 
 def test_trace_ratio_bounded_across_sweep(default_sys):
